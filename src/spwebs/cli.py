@@ -18,7 +18,7 @@ import numpy as np
 from . import theorems as th
 from .connections import (annulus_spec, identity_connection,
                           kasteleyn_connection, load_connection)
-from .errors import IdentityViolated, SpwebsError
+from .errors import IdentityViolated, SpwebsError, json_check
 from .planar import cilia_parity, load_graph, standard_structure
 from .rand import random_connection, random_planar_graph, random_polygon
 from .rings import format_scalar, parse_scalar
@@ -43,6 +43,13 @@ def _graph(args):
     return load_graph(args.graph)
 
 
+def _face(g, f):
+    if not 0 <= f < len(g.faces):
+        raise SpwebsError("no face %d: the graph has faces 0..%d"
+                          % (f, len(g.faces) - 1))
+    return f
+
+
 def _connection(args, g):
     if args.conn:
         return load_connection(g, args.conn)
@@ -58,11 +65,16 @@ def _weights(args, g):
     return wmap
 
 
-def _load_vectors(path):
+def _load_rows(path):
+    """A JSON list of lists of scalars, parsed."""
     with open(path) as fh:
-        rows = json.load(fh)
-    return [np.array([parse_scalar(x) for x in row], dtype=object)
+        rows = json_check(json.load(fh), list, path)
+    return [[parse_scalar(x) for x in json_check(row, list, "row")]
             for row in rows]
+
+
+def _load_vectors(path):
+    return [np.array(row, dtype=object) for row in _load_rows(path)]
 
 
 def cmd_multiwebs(args):
@@ -99,7 +111,7 @@ def cmd_trace(args):
 def cmd_pfaffian(args):
     g = _graph(args)
     conn = _connection(args, g)
-    pf = th.build_H(g, conn, _weights(args, g)).pfaffian()
+    pf = th.HMatrix(g, conn, _weights(args, g)).pfaffian()
     return _emit(args, format_scalar(pf), {"pf": format_scalar(pf)})
 
 
@@ -108,16 +120,9 @@ def cmd_verify_main(args):
         g = _graph(args)
         conn = _connection(args, g)
         w = _weights(args, g)
-        pf = th.build_H(g, conn, w).pfaffian()
+        pf = th.HMatrix(g, conn, w).pfaffian()
         ts = th.sum_traces(g, conn, w)
-        if pf == ts:
-            sign = 1
-        elif pf == -ts:
-            sign = -1
-        else:
-            print("IDENTITY VIOLATED: Pf(H) = %s but trace sum = %s"
-                  % (format_scalar(pf), format_scalar(ts)))
-            return 1
+        sign = th.identity_sign(pf, ts)
         human = "sign %+d\nOK" % sign
         return _emit(args, human, {"pf": format_scalar(pf),
                                    "sum_traces": format_scalar(ts),
@@ -135,26 +140,27 @@ def cmd_verify_main(args):
 def cmd_kasteleyn(args):
     g = _graph(args)
     conn = kasteleyn_connection(g, args.n)
-    pf = th.build_H(g, conn, _weights(args, g)).pfaffian()
+    pf = th.HMatrix(g, conn, _weights(args, g)).pfaffian()
     return _emit(args, format_scalar(pf), {"pf": format_scalar(pf)})
 
 
 def cmd_spin_corr(args):
     g = _graph(args)
-    value = th.spin_correlation(g, args.f1, args.f2, _weights(args, g))
+    value = th.spin_correlation(g, _face(g, args.f1), _face(g, args.f2),
+                                 _weights(args, g))
     return _emit(args, format_scalar(value), {"spin": format_scalar(value)})
 
 
 def cmd_annulus_parity(args):
     g = _graph(args)
-    spec = annulus_spec(g, args.inner)
+    spec = annulus_spec(g, _face(g, args.inner))
     value = th.annulus_parity(g, spec, _weights(args, g))
     return _emit(args, format_scalar(value), {"parity": format_scalar(value)})
 
 
 def cmd_annulus_ck(args):
     g = _graph(args)
-    spec = annulus_spec(g, args.inner)
+    spec = annulus_spec(g, _face(g, args.inner))
     k_max = 2 * len(spec.cut)
     if args.samples:
         samples = [float(x) for x in args.samples.split(",")]
@@ -191,10 +197,7 @@ def cmd_wedge_norm(args):
 
 
 def cmd_qdet(args):
-    with open(args.matrix) as fh:
-        rows = json.load(fh)
-    a = np.array([[parse_scalar(x) for x in row] for row in rows],
-                 dtype=object)
+    a = np.array(_load_rows(args.matrix), dtype=object)
     value = qdet(a, parse_scalar(args.q))
     return _emit(args, format_scalar(value), {"qdet": format_scalar(value)})
 
@@ -225,8 +228,6 @@ def _build_parser():
                         default="rational")
     common.add_argument("--json", action="store_true")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--threads", type=int, default=1,
-                        help="cap on worker parallelism")
     common.add_argument("--count", type=int, default=0,
                         help="size of randomized suites")
 

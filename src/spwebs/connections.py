@@ -25,6 +25,9 @@ from .errors import (
     NotOnCircle,
     NotSymplectic,
     NotUnitary,
+    SelfCheckFailed,
+    json_check,
+    json_field,
 )
 from .linalg import (
     eye,
@@ -53,10 +56,6 @@ class Connection:
                 raise NotSymplectic("edge %d matrix is not symplectic" % eid)
             self.matrices[eid] = m
 
-    def canonical_tail(self, g, eid):
-        e = g.edges[eid]
-        return min(e.u, e.v)
-
     def phi(self, g, eid, tail):
         """Parallel transport along edge eid leaving the given vertex."""
         e = g.edges[eid]
@@ -67,9 +66,6 @@ class Connection:
             return symplectic_inverse(m)
         raise DimensionMismatch("vertex %d is not an endpoint of edge %d"
                                 % (tail, eid))
-
-    def phi_dart(self, g, d):
-        return self.phi(g, d[0], g.dart_tail(d))
 
 
 def identity_connection(g, n=1):
@@ -86,7 +82,7 @@ def restrict_to_split(conn, g_split):
 def monodromy(g, conn, loop):
     m = eye(2 * conn.n)
     for d in loop.darts:
-        m = conn.phi_dart(g, d) @ m
+        m = conn.phi(g, d[0], g.dart_tail(d)) @ m
     return m
 
 
@@ -146,8 +142,10 @@ def unitary_embed(re_m, im_m, tol=1e-12):
     bot = np.concatenate([-im_m, re_m], axis=1)
     out = np.concatenate([top, bot], axis=0)
     j = symplectic_J(n)
-    assert is_symplectic(out, tol=max(tol, 1e-9))
-    assert mat_equal(out @ j, j @ out, tol=max(tol, 1e-9))
+    if not (is_symplectic(out, tol=max(tol, 1e-9))
+            and mat_equal(out @ j, j @ out, tol=max(tol, 1e-9))):
+        raise SelfCheckFailed("realified unitary is not a symplectic"
+                              " matrix commuting with J")
     return out
 
 
@@ -178,21 +176,7 @@ def kasteleyn_connection(g, n=1):
     of the dual graph rooted at the outer face; edges not crossed by the
     tree keep exponent zero."""
     outer = g.outer_face
-    adj = {}
-    for eid, (a, b) in g.dual_adjacency().items():
-        if a != b:
-            adj.setdefault(a, []).append((b, eid))
-            adj.setdefault(b, []).append((a, eid))
-    parent = {outer: None}
-    order = [outer]
-    queue = [outer]
-    while queue:
-        cur = queue.pop(0)
-        for nxt, eid in sorted(adj.get(cur, ())):
-            if nxt not in parent:
-                parent[nxt] = (cur, eid)
-                order.append(nxt)
-                queue.append(nxt)
+    parent, order = g.dual_tree(outer)
     expo = {eid: 0 for eid in g.edges}
     for f in reversed(order):
         if parent[f] is None:
@@ -210,13 +194,12 @@ def kasteleyn_connection(g, n=1):
         expo[tree_eid] = (coeff * rhs) % 4
     conn = Connection(g, n, {eid: j_power(n, k) for eid, k in expo.items()},
                       check=False)
-    conn.kasteleyn_exponents = expo
     for f in range(len(g.faces)):
         if f == outer:
             continue
         want = j_power(n, len(g.faces[f]) - 2)
-        assert mat_equal(monodromy(g, conn, face_loop(g, f)), want), \
-            "face %d monodromy is wrong" % f
+        if not mat_equal(monodromy(g, conn, face_loop(g, f)), want):
+            raise SelfCheckFailed("face %d monodromy is wrong" % f)
     return conn
 
 
@@ -314,13 +297,13 @@ def face_spin_connection(g, marked_faces, n=1):
     ident = eye(2 * n)
     mats = {eid: (ident if s == 1 else -ident) for eid, s in flip.items()}
     conn = Connection(g, n, mats, check=False)
-    conn.spin_flips = flip
     for f in range(len(g.faces)):
         if f == g.outer_face:
             continue
         mono = monodromy(g, conn, face_loop(g, f))
         want = -ident if marked.count(f) % 2 else ident
-        assert mat_equal(mono, want), "spin monodromy wrong on face %d" % f
+        if not mat_equal(mono, want):
+            raise SelfCheckFailed("spin monodromy wrong on face %d" % f)
     return conn
 
 
@@ -339,11 +322,13 @@ def connection_to_dict(g, conn):
 
 
 def connection_from_dict(g, data, check=True):
-    n = data["n"]
+    n = json_field(data, "n", int)
     mats = {}
-    for entry in data["edges"]:
-        rows = [[parse_scalar(x) for x in row] for row in entry["matrix"]]
-        mats[entry["id"]] = mat(rows)
+    for entry in json_field(data, "edges", list):
+        eid = json_field(entry, "id", int)
+        rows = [[parse_scalar(x) for x in json_check(row, list, "matrix row")]
+                for row in json_field(entry, "matrix", list)]
+        mats[eid] = mat(rows)
     return Connection(g, n, mats, check=check)
 
 

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the type checks of the JSON readers.
 
 Everything derives from SpwebsError so callers can catch broadly; the CLI
 maps SpwebsError to exit code 2 and IdentityViolated to exit code 1.
@@ -81,10 +81,6 @@ class InvalidCut(SpwebsError):
     pass
 
 
-class OddMarking(SpwebsError):
-    pass
-
-
 class IdentityViolated(SpwebsError):
     pass
 
@@ -103,3 +99,28 @@ class DivByZero(SpwebsError):
 
 class IllConditioned(SpwebsError):
     pass
+
+
+class SelfCheckFailed(SpwebsError):
+    """A computed result failed the check that it satisfies by
+    construction: a defect in the library, not in the input."""
+
+
+class MalformedInput(SpwebsError):
+    """A JSON input has the wrong shape or a value of the wrong type."""
+
+
+def json_check(value, kind, what):
+    """A parsed JSON value checked to be an instance of kind.  No input
+    field takes a bool, so true and false are rejected as ints."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedInput("%s has the wrong type: %s"
+                             % (what, type(value).__name__))
+    return value
+
+
+def json_field(obj, key, kind=object):
+    """obj[key] of a parsed JSON object, checked with json_check."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise MalformedInput("expected an object with key %r" % key)
+    return json_check(obj[key], kind, key)

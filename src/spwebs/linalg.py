@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadK, DimensionMismatch, NotSkew, NotSymplectic, TooLarge
+from .errors import BadK, DimensionMismatch, NotSkew, TooLarge
 from .rings import Poly, exact_div_scalar
 
 
@@ -298,9 +298,3 @@ def exterior_power_trace(a, k):
         d = det(sub)
         total = d if total is None else total + d
     return total
-
-
-def check_symplectic(m, tol=1e-12, what="matrix"):
-    if not is_symplectic(m, tol=tol):
-        raise NotSymplectic("%s is not symplectic" % what)
-    return m

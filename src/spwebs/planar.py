@@ -21,6 +21,7 @@ from .errors import (
     NonGenericPosition,
     NonPlanarEmbedding,
     NotSimpleLoop,
+    json_field,
 )
 from .rings import format_scalar, parse_scalar
 
@@ -53,15 +54,8 @@ class Edge:
         self.weight = weight
         self.parent = eid if parent is None else parent
 
-    def other(self, vid):
-        return self.v if vid == self.u else self.u
-
     def __repr__(self):
         return "Edge(%d, %d-%d)" % (self.id, self.u, self.v)
-
-
-def dart(eid, end):
-    return (eid, end)
 
 
 def cross(a, b):
@@ -166,12 +160,6 @@ class PlanarGraph:
         if len(seen) != 2 * len(self.edges):
             raise DegenerateGeometry("rotation does not cover all darts")
 
-    def rotation_next(self, d):
-        """Next dart ccw around the tail of d."""
-        lst = self.rotation[self.dart_tail(d)]
-        i = lst.index(d)
-        return lst[(i + 1) % len(lst)]
-
     def rotation_prev(self, d):
         """Next dart cw around the tail of d."""
         lst = self.rotation[self.dart_tail(d)]
@@ -265,33 +253,32 @@ class PlanarGraph:
     def face_vertices(self, idx):
         return [self.dart_tail(d) for d in self.faces[idx]]
 
-    def dual_adjacency(self):
-        """edge id -> (face on side of dart (e,0), face on side of (e,1))."""
-        out = {}
-        for e in self.edges.values():
-            out[e.id] = (self.face_of_dart[(e.id, 0)], self.face_of_dart[(e.id, 1)])
-        return out
-
-    def dual_path(self, f1, f2):
-        """Primal edges crossed by a shortest dual path from face f1 to f2;
-        dual self-loops (bridges) are never useful and are skipped."""
-        if f1 == f2:
-            return []
+    def dual_tree(self, root):
+        """Breadth-first spanning tree of the dual graph from face root,
+        taking neighbours in (face, edge id) order; dual self-loops
+        (bridges) are skipped.  Returns (parent, order): parent maps each
+        reached face to (previous face, crossed edge id), None at the root,
+        and order lists the faces as they were reached."""
         adj = {}
-        for eid, (a, b) in self.dual_adjacency().items():
+        for eid in self.edges:
+            a, b = self.face_of_dart[(eid, 0)], self.face_of_dart[(eid, 1)]
             if a != b:
                 adj.setdefault(a, []).append((b, eid))
                 adj.setdefault(b, []).append((a, eid))
-        prev = {f1: None}
-        queue = [f1]
-        while queue:
-            cur = queue.pop(0)
-            if cur == f2:
-                break
+        parent = {root: None}
+        order = [root]
+        for cur in order:
             for nxt, eid in sorted(adj.get(cur, ())):
-                if nxt not in prev:
-                    prev[nxt] = (cur, eid)
-                    queue.append(nxt)
+                if nxt not in parent:
+                    parent[nxt] = (cur, eid)
+                    order.append(nxt)
+        return parent, order
+
+    def dual_path(self, f1, f2):
+        """Primal edges crossed by a shortest dual path from face f1 to f2."""
+        if f1 == f2:
+            return []
+        prev = self.dual_tree(f1)[0]
         if f2 not in prev:
             raise NonPlanarEmbedding("dual graph is disconnected")
         path = []
@@ -303,9 +290,6 @@ class PlanarGraph:
 
     def incident_edges(self, vid):
         return [d[0] for d in self.rotation[vid]]
-
-    def degree(self, vid):
-        return len(self.rotation[vid])
 
     def bounding_box(self):
         xs = [v.x for v in self.vertices.values()]
@@ -430,9 +414,6 @@ class Structure:
 
     def tail(self, g, eid):
         return g.dart_tail(self.orient[eid])
-
-    def head(self, g, eid):
-        return g.dart_head(self.orient[eid])
 
     def copy(self):
         return Structure(self.order, self.orient)
@@ -601,12 +582,16 @@ def graph_to_dict(g):
 
 
 def graph_from_dict(data):
-    vertices = [Vertex(v["id"], Fraction(v["x"]), Fraction(v["y"]))
-                for v in data["vertices"]]
+    vertices = [Vertex(json_field(v, "id", int),
+                       parse_scalar(json_field(v, "x"), False),
+                       parse_scalar(json_field(v, "y"), False))
+                for v in json_field(data, "vertices", list)]
     edges = []
-    for e in data["edges"]:
+    for e in json_field(data, "edges", list):
+        eid = json_field(e, "id", int)
         w = parse_scalar(e["weight"]) if "weight" in e else None
-        edges.append(Edge(e["id"], e["u"], e["v"], weight=w))
+        edges.append(Edge(eid, json_field(e, "u", int), json_field(e, "v", int),
+                          weight=w))
     return PlanarGraph(vertices, edges)
 
 

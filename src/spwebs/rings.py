@@ -8,9 +8,10 @@ Printing and the leading-term logic use graded lexicographic order
 Floats are plain Python floats, used only for the numeric experiments.
 """
 
+import math
 from fractions import Fraction
 
-from .errors import UnknownVariable
+from .errors import MalformedInput, UnknownVariable
 
 
 def _mono_mul(m1, m2):
@@ -254,14 +255,18 @@ class Poly:
 
 def parse_scalar(text, symbols_as_vars=True):
     """Parse "p/q", integer strings, or a bare symbol name."""
+    if isinstance(text, bool) or not isinstance(text, (int, Fraction, float, str)):
+        raise MalformedInput("cannot parse scalar %r" % (text,))
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     if isinstance(text, float):
+        if not math.isfinite(text):
+            raise MalformedInput("cannot parse scalar %r" % (text,))
         return text
     text = text.strip()
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         pass
     if symbols_as_vars and text.replace("_", "").isalnum() and not text[0].isdigit():
         return Poly.var(text)
@@ -293,7 +298,3 @@ def exact_div_scalar(a, b):
         return Fraction(a) / Fraction(b)
     return a / b
 
-
-RING_RATIONAL = "rational"
-RING_POLY = "poly"
-RING_FLOAT = "float"

@@ -45,7 +45,7 @@ from .webs import (
     decompositions_into_2webs,
     enumerate_dimers,
     enumerate_multiwebs,
-    superposition,
+    superpose,
 )
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -80,7 +80,7 @@ def web_weight(m, wmap):
     return total
 
 
-class HMatrix:
+class HMatrix(SkewMatrix):
     """Skew matrix of a weighted graph with a rank-n connection.
 
     Block (u, v) holds w_e * J * phi_e(v -> u): the same edge factor the
@@ -91,40 +91,21 @@ class HMatrix:
     """
 
     def __init__(self, g, conn, w=None):
-        self.graph = g
-        self.conn = conn
-        self.n = conn.n
-        self.weights = weight_map(g, w)
-        self.vertex_order = vertex_order(g)
-        pos = {vid: i for i, vid in enumerate(self.vertex_order)}
+        weights = weight_map(g, w)
+        pos = {vid: i for i, vid in enumerate(vertex_order(g))}
         b = 2 * conn.n
         a = np.full((b * len(pos), b * len(pos)), 0, dtype=object)
         j = symplectic_J(conn.n)
         for e in g.edges.values():
             block = j @ conn.phi(g, e.id, e.v)
             ru, rv = b * pos[e.u], b * pos[e.v]
-            wt = self.weights[e.id]
+            wt = weights[e.id]
             for r in range(b):
                 for c in range(b):
                     val = wt * block[r, c]
                     a[ru + r, rv + c] = a[ru + r, rv + c] + val
                     a[rv + c, ru + r] = a[rv + c, ru + r] - val
-        self.skew = SkewMatrix(a)
-
-    @property
-    def matrix(self):
-        return self.skew.a
-
-    @property
-    def dim(self):
-        return self.skew.dim
-
-    def pfaffian(self):
-        return self.skew.pfaffian()
-
-
-def build_H(g, conn, w=None):
-    return HMatrix(g, conn, w)
+        super().__init__(a)
 
 
 def sum_traces(g, conn, w=None, n=None):
@@ -147,15 +128,20 @@ def _close(a, b):
     return a == b
 
 
-def verify_main(g, conn, w=None, n=None):
-    """Check Pf(H) = +/- sum of weighted traces and return the sign."""
-    pf = build_H(g, conn, w).pfaffian()
-    ts = sum_traces(g, conn, w, n)
+def identity_sign(pf, ts):
+    """The sign s with Pf(H) = s * trace sum, comparing floats to a
+    relative 1e-9; raises IdentityViolated when neither sign fits."""
     if _close(pf, ts):
         return 1
     if _close(pf, -ts):
         return -1
     raise IdentityViolated("Pf(H) = %s but trace sum = %s" % (pf, ts))
+
+
+def verify_main(g, conn, w=None, n=None):
+    """Check Pf(H) = +/- sum of weighted traces and return the sign."""
+    pf = HMatrix(g, conn, w).pfaffian()
+    return identity_sign(pf, sum_traces(g, conn, w, n))
 
 
 def dimer_partition(g, w=None):
@@ -172,7 +158,7 @@ def dimer_partition(g, w=None):
 def verify_kasteleyn(g, w=None, n=1):
     """Check |Pf(H)| under the rank-n Kasteleyn connection is Z_dimer^2n."""
     conn = kasteleyn_connection(g, n)
-    pf = build_H(g, conn, w).pfaffian()
+    pf = HMatrix(g, conn, w).pfaffian()
     zd = dimer_partition(g, w) ** (2 * n)
     if _close(pf, zd) or _close(pf, -zd):
         return True
@@ -228,8 +214,8 @@ def spin_correlation(g, f1, f2, w=None):
                           "face %d has length %d" % (f, ell), BadFaceLength)
     kc = kasteleyn_connection(g, 1)
     sp = face_spin_connection(g, [f1, f2])
-    num = build_H(g, edgewise_product(g, kc, sp), w).pfaffian()
-    den = build_H(g, kc, w).pfaffian()
+    num = HMatrix(g, edgewise_product(g, kc, sp), w).pfaffian()
+    den = HMatrix(g, kc, w).pfaffian()
     return _ratio(num, den)
 
 
@@ -239,8 +225,8 @@ def annulus_parity(g, spec, w=None):
     holonomy -I to the untwisted one."""
     kc = kasteleyn_connection(g, 1)
     flat = flat_annulus_connection(g, spec, mat([[-1, 0], [0, -1]]))
-    num = build_H(g, edgewise_product(g, kc, flat), w).pfaffian()
-    den = build_H(g, kc, w).pfaffian()
+    num = HMatrix(g, edgewise_product(g, kc, flat), w).pfaffian()
+    den = HMatrix(g, kc, w).pfaffian()
     return _ratio(num, den)
 
 
@@ -260,7 +246,7 @@ def double_dimer_expectation(g, edge_signs, w=None):
             for eid in sorted(d1) + sorted(d2):
                 wt = wt * wmap[eid]
             val = 1
-            for loop in decompose_2multiweb(g, superposition(g, d1, d2)).loops:
+            for loop in decompose_2multiweb(g, superpose(g, [d1, d2])).loops:
                 s = 1
                 for eid in loop.edge_ids():
                     s *= edge_signs.get(eid, 1)
@@ -319,7 +305,7 @@ def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0, w=None):
     r = u2_matrix(theta, alpha, beta, eps)
     kc = kasteleyn_connection(g, 2)
     flat = flat_annulus_connection(g, spec, r, n=2, tol=1e-9)
-    return float(build_H(g, edgewise_product(g, kc, flat), w).pfaffian())
+    return float(HMatrix(g, edgewise_product(g, kc, flat), w).pfaffian())
 
 
 def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0, w=None):

@@ -24,12 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .connections import restrict_to_split
-from .errors import DimensionMismatch, NotBipartite, WrongRank
+from .connections import monodromy, restrict_to_split
+from .errors import DimensionMismatch, NotBipartite, SelfCheckFailed, WrongRank
 from .linalg import all_pairings, det, perm_sign, symplectic_J
 from .planar import Structure, standard_structure
 from .rings import Poly
-from .webs import check_multiweb, decompose_2multiweb, split_simple
+from .webs import decompose_2multiweb, split_simple
 
 
 def _div_factor(x, k):
@@ -42,17 +42,33 @@ def _div_factor(x, k):
     return Fraction(x) / k
 
 
-def _edge_matrix(g, conn, eid, dart):
-    """J times the transport from the head of dart back to its tail."""
-    j = symplectic_J(conn.n)
-    return j @ conn.phi(g, eid, g.dart_head(dart))
-
-
-def _split(g, conn, m, structure):
-    check_multiweb(g, m)
+def _split_trace(g, conn, m, structure, core, symplectic=True):
+    """Split m into a simple web, run core on it with the per-edge
+    matrices, and divide out the split factor.  The matrix of an edge
+    oriented u -> v is J phi_vu, or phi_vu alone when symplectic is
+    False, indexed [color at u][color at v]."""
     s = structure if structure is not None else standard_structure(g)
     gs, ss = split_simple(g, m, s)
-    return gs, ss, restrict_to_split(conn, gs)
+    cs = restrict_to_split(conn, gs)
+    j = symplectic_J(conn.n)
+    emat = {}
+    for eid in gs.edges:
+        phi = cs.phi(gs, eid, gs.dart_head(ss.orient[eid]))
+        emat[eid] = j @ phi if symplectic else phi
+    return _div_factor(core(gs, ss, cs.n, emat), m.split_factor())
+
+
+def _slots(g, s, n):
+    """Position of each dart in the cilium order at its tail; raises
+    WrongRank unless every vertex has degree 2n."""
+    slot = {}
+    for v in sorted(g.vertices):
+        if len(s.order[v]) != 2 * n:
+            raise WrongRank("vertex %d has degree %d, expected %d"
+                            % (v, len(s.order[v]), 2 * n))
+        for i, d in enumerate(s.order[v]):
+            slot[d] = i
+    return slot
 
 
 def codeterminant(n):
@@ -63,11 +79,7 @@ def codeterminant(n):
 
 def trace_coloring(g, conn, m, structure=None):
     """Trace as the signed sum over half-edge colorings."""
-    gs, ss, cs = _split(g, conn, m, structure)
-    emat = {eid: _edge_matrix(gs, cs, eid, ss.orient[eid])
-            for eid in gs.edges}
-    return _div_factor(_trace_coloring_simple(gs, ss, cs.n, emat),
-                       m.split_factor())
+    return _split_trace(g, conn, m, structure, _trace_coloring_simple)
 
 
 def _trace_coloring_simple(g, s, n, emat):
@@ -75,15 +87,9 @@ def _trace_coloring_simple(g, s, n, emat):
     matrix contracted as emat[tail color][head color] along the structure
     orientation."""
     n2 = 2 * n
+    slot = _slots(g, s, n)
     vids = sorted(g.vertices)
     vpos = {v: i for i, v in enumerate(vids)}
-    slot = {}
-    for v in vids:
-        if len(s.order[v]) != n2:
-            raise WrongRank("vertex %d has degree %d, expected %d"
-                            % (v, len(s.order[v]), n2))
-        for i, d in enumerate(s.order[v]):
-            slot[d] = i
     # per vertex: edges completed once this vertex gets its colors
     ready = {v: [] for v in vids}
     for eid in g.edges:
@@ -122,22 +128,16 @@ def _trace_coloring_simple(g, s, n, emat):
 
 def trace_contraction(g, conn, m, structure=None):
     """Trace by contracting vertex codeterminants along edges."""
-    gs, ss, cs = _split(g, conn, m, structure)
-    emat = {eid: _edge_matrix(gs, cs, eid, ss.orient[eid])
-            for eid in gs.edges}
-    return _div_factor(_trace_contraction_simple(gs, ss, cs.n, emat),
-                       m.split_factor())
+    return _split_trace(g, conn, m, structure, _trace_contraction_simple)
 
 
 def _trace_contraction_simple(g, s, n, emat):
     n2 = 2 * n
+    _slots(g, s, n)
     base = codeterminant(n)
     clusters = {}
     owner = {}
     for v in sorted(g.vertices):
-        if len(s.order[v]) != n2:
-            raise WrongRank("vertex %d has degree %d, expected %d"
-                            % (v, len(s.order[v]), n2))
         legs = list(s.order[v])
         clusters[v] = (legs, dict(base))
         for d in legs:
@@ -197,7 +197,8 @@ def _trace_contraction_simple(g, s, n, emat):
         else:
             scalar = scalar * out.get((), 0)
             del clusters[c1]
-    assert not clusters, "legs left uncontracted"
+    if clusters:
+        raise SelfCheckFailed("legs left uncontracted")
     return scalar
 
 
@@ -214,7 +215,7 @@ def trace_sp2_loops(g, conn, m, structure=None):
     dec = decompose_2multiweb(g, m)
     total = 1 if dec.c1 % 2 == 0 else -1
     for loop in dec.loops:
-        mono = _loop_monodromy(g, conn, loop)
+        mono = monodromy(g, conn, loop)
         d = 0
         prev = loop.darts[-1]
         for dart in loop.darts:
@@ -234,13 +235,6 @@ def trace_sp2_loops(g, conn, m, structure=None):
     return total
 
 
-def _loop_monodromy(g, conn, loop):
-    out = np.asarray([[1, 0], [0, 1]], dtype=object)
-    for d in loop.darts:
-        out = conn.phi(g, d[0], g.dart_tail(d)) @ out
-    return out
-
-
 def trace_identity_colorings(g, m, structure=None):
     """Identity-connection trace as a signed count of colorings with
     complementary colors across each edge."""
@@ -248,13 +242,7 @@ def trace_identity_colorings(g, m, structure=None):
     gs, ss = split_simple(g, m, s)
     n = m.n
     n2 = 2 * n
-    slot = {}
-    for v in gs.vertices:
-        if len(ss.order[v]) != n2:
-            raise WrongRank("vertex %d has degree %d, expected %d"
-                            % (v, len(ss.order[v]), n2))
-        for i, d in enumerate(ss.order[v]):
-            slot[d] = i
+    slot = _slots(gs, ss, n)
     eids = sorted(gs.edges)
     colors = {v: [None] * n2 for v in gs.vertices}
     used = {v: set() for v in gs.vertices}
@@ -332,11 +320,8 @@ def trace_sl_bipartite(g, conn, m, structure=None):
     the symplectic trace up to one global sign for the whole graph."""
     bipartite_parts(g)
     s = structure if structure is not None else bipartite_structure(g)
-    gs, ss, cs = _split(g, conn, m, s)
-    emat = {eid: cs.phi(gs, eid, gs.dart_head(ss.orient[eid]))
-            for eid in gs.edges}
-    return _div_factor(_trace_coloring_simple(gs, ss, cs.n, emat),
-                       m.split_factor())
+    return _split_trace(g, conn, m, s, _trace_contraction_simple,
+                        symplectic=False)
 
 
 # -- pointwise vertex evaluations ----------------------------------------

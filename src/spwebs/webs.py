@@ -13,7 +13,7 @@ import itertools
 import json
 from math import factorial
 
-from .errors import MalformedWeb
+from .errors import MalformedWeb, json_check, json_field
 from .planar import Edge, Loop, PlanarGraph, Structure
 
 
@@ -38,29 +38,14 @@ class Multiweb:
         inner = ", ".join("%d: %d" % it for it in sorted(self.mult.items()))
         return "Multiweb(n=%d, {%s})" % (self.n, inner)
 
-    def support(self):
-        return sorted(self.mult)
-
     def degree(self, g, vid):
         return sum(self.mult.get(eid, 0) for eid in g.incident_edges(vid))
-
-    def weight(self, g):
-        """Product of edge weights with multiplicity."""
-        total = None
-        for eid, k in sorted(self.mult.items()):
-            w = g.edges[eid].weight ** k
-            total = w if total is None else total * w
-        return 1 if total is None else total
 
     def split_factor(self):
         out = 1
         for k in self.mult.values():
             out *= factorial(k)
         return out
-
-    def is_simple(self):
-        return all(k == 1 for k in self.mult.values())
-
 
 def check_multiweb(g, m):
     for eid, k in m.mult.items():
@@ -132,12 +117,6 @@ def superpose(g, dimers):
     return check_multiweb(g, Multiweb(len(dimers) // 2, mult))
 
 
-def superposition(g, d1, d2):
-    """Union of two dimer covers: a 2-multiweb whose loops alternate
-    between the covers and so have even length."""
-    return superpose(g, [d1, d2])
-
-
 class LoopDecomposition:
     """A 2-multiweb as disjoint simple loops plus doubled edges."""
 
@@ -148,13 +127,6 @@ class LoopDecomposition:
     @property
     def c1(self):
         return len(self.doubled)
-
-    @property
-    def c2(self):
-        return len(self.loops)
-
-    def loop_lengths(self):
-        return [len(l.darts) for l in self.loops]
 
 
 def decompose_2multiweb(g, m):
@@ -246,45 +218,6 @@ def split_simple(g, m, structure=None):
     return g2, s2
 
 
-def two_web_components(g):
-    """Cycles of a 2-regular graph, each a closed dart walk.
-
-    Walks start at the lowest unused edge id, leaving its canonical tail.
-    A length-2 walk over two copies of one parent edge is a doubled edge;
-    everything else is a loop.  Returns (loops, doubled) with doubled as
-    (eid, eid) pairs.
-    """
-    for v in g.vertices:
-        if g.degree(v) != 2:
-            raise MalformedWeb("vertex %d has degree %d, expected 2"
-                               % (v, g.degree(v)))
-    unused = set(g.edges)
-    loops = []
-    doubled = []
-    while unused:
-        eid = min(unused)
-        e = g.edges[eid]
-        d = (eid, 0 if e.u == min(e.u, e.v) else 1)
-        walk = []
-        while True:
-            walk.append(d)
-            unused.discard(d[0])
-            head = g.dart_head(d)
-            nxt = [x for x in g.rotation[head] if x[0] != d[0]]
-            if len(nxt) != 1:
-                raise MalformedWeb("walk branched at vertex %d" % head)
-            d = nxt[0]
-            if d[0] == walk[0][0]:
-                break
-        if (len(walk) == 2
-                and g.edges[walk[0][0]].parent == g.edges[walk[1][0]].parent
-                and walk[0][0] != walk[1][0]):
-            doubled.append((walk[0][0], walk[1][0]))
-        else:
-            loops.append(walk)
-    return loops, doubled
-
-
 def decompositions_into_2webs(g, m):
     """Ordered splittings of a rank-n multiweb into n 2-multiwebs.
 
@@ -334,7 +267,10 @@ def multiweb_to_dict(m):
 
 
 def multiweb_from_dict(data):
-    return Multiweb(data["n"], {int(e): int(k) for e, k in data["m"].items()})
+    mult = json_field(data, "m", dict)
+    return Multiweb(json_field(data, "n", int),
+                    {int(e): json_check(k, int, "multiplicity of edge %s" % e)
+                     for e, k in mult.items()})
 
 
 def load_multiweb(path):

