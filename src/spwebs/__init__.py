@@ -16,10 +16,9 @@ from .webs import (Multiweb, check_multiweb, decompose_2multiweb,
                    decompositions_into_2webs, enumerate_dimers,
                    enumerate_multiwebs, load_multiweb, save_multiweb,
                    superpose)
-from .traces import (codeterminant, crossing_count, det_vertex, qdet,
-                     trace_coloring, trace_contraction,
-                     trace_identity_colorings, trace_sl_bipartite,
-                     trace_sp2_loops, wedge_norm)
+from .traces import (crossing_count, det_vertex, qdet, trace_coloring,
+                     trace_contraction, trace_identity_colorings,
+                     trace_sl_bipartite, trace_sp2_loops, wedge_norm)
 from .theorems import (HMatrix, annulus_parity, annulus_partition,
                        dimer_partition, double_dimer_expectation, extract_Ck,
                        kasteleyn_trace_decomposition, solve_theta,

@@ -42,7 +42,7 @@ from .rings import format_scalar, parse_scalar
 
 
 class Connection:
-    def __init__(self, g, n, matrices, check=True, tol=1e-12):
+    def __init__(self, g, n, matrices, check=True):
         self.n = n
         self.matrices = {}
         for eid in g.edges:
@@ -52,7 +52,7 @@ class Connection:
                 raise DimensionMismatch(
                     "edge %d matrix has shape %r, expected %dx%d"
                     % (eid, m.shape, 2 * n, 2 * n))
-            if check and not is_symplectic(m, tol=tol):
+            if check and not is_symplectic(m):
                 raise NotSymplectic("edge %d matrix is not symplectic" % eid)
             self.matrices[eid] = m
 
@@ -86,10 +86,10 @@ def monodromy(g, conn, loop):
     return m
 
 
-def gauge_transform(g, conn, gauges, tol=1e-12):
+def gauge_transform(g, conn, gauges):
     """New connection with phi_uv replaced by g_v phi_uv g_u^-1."""
     for vid, gm in gauges.items():
-        if not is_symplectic(np.asarray(gm, dtype=object), tol=tol):
+        if not is_symplectic(np.asarray(gm, dtype=object)):
             raise NotSymplectic("gauge at vertex %d is not symplectic" % vid)
     ident = eye(2 * conn.n)
     mats = {}
@@ -125,7 +125,7 @@ def rotation_matrix(c, s):
     return mat([[c, s], [-s, c]])
 
 
-def unitary_embed(re_m, im_m, tol=1e-12):
+def unitary_embed(re_m, im_m):
     """Realify M = Re + i Im in U(n) as a 2n x 2n symplectic matrix."""
     re_m = np.asarray(re_m, dtype=object)
     im_m = np.asarray(im_m, dtype=object)
@@ -134,16 +134,16 @@ def unitary_embed(re_m, im_m, tol=1e-12):
     n = re_m.shape[0]
     ident = eye(n)
     zero = ident - ident
-    if not mat_equal(re_m.T @ re_m + im_m.T @ im_m, ident, tol=tol):
+    if not mat_equal(re_m.T @ re_m + im_m.T @ im_m, ident, tol=1e-12):
         raise NotUnitary("M*M != I")
-    if not mat_equal(re_m.T @ im_m - im_m.T @ re_m, zero, tol=tol):
+    if not mat_equal(re_m.T @ im_m - im_m.T @ re_m, zero, tol=1e-12):
         raise NotUnitary("M*M != I")
     top = np.concatenate([re_m, im_m], axis=1)
     bot = np.concatenate([-im_m, re_m], axis=1)
     out = np.concatenate([top, bot], axis=0)
     j = symplectic_J(n)
-    if not (is_symplectic(out, tol=max(tol, 1e-9))
-            and mat_equal(out @ j, j @ out, tol=max(tol, 1e-9))):
+    if not (is_symplectic(out, tol=1e-9)
+            and mat_equal(out @ j, j @ out, tol=1e-9)):
         raise SelfCheckFailed("realified unitary is not a symplectic"
                               " matrix commuting with J")
     return out
@@ -321,7 +321,7 @@ def connection_to_dict(g, conn):
     return {"n": conn.n, "edges": edges}
 
 
-def connection_from_dict(g, data, check=True):
+def connection_from_dict(g, data):
     n = json_field(data, "n", int)
     mats = {}
     for entry in json_field(data, "edges", list):
@@ -329,12 +329,12 @@ def connection_from_dict(g, data, check=True):
         rows = [[parse_scalar(x) for x in json_check(row, list, "matrix row")]
                 for row in json_field(entry, "matrix", list)]
         mats[eid] = mat(rows)
-    return Connection(g, n, mats, check=check)
+    return Connection(g, n, mats)
 
 
-def load_connection(g, path, check=True):
+def load_connection(g, path):
     with open(path) as fh:
-        return connection_from_dict(g, json.load(fh), check=check)
+        return connection_from_dict(g, json.load(fh))
 
 
 def save_connection(g, conn, path):

@@ -125,13 +125,13 @@ def perm_sign(seq):
 class SkewMatrix:
     """A square matrix checked to satisfy A^T = -A at construction."""
 
-    def __init__(self, a, tol=1e-12):
+    def __init__(self, a):
         a = np.asarray(a, dtype=object) if not isinstance(a, np.ndarray) else a
         if a.dtype != object:
             a = a.astype(object)
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch("skew matrix must be square")
-        if not mat_equal(a.T, -a, tol=tol):
+        if not mat_equal(a.T, -a, tol=1e-12):
             raise NotSkew("matrix is not antisymmetric")
         self.a = a
 

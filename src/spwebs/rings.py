@@ -291,6 +291,8 @@ def is_exact(x):
 
 def exact_div_scalar(a, b):
     """Division known to be exact in the entry ring."""
+    if isinstance(a, Poly) and not isinstance(b, Poly):
+        return a * (Fraction(1) / Fraction(b))
     if isinstance(a, Poly) or isinstance(b, Poly):
         a = a if isinstance(a, Poly) else Poly.const(a)
         return a.exact_div(b)

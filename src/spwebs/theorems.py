@@ -15,7 +15,6 @@ Pfaffian into a polynomial in 2 + 4*cos(eps).
 import math
 import cmath
 import warnings
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .linalg import SkewMatrix, mat, scalar_is_zero, symplectic_J
 from .planar import standard_structure
-from .rings import Poly
+from .rings import Poly, exact_div_scalar
 from .traces import trace_contraction
 from .webs import (
     decompose_2multiweb,
@@ -192,15 +191,7 @@ def kasteleyn_trace_decomposition(g, m, w=None):
 def _ratio(num, den):
     if scalar_is_zero(den):
         raise DivByZero("denominator Pfaffian vanishes")
-    if isinstance(num, Poly) or isinstance(den, Poly):
-        if not isinstance(den, Poly):
-            return num * (Fraction(1) / Fraction(den))
-        num = num if isinstance(num, Poly) else Poly.const(num)
-        return num.exact_div(den)
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) \
-        else Fraction(num) / Fraction(den)
+    return exact_div_scalar(num, den)
 
 
 def spin_correlation(g, f1, f2, w=None):

@@ -1,26 +1,33 @@
 """Trace evaluations for multiwebs under symplectic connections.
 
-A simple 2n-web carries a codeterminant tensor at each vertex (legs in ccw
-order from the cilium) and the tensors contract along each oriented edge
-u -> v through J times the transport from v back to u, the tail color
-indexing the row:
+The trace of a multiweb is a tensor network on the unsplit graph.  Each
+dart of an edge with multiplicity k > 0 carries a leg labelled by a
+k-subset of the 2n colors (a bitmask); at a vertex the subsets of its
+darts partition {0..2n-1}, and the vertex tensor is the sign of the
+permutation listing each subset in increasing order, darts in cilium
+order.  An edge oriented u -> v with tail subset S and head subset T is
+the bond
 
-    factor(e) = (J phi_vu)[color at u][color at v]
+    (-1)^(k(k-1)/2) det((J phi_vu)[S, T])
 
-Writing phi_vu (and not phi_uv) is what makes the row transform under the
-gauge group at u and the column at v, so the contraction against the
-vertex tensors is gauge invariant.  With J = [[0, I], [-I, 0]] and the
-identity connection the factor gives +1 to a tail color i < n paired with
-head color i+n, matching the signed-coloring definition of the trace.
-Non-simple webs are split first and the result divided by the product of
-multiplicity factorials.
+Writing phi_vu (and not phi_uv) makes the row transform under the gauge
+group at u and the column at v, so the contraction is gauge invariant.
+With J = [[0, I], [-I, 0]] and the identity connection a tail color
+i < n pairs with head color i+n at sign +1, matching the signed-coloring
+definition of the trace.
+
+This is the sum over colorings of the split web, where an edge of
+multiplicity k becomes k nested parallel copies: summing the copies'
+colors within S and T gives k! times the minor, the nesting reverses
+the head's order (the sign), and dividing by the product of
+multiplicity factorials cancels the k!.  Splitting survives only in
+the independent oracles trace_coloring and trace_identity_colorings.
 
 The same index convention fills the blocks of the big antisymmetric matrix
 H, so the Pfaffian pairing terms are exactly the per-edge factors here.
 """
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,34 +35,8 @@ from .connections import monodromy, restrict_to_split
 from .errors import DimensionMismatch, NotBipartite, SelfCheckFailed, WrongRank
 from .linalg import all_pairings, det, perm_sign, symplectic_J
 from .planar import Structure, standard_structure
-from .rings import Poly
-from .webs import decompose_2multiweb, split_simple
-
-
-def _div_factor(x, k):
-    if k == 1:
-        return x
-    if isinstance(x, Poly):
-        return x * Fraction(1, k)
-    if isinstance(x, float):
-        return x / k
-    return Fraction(x) / k
-
-
-def _split_trace(g, conn, m, structure, core, symplectic=True):
-    """Split m into a simple web, run core on it with the per-edge
-    matrices, and divide out the split factor.  The matrix of an edge
-    oriented u -> v is J phi_vu, or phi_vu alone when symplectic is
-    False, indexed [color at u][color at v]."""
-    s = structure if structure is not None else standard_structure(g)
-    gs, ss = split_simple(g, m, s)
-    cs = restrict_to_split(conn, gs)
-    j = symplectic_J(conn.n)
-    emat = {}
-    for eid in gs.edges:
-        phi = cs.phi(gs, eid, gs.dart_head(ss.orient[eid]))
-        emat[eid] = j @ phi if symplectic else phi
-    return _div_factor(core(gs, ss, cs.n, emat), m.split_factor())
+from .rings import exact_div_scalar
+from .webs import check_multiweb, decompose_2multiweb, split_simple
 
 
 def _slots(g, s, n):
@@ -71,32 +52,26 @@ def _slots(g, s, n):
     return slot
 
 
-def codeterminant(n):
-    """Signed permutation tensor: entry at an index tuple is the signature
-    when the tuple is a permutation of 0..2n-1, zero (absent) otherwise."""
-    return {p: perm_sign(p) for p in itertools.permutations(range(2 * n))}
-
-
 def trace_coloring(g, conn, m, structure=None):
-    """Trace as the signed sum over half-edge colorings."""
-    return _split_trace(g, conn, m, structure, _trace_coloring_simple)
-
-
-def _trace_coloring_simple(g, s, n, emat):
-    """Signed coloring sum over a simple web.  emat maps edge id to the
-    matrix contracted as emat[tail color][head color] along the structure
-    orientation."""
-    n2 = 2 * n
-    slot = _slots(g, s, n)
-    vids = sorted(g.vertices)
+    """Trace as the signed sum over half-edge colorings of the split web,
+    divided by the product of multiplicity factorials."""
+    s = structure if structure is not None else standard_structure(g)
+    gs, ss = split_simple(g, m, s)
+    cs = restrict_to_split(conn, gs)
+    j = symplectic_J(conn.n)
+    n2 = 2 * conn.n
+    slot = _slots(gs, ss, conn.n)
+    vids = sorted(gs.vertices)
     vpos = {v: i for i, v in enumerate(vids)}
-    # per vertex: edges completed once this vertex gets its colors
+    # per vertex: edges completed once this vertex gets its colors, with
+    # the matrix J phi_vu indexed [tail color][head color]
     ready = {v: [] for v in vids}
-    for eid in g.edges:
-        d = s.orient[eid]
-        t, h = g.dart_tail(d), g.dart_head(d)
+    for eid in gs.edges:
+        d = ss.orient[eid]
+        t, h = gs.dart_tail(d), gs.dart_head(d)
         later = t if vpos[t] > vpos[h] else h
-        ready[later].append((eid, t, h, slot[d], slot[g.dart_reverse(d)]))
+        ready[later].append((j @ cs.phi(gs, eid, h), t, h, slot[d],
+                             slot[gs.dart_reverse(d)]))
     perms = list(itertools.permutations(range(n2)))
     signs = {p: perm_sign(p) for p in perms}
     color = {}
@@ -112,8 +87,8 @@ def _trace_coloring_simple(g, s, n, emat):
             color[v] = p
             term = acc * signs[p]
             ok = True
-            for eid, t, h, st, sh in ready[v]:
-                f = emat[eid][color[t][st], color[h][sh]]
+            for mat, t, h, st, sh in ready[v]:
+                f = mat[color[t][st], color[h][sh]]
                 if not f:
                     ok = False
                     break
@@ -123,23 +98,57 @@ def _trace_coloring_simple(g, s, n, emat):
         del color[v]
 
     rec(0, 1)
-    return total
+    return exact_div_scalar(total, m.split_factor())
 
 
 def trace_contraction(g, conn, m, structure=None):
-    """Trace by contracting vertex codeterminants along edges."""
-    return _split_trace(g, conn, m, structure, _trace_contraction_simple)
+    """Trace by contracting the subset-labelled network of m."""
+    s = structure if structure is not None else standard_structure(g)
+    return _trace_network(g, conn, m, s)
 
 
-def _trace_contraction_simple(g, s, n, emat):
-    n2 = 2 * n
-    _slots(g, s, n)
-    base = codeterminant(n)
+def _vertex_tensor(n2, sizes):
+    """Subset labels of the legs -> sign of the concatenated subsets."""
+    entries = [((), ())]
+    for k in sizes:
+        entries = [(masks + (sum(1 << c for c in sub),), seq + sub)
+                   for masks, seq in entries
+                   for sub in itertools.combinations(
+                       [c for c in range(n2) if c not in seq], k)]
+    return {masks: perm_sign(seq) for masks, seq in entries}
+
+
+def _bond(mat, k):
+    """Tail subset -> head subset -> (-1)^(k(k-1)/2) det(mat[S, T]),
+    nonzero entries only."""
+    sign = -1 if k * (k - 1) // 2 % 2 else 1
+    subsets = list(itertools.combinations(range(mat.shape[0]), k))
+    out = {}
+    for rows in subsets:
+        row = {}
+        for cols in subsets:
+            d = det(mat[np.ix_(rows, cols)])
+            if d:
+                row[sum(1 << c for c in cols)] = sign * d
+        out[sum(1 << r for r in rows)] = row
+    return out
+
+
+def _trace_network(g, conn, m, s, symplectic=True):
+    """Contract the vertex tensors of m along its edge bonds, greedily
+    taking the edge whose contraction leaves the fewest open legs.  The
+    bond matrix is J phi_vu, or phi_vu alone when symplectic is False."""
+    check_multiweb(g, m)
+    n = conn.n
+    if m.n != n:
+        raise WrongRank("vertex %d has degree %d, expected %d"
+                        % (min(g.vertices), 2 * m.n, 2 * n))
+    j = symplectic_J(n)
     clusters = {}
     owner = {}
     for v in sorted(g.vertices):
-        legs = list(s.order[v])
-        clusters[v] = (legs, dict(base))
+        legs = [d for d in s.order[v] if m[d[0]]]
+        clusters[v] = (legs, _vertex_tensor(2 * n, [m[d[0]] for d in legs]))
         for d in legs:
             owner[d] = v
     scalar = 1
@@ -151,13 +160,14 @@ def _trace_contraction_simple(g, s, n, emat):
             return len(clusters[c1][0]) - 2
         return len(clusters[c1][0]) + len(clusters[c2][0]) - 2
 
-    pending = sorted(g.edges)
+    pending = sorted(m.mult)
     while pending:
         eid = min(pending, key=lambda e: (cost(e), e))
         pending.remove(eid)
         d = s.orient[eid]
         rd = g.dart_reverse(d)
-        mat = emat[eid]
+        phi = conn.phi(g, eid, g.dart_head(d))
+        bond = _bond(j @ phi if symplectic else phi, m[eid])
         c1, c2 = owner[d], owner[rd]
         legs1, t1 = clusters[c1]
         if c1 == c2:
@@ -165,7 +175,7 @@ def _trace_contraction_simple(g, s, n, emat):
             legs = [x for k, x in enumerate(legs1) if k not in (p, q)]
             out = {}
             for idx, coef in t1.items():
-                f = mat[idx[p], idx[q]]
+                f = bond[idx[p]].get(idx[q])
                 if not f:
                     continue
                 key = tuple(x for k, x in enumerate(idx) if k not in (p, q))
@@ -182,10 +192,7 @@ def _trace_contraction_simple(g, s, n, emat):
             out = {}
             for idx, coef in t1.items():
                 rest1 = tuple(x for k, x in enumerate(idx) if k != p)
-                for b in range(n2):
-                    f = mat[idx[p], b]
-                    if not f:
-                        continue
+                for b, f in bond[idx[p]].items():
                     for rest2, coef2 in byq.get(b, ()):
                         key = rest1 + rest2
                         out[key] = out.get(key, 0) + coef * coef2 * f
@@ -273,7 +280,7 @@ def trace_identity_colorings(g, m, structure=None):
             used[h].discard(b)
 
     rec(0, 1)
-    return _div_factor(total, m.split_factor())
+    return exact_div_scalar(total, m.split_factor())
 
 
 def bipartite_parts(g):
@@ -320,8 +327,7 @@ def trace_sl_bipartite(g, conn, m, structure=None):
     the symplectic trace up to one global sign for the whole graph."""
     bipartite_parts(g)
     s = structure if structure is not None else bipartite_structure(g)
-    return _split_trace(g, conn, m, s, _trace_contraction_simple,
-                        symplectic=False)
+    return _trace_network(g, conn, m, s, symplectic=False)
 
 
 # -- pointwise vertex evaluations ----------------------------------------

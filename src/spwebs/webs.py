@@ -158,13 +158,13 @@ def decompose_2multiweb(g, m):
     return LoopDecomposition(loops, doubled)
 
 
-def split_simple(g, m, structure=None):
+def split_simple(g, m, structure):
     """Replace each edge by m_e nested parallel copies.
 
     Zero edges drop out of the graph but the cyclic order of the remaining
     darts is inherited from g, never re-derived from positions.  Copies
-    keep the parent's id in Edge.parent.  Returns (graph, structure) where
-    the structure is None when none was given.
+    keep the parent's id in Edge.parent and fan out from the structure's
+    tail.  Returns the split graph and structure.
     """
     check_multiweb(g, m)
     copies = {}
@@ -182,10 +182,7 @@ def split_simple(g, m, structure=None):
             counter += 1
         copies[eid] = ids
 
-    if structure is not None:
-        tail_of = {eid: structure.tail(g, eid) for eid in g.edges}
-    else:
-        tail_of = {eid: min(e.u, e.v) for eid, e in g.edges.items()}
+    tail_of = {eid: structure.tail(g, eid) for eid in g.edges}
 
     def expand(darts, vid):
         out = []
@@ -202,20 +199,16 @@ def split_simple(g, m, structure=None):
         return out
 
     rotation = {v: expand(g.rotation[v], v) for v in g.vertices}
-    keep = {v for v in g.vertices}
-    g2 = PlanarGraph([g.vertices[v] for v in sorted(keep)], new_edges,
+    g2 = PlanarGraph([g.vertices[v] for v in sorted(g.vertices)], new_edges,
                      rotation=rotation)
 
-    s2 = None
-    if structure is not None:
-        order = {v: expand(structure.order[v], v) for v in g.vertices}
-        orient = {}
-        for eid, ids in copies.items():
-            end = 0 if g.edges[eid].u == tail_of[eid] else 1
-            for cid in ids:
-                orient[cid] = (cid, end)
-        s2 = Structure(order, orient)
-    return g2, s2
+    order = {v: expand(structure.order[v], v) for v in g.vertices}
+    orient = {}
+    for eid, ids in copies.items():
+        end = 0 if g.edges[eid].u == tail_of[eid] else 1
+        for cid in ids:
+            orient[cid] = (cid, end)
+    return g2, Structure(order, orient)
 
 
 def decompositions_into_2webs(g, m):

@@ -93,3 +93,8 @@ def test_is_exact():
 def test_exact_div_scalar():
     assert exact_div_scalar(Fraction(3, 4), Fraction(1, 2)) == Fraction(3, 2)
     assert exact_div_scalar(A * B, B) == A
+    assert (exact_div_scalar(3 * A + B, Fraction(3, 2))
+            == 2 * A + Fraction(2, 3) * B)
+    assert exact_div_scalar(A, 2) == (3 * A).exact_div(Poly.const(6))
+    assert exact_div_scalar(6, 4) == Fraction(3, 2)
+    assert isinstance(exact_div_scalar(6, 3), Fraction)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spwebs"
@@ -12,3 +13,40 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, found
+
+
+def _bench_tree(name):
+    return ast.parse((SRC.parent.parent / "bench" / name).read_text())
+
+
+def test_bench_contract_names():
+    # the bench tracer and workloads find library code by name, so a
+    # rename drops metrics instead of failing loudly
+    consts = {}
+    for node in _bench_tree("tracer.py").body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            try:
+                consts[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    layers = consts["LAYERS"]
+    labels = [v for v in consts.values()
+              if isinstance(v, str) and v.split(".")[0] in layers]
+    assert labels
+    for label in labels:
+        obj = importlib.import_module("spwebs." + label.split(".")[0])
+        for part in label.split(".")[1:]:
+            assert hasattr(obj, part), label
+            obj = getattr(obj, part)
+    for layer, cls_name in consts["CLASS_INITS"]:
+        cls = getattr(importlib.import_module("spwebs." + layer), cls_name)
+        assert "__init__" in vars(cls), (layer, cls_name)
+    for node in ast.walk(_bench_tree("workloads.py")):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "spwebs":
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(mod, alias.name), (node.module, alias.name)
+    traces = importlib.import_module("spwebs.traces")
+    assert any(name.startswith("trace_") and callable(fn)
+               for name, fn in vars(traces).items())

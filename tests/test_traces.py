@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from helpers import c4_ring, grid, k4_2by3, triangle
-from spwebs.errors import NotBipartite
-from spwebs.linalg import det, perm_sign
+from spwebs.connections import kasteleyn_connection
+from spwebs.errors import NotBipartite, WrongRank
+from spwebs.linalg import det
 from spwebs.planar import standard_structure
 from spwebs.rand import random_connection, random_fraction, random_vector
 from spwebs.rings import Poly
-from spwebs.traces import (bipartite_parts, bipartite_structure, codeterminant,
+from spwebs.traces import (bipartite_parts, bipartite_structure,
                            crossing_count, det_vertex, qdet, trace_coloring,
                            trace_contraction, trace_identity_colorings,
                            trace_sl_bipartite, trace_sp2_loops, wedge_norm)
-from spwebs.webs import enumerate_multiwebs
+from spwebs.webs import Multiweb, enumerate_multiwebs
 
 
 def test_crossing_count():
@@ -23,12 +24,14 @@ def test_crossing_count():
     assert crossing_count([(0, 3), (1, 2)]) == 0
 
 
-def test_codeterminant_is_signed_permutation_tensor():
-    cd = codeterminant(2)
-    assert len(cd) == 24
-    for idx, sign in cd.items():
-        assert sorted(idx) == [0, 1, 2, 3]
-        assert sign == perm_sign(list(idx))
+def test_web_and_connection_ranks_must_match():
+    g = c4_ring()
+    conn = kasteleyn_connection(g, 1)
+    m = Multiweb(2, {0: 2, 1: 2, 2: 2, 3: 2})
+    with pytest.raises(WrongRank):
+        trace_contraction(g, conn, m)
+    with pytest.raises(WrongRank):
+        trace_sl_bipartite(g, conn, m)
 
 
 def test_trace_engines_agree_rank1():
