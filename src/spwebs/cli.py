@@ -73,8 +73,13 @@ def _load_rows(path):
             for row in rows]
 
 
-def _load_vectors(path):
-    return [np.array(row, dtype=object) for row in _load_rows(path)]
+def _load_vectors(path, n):
+    """The 2n vectors of a vector file."""
+    vs = [np.array(row, dtype=object) for row in _load_rows(path)]
+    if len(vs) != 2 * n:
+        raise SpwebsError("expected %d vectors, file has %d"
+                          % (2 * n, len(vs)))
+    return vs
 
 
 def cmd_multiwebs(args):
@@ -179,20 +184,12 @@ def cmd_annulus_ck(args):
 
 
 def cmd_det_vertex(args):
-    vs = _load_vectors(args.vectors)
-    if args.n and len(vs) != 2 * args.n:
-        raise SpwebsError("expected %d vectors, file has %d"
-                          % (2 * args.n, len(vs)))
-    value = det_vertex(vs)
+    value = det_vertex(_load_vectors(args.vectors, args.n))
     return _emit(args, format_scalar(value), {"det": format_scalar(value)})
 
 
 def cmd_wedge_norm(args):
-    vs = _load_vectors(args.vectors)
-    if args.n and len(vs) != 2 * args.n:
-        raise SpwebsError("expected %d vectors, file has %d"
-                          % (2 * args.n, len(vs)))
-    value = wedge_norm(vs)
+    value = wedge_norm(_load_vectors(args.vectors, args.n))
     return _emit(args, format_scalar(value), {"det": format_scalar(value)})
 
 
@@ -215,11 +212,23 @@ def cmd_isotopy_check(args):
     return _emit(args, human, {"ok": count, "seed": args.seed})
 
 
+def _int_at_least(lo):
+    """Argument type: an integer no smaller than lo."""
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (lo, value))
+        return value
+    parse.__name__ = "int"  # argparse reports "invalid int value"
+    return parse
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--graph", help="graph JSON file")
     common.add_argument("--conn", help="connection JSON file")
-    common.add_argument("--n", type=int, default=1, help="rank")
+    common.add_argument("--n", type=_int_at_least(1), default=1, help="rank")
     common.add_argument("--weights", choices=["symbolic", "file"],
                         default="file",
                         help="edge weights: one variable per edge, or the"
@@ -228,8 +237,8 @@ def _build_parser():
                         default="rational")
     common.add_argument("--json", action="store_true")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--count", type=int, default=0,
-                        help="size of randomized suites")
+    common.add_argument("--count", type=_int_at_least(0), default=0,
+                        help="size of randomized suites (0: the default)")
 
     parser = argparse.ArgumentParser(prog="spwebs",
                                      description=__doc__.splitlines()[0])

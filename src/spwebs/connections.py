@@ -73,12 +73,6 @@ def identity_connection(g, n=1):
     return Connection(g, n, {eid: i for eid in g.edges}, check=False)
 
 
-def restrict_to_split(conn, g_split):
-    """Connection on a split graph: copies inherit the parent matrix."""
-    mats = {eid: conn.matrices[e.parent] for eid, e in g_split.edges.items()}
-    return Connection(g_split, conn.n, mats, check=False)
-
-
 def monodromy(g, conn, loop):
     m = eye(2 * conn.n)
     for d in loop.darts:

@@ -2,10 +2,9 @@
 
 A graph is stored as a combinatorial map: each edge has two darts
 (edge id, end) and every vertex carries a ccw cyclic list of outgoing
-darts.  When positions are trusted the rotation is derived from them by
-exact angular sort; graphs with parallel edges (e.g. produced by edge
-splitting) are built from an explicit rotation instead.  Faces are the
-orbits of the left-hand tracing rule, checked against Euler's formula.
+darts, derived from the vertex positions by exact angular sort.  Faces
+are the orbits of the left-hand tracing rule, checked against Euler's
+formula.
 
 All geometric predicates (angular order, point in polygon, areas) are
 computed with Fractions; no floating point enters any decision.
@@ -43,16 +42,13 @@ class Vertex:
 
 
 class Edge:
-    """parent tracks the original edge id for split copies."""
+    __slots__ = ("id", "u", "v", "weight")
 
-    __slots__ = ("id", "u", "v", "weight", "parent")
-
-    def __init__(self, eid, u, v, weight=None, parent=None):
+    def __init__(self, eid, u, v, weight=None):
         self.id = eid
         self.u = u
         self.v = v
         self.weight = weight
-        self.parent = eid if parent is None else parent
 
     def __repr__(self):
         return "Edge(%d, %d-%d)" % (self.id, self.u, self.v)
@@ -77,7 +73,7 @@ def _angular_class(d):
 
 
 class PlanarGraph:
-    def __init__(self, vertices, edges, rotation=None, outer_face=None):
+    def __init__(self, vertices, edges):
         self.vertices = {v.id: v for v in vertices}
         self.edges = {e.id: e for e in edges}
         if len(self.vertices) != len(vertices) or len(self.edges) != len(edges):
@@ -87,20 +83,14 @@ class PlanarGraph:
                 raise DegenerateGeometry("self-loop on vertex %d" % e.u)
             if e.u not in self.vertices or e.v not in self.vertices:
                 raise DegenerateGeometry("edge %d references unknown vertex" % e.id)
-        if rotation is None:
-            self.rotation = self._rotation_from_positions()
-        else:
-            self.rotation = {v: list(rotation.get(v, ())) for v in self.vertices}
-            self._check_rotation()
+        self.rotation = self._rotation_from_positions()
         self.faces = self._trace_faces()
         self._check_euler()
         self.face_of_dart = {}
         for idx, cyc in enumerate(self.faces):
             for d in cyc:
                 self.face_of_dart[d] = idx
-        self._outer = outer_face
-        if self._outer is None and rotation is None:
-            self._outer = self._find_outer_face()
+        self._outer = self._find_outer_face()
 
     # -- construction helpers -------------------------------------------
 
@@ -148,18 +138,6 @@ class PlanarGraph:
             out[v].sort(key=functools.cmp_to_key(cmp))
         return out
 
-    def _check_rotation(self):
-        seen = set()
-        for v, darts in self.rotation.items():
-            for d in darts:
-                if d in seen:
-                    raise DegenerateGeometry("dart %r listed twice" % (d,))
-                seen.add(d)
-                if self.dart_tail(d) != v:
-                    raise DegenerateGeometry("dart %r not rooted at %d" % (d, v))
-        if len(seen) != 2 * len(self.edges):
-            raise DegenerateGeometry("rotation does not cover all darts")
-
     def rotation_prev(self, d):
         """Next dart cw around the tail of d."""
         lst = self.rotation[self.dart_tail(d)]
@@ -193,8 +171,8 @@ class PlanarGraph:
         return canon
 
     def _check_euler(self):
-        """Each connected component must be a sphere embedding on its own.
-        Disconnected graphs arise as supports of sub-webs."""
+        """Each connected component must be a sphere embedding on its own;
+        a graph file may hold several components."""
         root = {v: v for v in self.vertices}
 
         def find(a):
@@ -411,9 +389,6 @@ class Structure:
     def __init__(self, order, orient):
         self.order = {v: list(ds) for v, ds in order.items()}
         self.orient = dict(orient)
-
-    def tail(self, g, eid):
-        return g.dart_tail(self.orient[eid])
 
     def copy(self):
         return Structure(self.order, self.orient)

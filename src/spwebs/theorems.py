@@ -194,6 +194,14 @@ def _ratio(num, den):
     return exact_div_scalar(num, den)
 
 
+def _kasteleyn_ratio(g, twist, w):
+    """Pf(H) under the rank-1 Kasteleyn connection times twist, over
+    Pf(H) under the Kasteleyn connection alone."""
+    kc = kasteleyn_connection(g, 1)
+    num = HMatrix(g, edgewise_product(g, kc, twist), w).pfaffian()
+    return _ratio(num, HMatrix(g, kc, w).pfaffian())
+
+
 def spin_correlation(g, f1, f2, w=None):
     """Double-dimer expectation of (-1)^(loops separating f1 from f2):
     the Pfaffian with spin flips on a dual path from f1 to f2 over the
@@ -203,22 +211,15 @@ def spin_correlation(g, f1, f2, w=None):
         if ell % 4 != 2:
             warnings.warn("spin flips want faces of length 2 mod 4; "
                           "face %d has length %d" % (f, ell), BadFaceLength)
-    kc = kasteleyn_connection(g, 1)
-    sp = face_spin_connection(g, [f1, f2])
-    num = HMatrix(g, edgewise_product(g, kc, sp), w).pfaffian()
-    den = HMatrix(g, kc, w).pfaffian()
-    return _ratio(num, den)
+    return _kasteleyn_ratio(g, face_spin_connection(g, [f1, f2]), w)
 
 
 def annulus_parity(g, spec, w=None):
     """Double-dimer expectation of (-1)^(total winding) on an annulus,
     as the ratio of the Pfaffian twisted by the flat connection with
     holonomy -I to the untwisted one."""
-    kc = kasteleyn_connection(g, 1)
     flat = flat_annulus_connection(g, spec, mat([[-1, 0], [0, -1]]))
-    num = HMatrix(g, edgewise_product(g, kc, flat), w).pfaffian()
-    den = HMatrix(g, kc, w).pfaffian()
-    return _ratio(num, den)
+    return _kasteleyn_ratio(g, flat, w)
 
 
 def double_dimer_expectation(g, edge_signs, w=None):

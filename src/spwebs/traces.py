@@ -20,8 +20,10 @@ This is the sum over colorings of the split web, where an edge of
 multiplicity k becomes k nested parallel copies: summing the copies'
 colors within S and T gives k! times the minor, the nesting reverses
 the head's order (the sign), and dividing by the product of
-multiplicity factorials cancels the k!.  Splitting survives only in
-the independent oracles trace_coloring and trace_identity_colorings.
+multiplicity factorials cancels the k!.  The independent oracles
+trace_coloring and trace_identity_colorings sum over these colorings
+directly; they see the split web as a list of copies with their slots
+in the cilium order at each end, and build no graph.
 
 The same index convention fills the blocks of the big antisymmetric matrix
 H, so the Pfaffian pairing terms are exactly the per-edge factors here.
@@ -31,47 +33,59 @@ import itertools
 
 import numpy as np
 
-from .connections import monodromy, restrict_to_split
+from .connections import monodromy
 from .errors import DimensionMismatch, NotBipartite, SelfCheckFailed, WrongRank
 from .linalg import all_pairings, det, perm_sign, symplectic_J
 from .planar import Structure, standard_structure
 from .rings import exact_div_scalar
-from .webs import check_multiweb, decompose_2multiweb, split_simple
+from .webs import check_multiweb, decompose_2multiweb
 
 
-def _slots(g, s, n):
-    """Position of each dart in the cilium order at its tail; raises
-    WrongRank unless every vertex has degree 2n."""
-    slot = {}
-    for v in sorted(g.vertices):
-        if len(s.order[v]) != 2 * n:
-            raise WrongRank("vertex %d has degree %d, expected %d"
-                            % (v, len(s.order[v]), 2 * n))
-        for i, d in enumerate(s.order[v]):
-            slot[d] = i
-    return slot
+def _check_web(g, m, n):
+    """Validate m on g; raises WrongRank unless its rank is the
+    connection's rank n."""
+    check_multiweb(g, m)
+    if m.n != n:
+        raise WrongRank("vertex %d has degree %d, expected %d"
+                        % (min(g.vertices), 2 * m.n, 2 * n))
+
+
+def _split(g, m, s):
+    """The split web of m as copies (edge id, tail, tail slot, head, head
+    slot), in edge id order.  Slots count the copies in cilium order at
+    each vertex; copy i of an edge of multiplicity k sits i places into
+    the edge's block at the structure's tail and k - 1 - i at its head,
+    so the copies nest without crossing."""
+    pos = {}
+    for v in g.vertices:
+        p = 0
+        for d in s.order[v]:
+            pos[d] = p
+            p += m[d[0]]
+    copies = []
+    for eid, k in sorted(m.mult.items()):
+        d = s.orient[eid]
+        t, h = g.dart_tail(d), g.dart_head(d)
+        st, sh = pos[d], pos[g.dart_reverse(d)]
+        copies.extend((eid, t, st + i, h, sh + k - 1 - i) for i in range(k))
+    return copies
 
 
 def trace_coloring(g, conn, m, structure=None):
     """Trace as the signed sum over half-edge colorings of the split web,
     divided by the product of multiplicity factorials."""
     s = structure if structure is not None else standard_structure(g)
-    gs, ss = split_simple(g, m, s)
-    cs = restrict_to_split(conn, gs)
+    _check_web(g, m, conn.n)
     j = symplectic_J(conn.n)
     n2 = 2 * conn.n
-    slot = _slots(gs, ss, conn.n)
-    vids = sorted(gs.vertices)
+    vids = sorted(g.vertices)
     vpos = {v: i for i, v in enumerate(vids)}
     # per vertex: edges completed once this vertex gets its colors, with
     # the matrix J phi_vu indexed [tail color][head color]
     ready = {v: [] for v in vids}
-    for eid in gs.edges:
-        d = ss.orient[eid]
-        t, h = gs.dart_tail(d), gs.dart_head(d)
+    for eid, t, st, h, sh in _split(g, m, s):
         later = t if vpos[t] > vpos[h] else h
-        ready[later].append((j @ cs.phi(gs, eid, h), t, h, slot[d],
-                             slot[gs.dart_reverse(d)]))
+        ready[later].append((j @ conn.phi(g, eid, h), t, h, st, sh))
     perms = list(itertools.permutations(range(n2)))
     signs = {p: perm_sign(p) for p in perms}
     color = {}
@@ -138,11 +152,8 @@ def _trace_network(g, conn, m, s, symplectic=True):
     """Contract the vertex tensors of m along its edge bonds, greedily
     taking the edge whose contraction leaves the fewest open legs.  The
     bond matrix is J phi_vu, or phi_vu alone when symplectic is False."""
-    check_multiweb(g, m)
+    _check_web(g, m, conn.n)
     n = conn.n
-    if m.n != n:
-        raise WrongRank("vertex %d has degree %d, expected %d"
-                        % (min(g.vertices), 2 * m.n, 2 * n))
     j = symplectic_J(n)
     clusters = {}
     owner = {}
@@ -246,27 +257,23 @@ def trace_identity_colorings(g, m, structure=None):
     """Identity-connection trace as a signed count of colorings with
     complementary colors across each edge."""
     s = structure if structure is not None else standard_structure(g)
-    gs, ss = split_simple(g, m, s)
+    check_multiweb(g, m)
+    copies = _split(g, m, s)
     n = m.n
     n2 = 2 * n
-    slot = _slots(gs, ss, n)
-    eids = sorted(gs.edges)
-    colors = {v: [None] * n2 for v in gs.vertices}
-    used = {v: set() for v in gs.vertices}
+    colors = {v: [None] * n2 for v in g.vertices}
+    used = {v: set() for v in g.vertices}
     total = 0
 
     def rec(i, sign):
         nonlocal total
-        if i == len(eids):
+        if i == len(copies):
             vertex_sign = 1
-            for v in gs.vertices:
+            for v in g.vertices:
                 vertex_sign *= perm_sign(tuple(colors[v]))
             total += sign * vertex_sign
             return
-        eid = eids[i]
-        d = ss.orient[eid]
-        t, h = gs.dart_tail(d), gs.dart_head(d)
-        st, sh = slot[d], slot[gs.dart_reverse(d)]
+        _, t, st, h, sh = copies[i]
         for a in range(n2):
             b = (a + n) % n2
             if a in used[t] or b in used[h]:

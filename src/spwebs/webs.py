@@ -4,9 +4,9 @@ A rank-n multiweb puts a multiplicity 0..2n on every edge so that the
 multiplicities around each vertex sum to 2n.  Rank-1 multiwebs with all
 multiplicities at most 1 are dimer covers (perfect matchings).
 
-Splitting replaces each edge of multiplicity k by k parallel copies,
-nested so the copies do not cross; the split graph is 2n-regular and the
-statistical overcount is the product of the multiplicity factorials.
+The split factor, the product of the multiplicity factorials, is the
+overcount of the coloring sum over the split web, where an edge of
+multiplicity k becomes k parallel copies (see traces).
 """
 
 import itertools
@@ -14,7 +14,7 @@ import json
 from math import factorial
 
 from .errors import MalformedWeb, json_check, json_field
-from .planar import Edge, Loop, PlanarGraph, Structure
+from .planar import Loop
 
 
 class Multiweb:
@@ -156,59 +156,6 @@ def decompose_2multiweb(g, m):
                 break
         loops.append(Loop(g, darts))
     return LoopDecomposition(loops, doubled)
-
-
-def split_simple(g, m, structure):
-    """Replace each edge by m_e nested parallel copies.
-
-    Zero edges drop out of the graph but the cyclic order of the remaining
-    darts is inherited from g, never re-derived from positions.  Copies
-    keep the parent's id in Edge.parent and fan out from the structure's
-    tail.  Returns the split graph and structure.
-    """
-    check_multiweb(g, m)
-    copies = {}
-    new_edges = []
-    counter = 0
-    for eid in sorted(g.edges):
-        k = m[eid]
-        if k == 0:
-            continue
-        e = g.edges[eid]
-        ids = []
-        for _ in range(k):
-            new_edges.append(Edge(counter, e.u, e.v, e.weight, parent=eid))
-            ids.append(counter)
-            counter += 1
-        copies[eid] = ids
-
-    tail_of = {eid: structure.tail(g, eid) for eid in g.edges}
-
-    def expand(darts, vid):
-        out = []
-        for d in darts:
-            ids = copies.get(d[0])
-            if ids is None:
-                continue
-            block = [(cid, d[1]) for cid in ids]
-            # copies fan out from the tail in list order and close up at
-            # the head in reverse, so equal-index arcs nest
-            if vid != tail_of[d[0]]:
-                block.reverse()
-            out.extend(block)
-        return out
-
-    rotation = {v: expand(g.rotation[v], v) for v in g.vertices}
-    g2 = PlanarGraph([g.vertices[v] for v in sorted(g.vertices)], new_edges,
-                     rotation=rotation)
-
-    order = {v: expand(structure.order[v], v) for v in g.vertices}
-    orient = {}
-    for eid, ids in copies.items():
-        end = 0 if g.edges[eid].u == tail_of[eid] else 1
-        for cid in ids:
-            orient[cid] = (cid, end)
-    return g2, Structure(order, orient)
 
 
 def decompositions_into_2webs(g, m):

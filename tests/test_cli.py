@@ -158,6 +158,19 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["not-a-verb"])
     assert err.value.code == 2
+    # a rank below 1 and a negative suite size are usage errors
+    c4 = str(DATA / "c4.json")
+    for argv in (["verify-main", "--n", "1", "--count", "-5"],
+                 ["verify-main", "--graph", c4, "--n", "0"],
+                 ["pfaffian", "--graph", c4, "--n", "0"],
+                 ["det-vertex", "--n", "-1", "--vectors", c4]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+    # --count 0 still means the default size
+    code, out = run(capsys, ["isotopy-check", "--count", "0", "--seed", "3"])
+    assert code == 0 and out.strip() == "ok 1000 polygons (seed=3)"
     code = cli.main(["pfaffian", "--graph", "/nonexistent.json"])
     assert code == 2
 

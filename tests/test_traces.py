@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from helpers import c4_ring, grid, k4_2by3, triangle
-from spwebs.connections import kasteleyn_connection
+from spwebs.connections import identity_connection, kasteleyn_connection
 from spwebs.errors import NotBipartite, WrongRank
 from spwebs.linalg import det
-from spwebs.planar import standard_structure
+from spwebs.planar import (advance_cilium, flip_edge_orientation,
+                           standard_structure)
 from spwebs.rand import random_connection, random_fraction, random_vector
 from spwebs.rings import Poly
 from spwebs.traces import (bipartite_parts, bipartite_structure,
@@ -32,6 +33,8 @@ def test_web_and_connection_ranks_must_match():
         trace_contraction(g, conn, m)
     with pytest.raises(WrongRank):
         trace_sl_bipartite(g, conn, m)
+    with pytest.raises(WrongRank):
+        trace_coloring(g, conn, m)
 
 
 def test_trace_engines_agree_rank1():
@@ -56,7 +59,6 @@ def test_trace_engines_agree_rank2():
 
 
 def test_identity_colorings_match_identity_connection():
-    from spwebs.connections import identity_connection
     for g in (triangle(), k4_2by3()):
         for n in (1, 2):
             conn = identity_connection(g, n)
@@ -64,6 +66,23 @@ def test_identity_colorings_match_identity_connection():
             for m in enumerate_multiwebs(g, n):
                 assert trace_contraction(g, conn, m, s) == \
                     trace_identity_colorings(g, m, s)
+
+
+def test_coloring_oracles_match_contraction_under_moves():
+    # every single cilium advance and orientation flip, so the nesting of
+    # split copies is checked away from the standard structure
+    for g, n in ((triangle(), 2), (k4_2by3(), 1)):
+        conn = random_connection(g, random.Random(37), n)
+        ident = identity_connection(g, n)
+        s0 = standard_structure(g)
+        moves = ([advance_cilium(s0, v)[0] for v in sorted(g.vertices)]
+                 + [flip_edge_orientation(s0, g, e) for e in sorted(g.edges)])
+        for s in moves:
+            for m in enumerate_multiwebs(g, n):
+                assert trace_coloring(g, conn, m, s) == \
+                    trace_contraction(g, conn, m, s)
+                assert trace_identity_colorings(g, m, s) == \
+                    trace_contraction(g, ident, m, s)
 
 
 def test_bipartite_parts():
