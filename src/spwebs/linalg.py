@@ -13,13 +13,23 @@ Pfaffian minors of the input, and the Dress-Wenzel identity
 makes each division exact, so polynomial matrices never leave the
 polynomial ring.  Float matrices use ordinary skew elimination with
 magnitude pivoting.
+
+Matrices of int and Fraction entries are first cleared of denominators:
+with d_i the lcm of the denominators in row i and D = diag(d_i), DAD is
+an integer matrix and Pf(DAD) = Pf(A) * prod(d_i).  The elimination then
+runs on Python ints, each exact division a divmod whose remainder must
+be zero, and prod(d_i) is divided out once at the end.  Determinants
+(fraction-free Bareiss elimination) use row scaling alone, det(DA) =
+det(A) * prod(d_i).  The generic loop, which divides with
+rings.exact_div_scalar, serves matrices with Poly entries only.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadK, DimensionMismatch, NotSkew, TooLarge
+from .errors import BadK, DimensionMismatch, NotSkew, SelfCheckFailed, TooLarge
 from .rings import Poly, exact_div_scalar
 
 
@@ -94,10 +104,16 @@ def is_symplectic(m, tol=1e-12):
 
 
 def symplectic_inverse(m):
-    """Inverse of a symplectic matrix: -J M^T J."""
-    m = np.asarray(m, dtype=object)
-    j = symplectic_J(m.shape[0] // 2)
-    return -(j @ m.T @ j)
+    """Inverse of a symplectic matrix: -J M^T J, which for M = [[A, B],
+    [C, D]] is the signed block transpose [[D^T, -B^T], [-C^T, A^T]]."""
+    t = np.asarray(m, dtype=object).T
+    n = t.shape[0] // 2
+    out = np.empty_like(t)
+    out[:n, :n] = t[n:, n:]
+    out[:n, n:] = -t[n:, :n]
+    out[n:, :n] = -t[:n, n:]
+    out[n:, n:] = t[:n, :n]
+    return out
 
 
 def all_pairings(items):
@@ -131,8 +147,16 @@ class SkewMatrix:
             a = a.astype(object)
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch("skew matrix must be square")
-        if not mat_equal(a.T, -a, tol=1e-12):
-            raise NotSkew("matrix is not antisymmetric")
+        rows = a.tolist()
+        for i, row in enumerate(rows):
+            for j in range(i, len(rows)):
+                x, y = row[j], rows[j][i]
+                s = x + y
+                if isinstance(x, float) or isinstance(y, float):
+                    if abs(s) > 1e-12:
+                        raise NotSkew("matrix is not antisymmetric")
+                elif not scalar_is_zero(s):
+                    raise NotSkew("matrix is not antisymmetric")
         self.a = a
 
     @property
@@ -205,31 +229,81 @@ def _pf_float(a):
 
 
 def _pf_fraction_free(a):
-    n = a.shape[0]
-    b = [list(row) for row in a.tolist()]
+    rows = a.tolist()
+    if _has_poly(rows):
+        return _pf_poly(rows)
+    b, d = _clear_rows(rows)
+    if any(x != 1 for x in d):
+        b = [[x * dj for x, dj in zip(row, d)] for row in b]
+    return Fraction(_pf_int(b), math.prod(d))
+
+
+def _has_poly(rows):
+    return any(isinstance(x, Poly) for row in rows for x in row)
+
+
+def _clear_rows(rows):
+    """Rows of int and Fraction entries scaled to integers: row i times
+    d_i, the lcm of its denominators.  Returns the int rows and the d_i."""
+    d = [math.lcm(*[x.denominator for x in row]) for row in rows]
+    return ([[x.numerator * (di // x.denominator) for x in row]
+             for row, di in zip(rows, d)], d)
+
+
+def _pf_pivot(b, k, sign):
+    """Move a nonzero entry of the trailing block to (k, k + 1) by
+    simultaneous row and column swaps; returns the updated sign, or 0
+    when the trailing block is zero."""
+    n = len(b)
+    for i in range(k, n):
+        for j in range(i + 1, n):
+            if not scalar_is_zero(b[i][j]):
+                if i != k:
+                    _swap_rc(b, i, k)
+                    sign = -sign
+                if j != k + 1:
+                    _swap_rc(b, j, k + 1)
+                    sign = -sign
+                return sign
+    return 0
+
+
+def _pf_int(b):
+    """Fraction-free Pfaffian of an integer skew matrix (list of rows,
+    overwritten)."""
+    n = len(b)
+    sign = 1
+    prev = 1
+    for k in range(0, n - 2, 2):
+        if not b[k][k + 1]:
+            sign = _pf_pivot(b, k, sign)
+            if not sign:
+                # every bordered Pfaffian minor vanishes, so the rank is
+                # exhausted and the full Pfaffian is zero
+                return 0
+        bk, bk1 = b[k], b[k + 1]
+        p = bk[k + 1]
+        for i in range(k + 2, n):
+            bi, x, y = b[i], bk[i], bk1[i]
+            for j in range(i + 1, n):
+                val, r = divmod(p * bi[j] - x * bk1[j] + bk[j] * y, prev)
+                if r:
+                    raise SelfCheckFailed("inexact Pfaffian minor division")
+                bi[j] = val
+                b[j][i] = -val
+        prev = p
+    return sign * b[n - 2][n - 1]
+
+
+def _pf_poly(b):
+    n = len(b)
     sign = 1
     prev = Fraction(1)
     for k in range(0, n - 2, 2):
         if scalar_is_zero(b[k][k + 1]):
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if not scalar_is_zero(b[i][j]):
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                # every bordered Pfaffian minor vanishes, so the rank is
-                # exhausted and the full Pfaffian is zero
+            sign = _pf_pivot(b, k, sign)
+            if not sign:
                 return Fraction(0)
-            i, j = found
-            if i != k:
-                _swap_rc(b, i, k)
-                sign = -sign
-            if j != k + 1:
-                _swap_rc(b, j, k + 1)
-                sign = -sign
         p = b[k][k + 1]
         for i in range(k + 2, n):
             for j in range(i + 1, n):
@@ -260,18 +334,50 @@ def det(a):
 
 
 def _det_bareiss(a):
-    n = a.shape[0]
-    m = [list(row) for row in a.tolist()]
+    rows = a.tolist()
+    if _has_poly(rows):
+        return _det_poly(rows)
+    m, d = _clear_rows(rows)
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            sign = _det_pivot(m, k, sign)
+            if not sign:
+                return Fraction(0)
+        mk = m[k]
+        p = mk[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            x = mi[k]
+            for j in range(k + 1, n):
+                val, r = divmod(mi[j] * p - x * mk[j], prev)
+                if r:
+                    raise SelfCheckFailed("inexact Bareiss division")
+                mi[j] = val
+        prev = p
+    return Fraction(sign * m[n - 1][n - 1], math.prod(d))
+
+
+def _det_pivot(m, k, sign):
+    """Swap a row with a nonzero entry in column k into row k; returns
+    the updated sign, or 0 when the column below k is zero."""
+    for i in range(k + 1, len(m)):
+        if not scalar_is_zero(m[i][k]):
+            m[k], m[i] = m[i], m[k]
+            return -sign
+    return 0
+
+
+def _det_poly(m):
+    n = len(m)
     sign = 1
     prev = Fraction(1)
     for k in range(n - 1):
         if scalar_is_zero(m[k][k]):
-            for i in range(k + 1, n):
-                if not scalar_is_zero(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+            sign = _det_pivot(m, k, sign)
+            if not sign:
                 return Fraction(0)
         for i in range(k + 1, n):
             for j in range(k + 1, n):

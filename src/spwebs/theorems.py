@@ -35,7 +35,7 @@ from .errors import (
     OutOfRange,
     WrongRank,
 )
-from .linalg import SkewMatrix, mat, scalar_is_zero, symplectic_J
+from .linalg import SkewMatrix, mat, scalar_is_zero
 from .planar import standard_structure
 from .rings import Poly, exact_div_scalar
 from .traces import trace_contraction
@@ -92,18 +92,17 @@ class HMatrix(SkewMatrix):
     def __init__(self, g, conn, w=None):
         weights = weight_map(g, w)
         pos = {vid: i for i, vid in enumerate(vertex_order(g))}
-        b = 2 * conn.n
+        n = conn.n
+        b = 2 * n
         a = np.full((b * len(pos), b * len(pos)), 0, dtype=object)
-        j = symplectic_J(conn.n)
         for e in g.edges.values():
-            block = j @ conn.phi(g, e.id, e.v)
+            phi = conn.phi(g, e.id, e.v) * weights[e.id]
+            # J = [[0, I], [-I, 0]], so J * phi swaps the row halves and
+            # negates the new lower half
+            block = np.concatenate([phi[n:], -phi[:n]])
             ru, rv = b * pos[e.u], b * pos[e.v]
-            wt = weights[e.id]
-            for r in range(b):
-                for c in range(b):
-                    val = wt * block[r, c]
-                    a[ru + r, rv + c] = a[ru + r, rv + c] + val
-                    a[rv + c, ru + r] = a[rv + c, ru + r] - val
+            a[ru:ru + b, rv:rv + b] += block
+            a[rv:rv + b, ru:ru + b] -= block.T
         super().__init__(a)
 
 

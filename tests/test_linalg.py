@@ -101,6 +101,17 @@ def test_symplectic_inverse():
         m4 = random_sp4(rnd)
         assert is_symplectic(m4)
         assert mat_equal(m4 @ symplectic_inverse(m4), eye(4))
+    # the signed block transpose is -J M^T J for any 2n x 2n matrix
+    a = Poly.var("a")
+    entries = (lambda: Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)),
+               lambda: a * rnd.randint(-3, 3) + rnd.randint(-3, 3),
+               lambda: rnd.uniform(-2.0, 2.0))
+    for n in (1, 2, 3):
+        j = symplectic_J(n)
+        for entry in entries:
+            m = np.array([[entry() for _ in range(2 * n)]
+                          for _ in range(2 * n)], dtype=object)
+            assert mat_equal(symplectic_inverse(m), -(j @ m.T @ j), tol=1e-12)
 
 
 def test_zeros_and_scalar_is_zero():
@@ -109,3 +120,55 @@ def test_zeros_and_scalar_is_zero():
     assert all(scalar_is_zero(x) for x in z.flat)
     assert scalar_is_zero(Poly.const(0))
     assert not scalar_is_zero(Fraction(1, 9))
+
+
+def _skew_suite(seed=11):
+    """Seeded skew matrices of dimension 0, 2, ..., 12: integer, rational
+    with a different denominator in each row, and sparse (about 80%
+    zeros), which drives the zero-pivot search and the rank-exhausted 0."""
+    rnd = random.Random(seed)
+
+    def skew(dim, entry):
+        a = np.full((dim, dim), 0, dtype=object)
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                a[i, j] = entry(i)
+                a[j, i] = -a[i, j]
+        return a
+
+    for dim in range(0, 13, 2):
+        dens = [rnd.randint(1, 7) for _ in range(dim)]
+        for _ in range(3):
+            yield skew(dim, lambda i: rnd.randint(-9, 9))
+            yield skew(dim, lambda i: Fraction(rnd.randint(-9, 9), dens[i]))
+            yield skew(dim, lambda i: 0 if rnd.random() < 0.8 else
+                       Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)))
+
+
+def test_integer_pfaffian_matches_oracles():
+    zeros_seen = 0
+    for a in _skew_suite():
+        pf = pf_eliminate(a)
+        assert isinstance(pf, Fraction)
+        if a.shape[0] <= 8:
+            assert pf == pf_combinatorial(a)
+        # the generic exact loop, run on constant Polys, as an oracle
+        wrapped = np.vectorize(Poly.const, otypes=[object])(a) \
+            if a.size else a
+        assert pf_eliminate(wrapped) == pf
+        assert det(a) == pf * pf
+        if a.shape[0] >= 4 and pf == 0:
+            zeros_seen += 1
+    assert zeros_seen
+
+
+def test_pfaffian_pivot_search_and_rank_exhaustion():
+    # (0, 1) vanishes, so the first step searches for a pivot
+    a = mat([[0, 0, 2, 0], [0, 0, 0, 3], [-2, 0, 0, 0], [0, -3, 0, 0]])
+    assert pf_eliminate(a) == pf_combinatorial(a) == -6
+    # rows 2..5 are zero after the first step: the rank is exhausted
+    b = np.full((6, 6), 0, dtype=object)
+    b[0, 1], b[1, 0] = Fraction(1, 2), Fraction(-1, 2)
+    assert pf_eliminate(b) == 0
+    assert det(b) == 0
+

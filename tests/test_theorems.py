@@ -3,6 +3,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (c4_ring, cube_ring, grid, inner_face, k4_2by3,
@@ -12,7 +13,7 @@ from spwebs.connections import (annulus_spec, flat_annulus_connection,
                                 kasteleyn_connection)
 from spwebs.errors import (BadFaceLength, DimensionMismatch, DivByZero,
                            IllConditioned, OutOfRange, WrongRank)
-from spwebs.linalg import eye, is_symplectic, mat
+from spwebs.linalg import eye, is_symplectic, mat, mat_equal, symplectic_J
 from spwebs.planar import flip_edge_orientation, standard_structure
 from spwebs.rand import random_connection
 from spwebs.rings import Poly
@@ -56,6 +57,22 @@ def test_verify_main_rejects_rank_mismatch():
     g = c4_ring()
     with pytest.raises(WrongRank):
         th.verify_main(g, kasteleyn_connection(g, 1), n=2)
+
+
+def test_h_blocks_are_weighted_j_phi():
+    rnd = random.Random(43)
+    for g, n in ((k4_2by3(), 1), (k4_2by3(), 2), (c4_ring(), 2)):
+        conn = random_connection(g, rnd, n)
+        w = th.symbolic_weights(g)
+        h = th.HMatrix(g, conn, w).a
+        pos = {v: 2 * n * i for i, v in enumerate(th.vertex_order(g))}
+        want = np.full(h.shape, 0, dtype=object)
+        for e in g.edges.values():
+            block = w[e.id] * (symplectic_J(n) @ conn.phi(g, e.id, e.v))
+            ru, rv = pos[e.u], pos[e.v]
+            want[ru:ru + 2 * n, rv:rv + 2 * n] += block
+            want[rv:rv + 2 * n, ru:ru + 2 * n] -= block.T
+        assert mat_equal(h, want)
 
 
 def test_sum_traces_equals_pfaffian_termwise():
