@@ -20,8 +20,19 @@ an integer matrix and Pf(DAD) = Pf(A) * prod(d_i).  The elimination then
 runs on Python ints, each exact division a divmod whose remainder must
 be zero, and prod(d_i) is divided out once at the end.  Determinants
 (fraction-free Bareiss elimination) use row scaling alone, det(DA) =
-det(A) * prod(d_i).  The generic loop, which divides with
-rings.exact_div_scalar, serves matrices with Poly entries only.
+det(A) * prod(d_i).
+
+A matrix with any Poly entry runs the same loops on the packed form of
+rings: coefficient denominators are cleared the same way, every entry
+becomes a dict from packed monomial to int coefficient, each numerator
+is accumulated into one dict, and each exact division in Z[x] is the
+heap division of rings, which raises SelfCheckFailed on a monomial that
+does not divide or a nonzero remainder.  The field width of the packing
+comes from a degree bound: the working entries are Pfaffian minors (for
+Bareiss, minors), so every product has total degree at most dim * D for
+a Pfaffian and 2 * dim * D for a determinant, D the largest entry
+degree, plus one guard bit per field.  The result is unpacked to a Poly
+once.
 """
 
 import math
@@ -30,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadK, DimensionMismatch, NotSkew, SelfCheckFailed, TooLarge
-from .rings import Poly, exact_div_scalar
+from .rings import Poly, _denominator, _Packing, _pk_neg, _pk_quot
 
 
 def mat(rows):
@@ -257,7 +268,7 @@ def _pf_pivot(b, k, sign):
     n = len(b)
     for i in range(k, n):
         for j in range(i + 1, n):
-            if not scalar_is_zero(b[i][j]):
+            if b[i][j]:
                 if i != k:
                     _swap_rc(b, i, k)
                     sign = -sign
@@ -295,25 +306,38 @@ def _pf_int(b):
     return sign * b[n - 2][n - 1]
 
 
-def _pf_poly(b):
-    n = len(b)
+def _pf_poly(rows):
+    """Pfaffian of a matrix with Poly entries: the loop of _pf_int on the
+    packed form of rings, with B = DAD built from the upper triangle and
+    d_i the lcm of the coefficient denominators in row i above the
+    diagonal.  Every working entry is a Pfaffian minor of B, so every
+    product has total degree at most dim * (largest entry degree)."""
+    n = len(rows)
+    pk = _Packing.of([x for i, row in enumerate(rows) for x in row[i + 1:]], n)
+    d = [math.lcm(*[_denominator(x) for x in row[i + 1:]])
+         for i, row in enumerate(rows)]
+    b = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = pk.pack(rows[i][j], d[i] * d[j])
+            b[j][i] = _pk_neg(b[i][j])
     sign = 1
-    prev = Fraction(1)
+    div = None
     for k in range(0, n - 2, 2):
-        if scalar_is_zero(b[k][k + 1]):
+        if not b[k][k + 1]:
             sign = _pf_pivot(b, k, sign)
             if not sign:
                 return Fraction(0)
-        p = b[k][k + 1]
+        bk, bk1 = b[k], b[k + 1]
+        p = bk[k + 1]
         for i in range(k + 2, n):
+            bi, x, y = b[i], bk[i], bk1[i]
             for j in range(i + 1, n):
-                num = p * b[i][j] - b[k][i] * b[k + 1][j] + b[k][j] * b[k + 1][i]
-                val = exact_div_scalar(num, prev)
-                b[i][j] = val
-                b[j][i] = -val
-        prev = p
-    result = b[n - 2][n - 1]
-    return result if sign == 1 else -result
+                val = _pk_quot(((p, bi[j]), (bk[j], y)), ((x, bk1[j]),), div)
+                bi[j] = val
+                b[j][i] = _pk_neg(val)
+        div = pk.divisor(p)
+    return pk.unpack(b[n - 2][n - 1], sign * math.prod(d))
 
 
 def _swap_rc(b, i, j):
@@ -364,28 +388,38 @@ def _det_pivot(m, k, sign):
     """Swap a row with a nonzero entry in column k into row k; returns
     the updated sign, or 0 when the column below k is zero."""
     for i in range(k + 1, len(m)):
-        if not scalar_is_zero(m[i][k]):
+        if m[i][k]:
             m[k], m[i] = m[i], m[k]
             return -sign
     return 0
 
 
-def _det_poly(m):
-    n = len(m)
+def _det_poly(rows):
+    """Determinant of a matrix with Poly entries: the Bareiss loop on the
+    packed form of rings, rows scaled by the lcm of their coefficient
+    denominators.  Working entries are minors, and each numerator is a
+    product of two of them, so every total degree is at most
+    2 * dim * (largest entry degree)."""
+    n = len(rows)
+    pk = _Packing.of([x for row in rows for x in row], 2 * n)
+    d = [math.lcm(*[_denominator(x) for x in row]) for row in rows]
+    m = [[pk.pack(x, di) for x in row] for row, di in zip(rows, d)]
     sign = 1
-    prev = Fraction(1)
+    div = None
     for k in range(n - 1):
-        if scalar_is_zero(m[k][k]):
+        if not m[k][k]:
             sign = _det_pivot(m, k, sign)
             if not sign:
                 return Fraction(0)
+        mk = m[k]
+        p = mk[k]
         for i in range(k + 1, n):
+            mi = m[i]
+            x = mi[k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div_scalar(num, prev)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
+                mi[j] = _pk_quot(((mi[j], p),), ((x, mk[j]),), div)
+        div = pk.divisor(p)
+    return pk.unpack(m[n - 1][n - 1], sign * math.prod(d))
 
 
 def exterior_power_trace(a, k):

@@ -3,15 +3,28 @@
 Rationals are fractions.Fraction.  Polynomials are stored sparsely as a dict
 mapping monomials to Fraction coefficients; a monomial is a tuple of
 (variable name, exponent) pairs sorted by name with positive exponents.
-Printing and the leading-term logic use graded lexicographic order
-(total degree first, then exponents of the alphabetically sorted variables).
-Floats are plain Python floats, used only for the numeric experiments.
+Printing uses graded lexicographic order (total degree first, then
+exponents of the alphabetically sorted variables).  Floats are plain
+Python floats, used only for the numeric experiments.
+
+Division and the Poly Pfaffian and determinant of linalg work on a
+private packed form: a dict from packed monomial to coefficient, where a
+monomial over a fixed variable list is one int of w-bit fields, the total
+degree in the top field and then one field per variable in alphabetical
+order.  Int order is then graded lexicographic order, and a monomial
+product is one int addition.  The caller proves a bound on every total
+degree that can arise and w is its bit length plus one guard bit, so a
+field never carries into the next; m1 divides m2 exactly when m2 - m1 is
+nonnegative with no guard bit set.  Exact division pops the remainder's
+leading monomial from a heapq heap (Johnson, ACM SIGSAM Bull. 8(3),
+1974; packed monomials after Monagan & Pearce, CASC 2007).
 """
 
+import heapq
 import math
 from fractions import Fraction
 
-from .errors import MalformedInput, UnknownVariable
+from .errors import MalformedInput, SelfCheckFailed, UnknownVariable
 
 
 def _mono_mul(m1, m2):
@@ -28,19 +41,6 @@ def _mono_deg(m):
 def _grlex_key(mono, varlist):
     exps = dict(mono)
     return (_mono_deg(mono), tuple(exps.get(v, 0) for v in varlist))
-
-
-def _mono_divides(m1, m2):
-    """True when monomial m1 divides m2."""
-    e2 = dict(m2)
-    return all(e2.get(v, 0) >= e for v, e in m1)
-
-
-def _mono_div(m2, m1):
-    d = dict(m2)
-    for v, e in m1:
-        d[v] -= e
-    return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
 def _mono_str(mono):
@@ -106,13 +106,6 @@ class Poly:
     def _sorted_monos(self):
         varlist = sorted(self.variables())
         return sorted(self.terms, key=lambda m: _grlex_key(m, varlist), reverse=True)
-
-    def leading(self):
-        """(monomial, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            return (), Fraction(0)
-        m = self._sorted_monos()[0]
-        return m, self.terms[m]
 
     def coefficient(self, mono):
         """Coefficient of the given monomial; raises UnknownVariable for
@@ -192,8 +185,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -217,18 +211,16 @@ class Poly:
         other = Poly._coerce(other)
         if other is None or other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        lm, lc = other.leading()
-        rem = Poly(dict(self.terms))
-        quot = {}
-        while rem.terms:
-            rm, rc = rem.leading()
-            if not _mono_divides(lm, rm):
-                raise ValueError("polynomial division is not exact")
-            qm = _mono_div(rm, lm)
-            qc = rc / lc
-            quot[qm] = quot.get(qm, Fraction(0)) + qc
-            rem = rem - Poly({qm: qc}) * other
-        return Poly(quot)
+        # every monomial that arises (the divisor's, the remainder's and
+        # the quotient's) has total degree at most that of one operand
+        pk = _Packing(self.variables() | other.variables(),
+                      max(self.degree(), other.degree()))
+        f, div = pk.terms(self), pk.divisor(pk.terms(other))
+        try:
+            q = _pk_div(f, div)
+        except SelfCheckFailed:
+            raise ValueError("polynomial division is not exact") from None
+        return pk.unpack(q)
 
     def __str__(self):
         if not self.terms:
@@ -251,6 +243,146 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % self
+
+
+class _Packing:
+    """Packed monomials over a fixed variable list, for total degrees up
+    to bound (see the module docstring)."""
+
+    __slots__ = ("shift", "top", "mask", "guard")
+
+    def __init__(self, names, bound):
+        names = sorted(names)
+        w = max(bound, 1).bit_length() + 1
+        k = len(names)
+        self.shift = {v: (k - 1 - i) * w for i, v in enumerate(names)}
+        self.top = k * w
+        self.mask = (1 << w) - 1
+        self.guard = sum(1 << (i * w + w - 1) for i in range(k + 1))
+
+    @classmethod
+    def of(cls, entries, factor):
+        """The packing over the variables of the given entries, for total
+        degrees up to factor times the largest entry degree."""
+        polys = [x for x in entries if isinstance(x, Poly)]
+        names = set().union(*(p.variables() for p in polys))
+        return cls(names, factor * max((p.degree() for p in polys), default=0))
+
+    def key(self, mono):
+        deg = 0
+        key = 0
+        for v, e in mono:
+            key += e << self.shift[v]
+            deg += e
+        return key + (deg << self.top)
+
+    def mono(self, key):
+        out = []
+        for v, s in self.shift.items():
+            e = (key >> s) & self.mask
+            if e:
+                out.append((v, e))
+        return tuple(out)
+
+    def terms(self, p):
+        """A Poly's terms, packed, with its Fraction coefficients."""
+        return {self.key(m): c for m, c in p.terms.items()}
+
+    def pack(self, x, scale):
+        """x (Poly, int or Fraction) times scale, whose coefficients must
+        then be integers, packed with int coefficients."""
+        if isinstance(x, Poly):
+            return {self.key(m): c.numerator * (scale // c.denominator)
+                    for m, c in x.terms.items()}
+        return {0: x.numerator * (scale // x.denominator)} if x else {}
+
+    def unpack(self, f, den=1):
+        """The Poly of packed f divided by den."""
+        return Poly({self.mono(key): Fraction(c, den) for key, c in f.items()})
+
+    def divisor(self, g):
+        """Nonzero packed g prepared for _pk_div: its leading term, its
+        other terms and the guard mask."""
+        lm = max(g)
+        return lm, g[lm], [(m, c) for m, c in g.items() if m != lm], self.guard
+
+
+def _denominator(x):
+    """The lcm of the coefficient denominators of x (Poly, int, Fraction)."""
+    if isinstance(x, Poly):
+        return math.lcm(*[c.denominator for c in x.terms.values()])
+    return x.denominator
+
+
+def _pk_neg(f):
+    return {m: -c for m, c in f.items()}
+
+
+def _pk_quot(plus, minus, div):
+    """(sum of f*g over the pairs in plus, minus the same over minus),
+    packed, accumulated in one dict and divided exactly by the prepared
+    divisor div (None for 1)."""
+    acc = {}
+    get = acc.get
+    for pairs, neg in ((plus, False), (minus, True)):
+        for f, g in pairs:
+            for m1, c1 in f.items():
+                if neg:
+                    c1 = -c1
+                for m2, c2 in g.items():
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
+    num = {m: c for m, c in acc.items() if c}
+    return num if div is None else _pk_div(num, div)
+
+
+def _pk_div(f, div):
+    """Exact quotient of packed f by a divisor prepared by
+    _Packing.divisor; raises SelfCheckFailed when a monomial does not
+    divide or an int coefficient leaves a remainder.  Fraction
+    coefficients divide exactly."""
+    lm, lc, rest, guard = div
+    ints = type(lc) is int
+
+    def quotient_term(m, c):
+        d = m - lm
+        if d < 0 or d & guard:
+            raise SelfCheckFailed("monomial division is not exact")
+        if not ints:
+            return d, c / lc
+        qc, r = divmod(c, lc)
+        if r:
+            raise SelfCheckFailed("coefficient division is not exact")
+        return d, qc
+
+    if not rest:
+        return dict(quotient_term(m, c) for m, c in f.items())
+    q = {}
+    rem = dict(f)
+    heap = [-m for m in rem]
+    heapq.heapify(heap)
+    while rem:
+        m = -heapq.heappop(heap)
+        c = rem.pop(m, None)
+        if c is None:
+            # cancelled, or pushed again after a cancellation
+            continue
+        d, qc = quotient_term(m, c)
+        q[d] = qc
+        # every d + gm is below m, so a popped monomial never comes back
+        for gm, gc in rest:
+            t = d + gm
+            old = rem.get(t)
+            if old is None:
+                rem[t] = -qc * gc
+                heapq.heappush(heap, -t)
+            else:
+                v = old - qc * gc
+                if v:
+                    rem[t] = v
+                else:
+                    del rem[t]
+    return q
 
 
 def parse_scalar(text, symbols_as_vars=True):

@@ -152,7 +152,7 @@ def test_integer_pfaffian_matches_oracles():
         assert isinstance(pf, Fraction)
         if a.shape[0] <= 8:
             assert pf == pf_combinatorial(a)
-        # the generic exact loop, run on constant Polys, as an oracle
+        # the packed Poly loop, run on constant Polys, as an oracle
         wrapped = np.vectorize(Poly.const, otypes=[object])(a) \
             if a.size else a
         assert pf_eliminate(wrapped) == pf
@@ -172,3 +172,81 @@ def test_pfaffian_pivot_search_and_rank_exhaustion():
     assert pf_eliminate(b) == 0
     assert det(b) == 0
 
+
+def _poly_skew_suite(seed=13):
+    """Seeded skew matrices of dimension 0..8 with Poly entries: 1-4
+    variables, Fraction coefficients, exponents up to 6, about 30% zeros
+    (int 0 or the zero Poly)."""
+    rnd = random.Random(seed)
+
+    def entry(names):
+        if rnd.random() < 0.3:
+            return rnd.choice([0, Poly.const(0)])
+        p = Poly.const(0)
+        for _ in range(rnd.randint(1, 2)):
+            t = Poly.const(Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]),
+                                    rnd.randint(1, 4)))
+            for v in names:
+                t = t * Poly.var(v) ** rnd.randint(0, 6)
+            p = p + t
+        return p
+
+    for dim in range(0, 9):
+        for _ in range(3 if dim < 8 else 2):
+            names = "abcd"[:rnd.randint(1, 4)]
+            a = np.full((dim, dim), 0, dtype=object)
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    a[i, j] = entry(names)
+                    a[j, i] = -a[i, j]
+            yield a
+
+
+def test_poly_pfaffian_matches_oracles():
+    for a in _poly_skew_suite():
+        pf = pf_eliminate(a)
+        assert str(pf) == str(pf_combinatorial(a))
+        assert det(a) == pf * pf
+
+
+def test_poly_pfaffian_pivot_and_rank_exhaustion():
+    x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
+    # (0, 1) vanishes, so the first step searches for a pivot
+    a = mat([[0, 0, x, y], [0, 0, z, x * y], [-x, -z, 0, 0],
+             [-y, -x * y, 0, 0]])
+    assert str(pf_eliminate(a)) == str(pf_combinatorial(a))
+    assert pf_eliminate(a) == y * z - x * x * y
+    assert det(a) == pf_eliminate(a) ** 2
+    # rows 2..5 are zero after the first step: the rank is exhausted
+    b = np.full((6, 6), 0, dtype=object)
+    b[0, 1], b[1, 0] = Fraction(1, 2) * x, -Fraction(1, 2) * x
+    pf = pf_eliminate(b)
+    assert isinstance(pf, Fraction) and pf == 0
+    assert det(b) == 0
+
+
+def test_poly_pfaffian_field_width():
+    rnd = random.Random(17)
+    # 30 variables, two in each entry above the diagonal
+    a = np.full((6, 6), 0, dtype=object)
+    for k, (i, j) in enumerate((i, j) for i in range(6) for j in range(i + 1, 6)):
+        a[i, j] = Poly.var("v%d" % k) - 3 * Poly.var("v%d" % (k + 15))
+        a[j, i] = -a[i, j]
+    pf = pf_eliminate(a)
+    assert len(pf.variables()) == 30
+    assert str(pf) == str(pf_combinatorial(a))
+    assert det(a) == pf * pf
+    # entries of degree 9: exponents up to 54 in the determinant
+    u, v, w = Poly.var("u"), Poly.var("v"), Poly.var("w")
+    monos = [u ** 9, v ** 9, w ** 9, u ** 4 * v ** 5, v ** 2 * w ** 7,
+             u * v * w ** 7]
+    b = np.full((6, 6), 0, dtype=object)
+    for i in range(6):
+        for j in range(i + 1, 6):
+            b[i, j] = (rnd.choice(monos) * rnd.choice([-2, 1, 3])
+                       + rnd.choice(monos) * Fraction(1, rnd.randint(1, 5)))
+            b[j, i] = -b[i, j]
+    pf = pf_eliminate(b)
+    assert pf.degree() == 27
+    assert str(pf) == str(pf_combinatorial(b))
+    assert det(b) == pf * pf

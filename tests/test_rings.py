@@ -52,6 +52,41 @@ def test_exact_div():
     assert p.exact_div(A - C) == A + B
     with pytest.raises(Exception):
         p.exact_div(A + C)
+    # a one-term divisor divides term by term
+    assert (3 * A ** 2 * B + 6 * A * B ** 2).exact_div(3 * A * B) == A + 2 * B
+    with pytest.raises(ValueError):
+        (A ** 2 + B).exact_div(A)
+    # the quotient's coefficients need not be integers
+    q = (3 * A + B).exact_div(Poly.const(3))
+    assert q == A + Fraction(1, 3) * B
+    assert str(q) == "a + 1/3*b"
+    # a divisor variable that the dividend lacks
+    with pytest.raises(ValueError):
+        (A ** 2 + B).exact_div(A + C)
+    with pytest.raises(ValueError):
+        A.exact_div(C)
+    assert Poly.const(0).exact_div(A + C) == 0
+    # seeded products: (p * q) / q == p
+    rnd = random.Random(7)
+
+    def rand_poly():
+        p = Poly.const(0)
+        for _ in range(rnd.randint(1, 4)):
+            t = Poly.const(Fraction(rnd.randint(-4, 4) or 1, rnd.randint(1, 3)))
+            for v in (A, B, C):
+                t = t * v ** rnd.randint(0, 4)
+            p = p + t
+        return p
+
+    for _ in range(60):
+        p, q = rand_poly(), rand_poly()
+        if q.is_zero():
+            continue
+        assert (p * q).exact_div(q) == p
+        if q.degree():
+            # q divides p * q + 1 only if q divides 1
+            with pytest.raises(ValueError):
+                (p * q + 1).exact_div(q)
 
 
 def test_substitute():

@@ -34,6 +34,15 @@ def test_golden_pfaffian_is_fourth_power():
     assert pf.coefficient("a^2*b*c*d^2*e*f") == 12
 
 
+def test_symbolic_kasteleyn_pfaffian_on_4x4_grid():
+    # one variable per edge on 24 edges: Pf(H) = +-Z(w)^2 with 446 terms
+    g = grid(4, 4)
+    z, w = _z_dimers(g)
+    pf = th.HMatrix(g, kasteleyn_connection(g, 1), w).pfaffian()
+    assert pf == z ** 2 or pf == -(z ** 2)
+    assert len(pf.terms) == 446
+
+
 def test_verify_kasteleyn_both_ranks():
     g = k4_2by3()
     w = th.symbolic_weights(g)
