@@ -158,12 +158,24 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["not-a-verb"])
     assert err.value.code == 2
-    # a rank below 1 and a negative suite size are usage errors
-    c4 = str(DATA / "c4.json")
+    # a rank below 1 and a negative suite size are usage errors, as are
+    # flags outside verify-main's mode; the ratio verbs take no symbolic
+    # weights, since a ratio of two Poly Pfaffians is no Poly
+    c4, cube = str(DATA / "c4.json"), str(DATA / "cube.json")
     for argv in (["verify-main", "--n", "1", "--count", "-5"],
                  ["verify-main", "--graph", c4, "--n", "0"],
                  ["pfaffian", "--graph", c4, "--n", "0"],
-                 ["det-vertex", "--n", "-1", "--vectors", c4]):
+                 ["det-vertex", "--n", "-1", "--vectors", c4],
+                 ["pfaffian", "--graph", c4, "--ring", "poly"],
+                 ["verify-main", "--graph", c4, "--count", "7", "--seed", "2"],
+                 ["verify-main", "--graph", c4, "--seed", "2"],
+                 ["verify-main", "--conn", c4],
+                 ["verify-main", "--n", "2", "--weights", "symbolic"],
+                 ["verify-main", "--ring", "float", "--count", "1"],
+                 ["annulus-parity", "--graph", cube, "--inner", "5",
+                  "--weights", "symbolic"],
+                 ["spin-corr", "--graph", cube, "--f1", "1", "--f2", "2",
+                  "--weights", "symbolic"]):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2
@@ -173,6 +185,82 @@ def test_usage_errors_exit_two(capsys):
     assert code == 0 and out.strip() == "ok 1000 polygons (seed=3)"
     code = cli.main(["pfaffian", "--graph", "/nonexistent.json"])
     assert code == 2
+
+
+# a value each flag accepts; the parser does not open the files
+FLAG_VALUES = {"graph": G24, "conn": G24, "n": "2", "weights": "symbolic",
+               "ring": "float", "seed": "3", "count": "2", "web": G24,
+               "method": "loops", "f1": "1", "f2": "2", "inner": "1",
+               "samples": "0.5,1", "vectors": G24, "matrix": G24, "q": "1/2"}
+
+
+def _flag(name):
+    return ["--" + name] + ([] if name == "json" else [FLAG_VALUES[name]])
+
+
+@pytest.mark.parametrize("verb", sorted(cli.VERBS))
+def test_each_verb_takes_exactly_the_flags_it_reads(capsys, verb):
+    flags = cli.VERBS[verb][2].split() + ["json"]
+    argv = [verb]
+    for name in flags:
+        if cli.FLAGS.get(name, {}).get("required"):
+            argv += _flag(name)
+    for name in flags:
+        args = cli._build_parser().parse_args(argv + _flag(name))
+        assert getattr(args, name) not in (None, False)
+    for name in sorted(set(cli.FLAGS) - set(flags)):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + _flag(name))
+        out, errtext = capsys.readouterr()
+        assert err.value.code == 2 and out == "", name
+        assert "unrecognized arguments: --" + name in errtext
+
+
+def test_parser_is_built_once_from_the_flag_table(capsys):
+    # 13 verbs take 42 flags besides --json, and every flag has a reader
+    rows = [flags.split() for _, _, flags in cli.VERBS.values()]
+    assert sum(len(r) + 1 for r in rows) == 55
+    assert set(cli.FLAGS) == {name for r in rows for name in r}
+    cli._build_parser.cache_clear()
+    run(capsys, ["dimers", "--graph", G24])
+    run(capsys, ["isotopy-check", "--count", "1"])
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_explicit_rank_must_match_the_connection_file(capsys, tmp_path):
+    g = load_graph(G24)
+    conn = {}
+    for n in (1, 2):
+        conn[n] = str(tmp_path / ("k%d.json" % n))
+        save_connection(g, kasteleyn_connection(g, n), conn[n])
+    for argv in (["pfaffian", "--graph", G24, "--conn", conn[2], "--n", "1"],
+                 ["verify-main", "--graph", G24, "--conn", conn[1],
+                  "--n", "2"]):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: --n ") and "has rank" in err
+    # without --n the file sets the rank, and without --conn it is 1
+    for argv in (["pfaffian", "--graph", G24, "--conn", conn[2]],
+                 ["pfaffian", "--graph", G24, "--conn", conn[2], "--n", "2"],
+                 ["kasteleyn", "--graph", G24, "--n", "2"]):
+        assert run(capsys, argv) == (0, "81\n")
+    assert run(capsys, ["kasteleyn", "--graph", G24]) == \
+        run(capsys, ["pfaffian", "--graph", G24, "--conn", conn[1]])
+    code, out = run(capsys, ["multiwebs", "--graph", G24])
+    assert code == 0 and out.splitlines()[-1] == "count 6"
+
+
+def test_annulus_ck_samples_must_be_finite_numbers(capsys):
+    c4 = str(DATA / "c4.json")
+    for samples in ("nan,1,2,3,4,5,6,7", "inf,1,2,3,4,5,6,7",
+                    "1,2,3,4,5,6,-inf", "1,x,3", "1,,3", ""):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["annulus-ck", "--graph", c4, "--inner", "0",
+                      "--samples", samples])
+        out, errtext = capsys.readouterr()
+        assert err.value.code == 2 and out == "", samples
+        assert "argument --samples" in errtext
 
 
 def test_verify_main_float_ring_uses_library_tolerance(capsys, tmp_path):
