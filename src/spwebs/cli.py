@@ -279,6 +279,8 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    if getattr(args, "weights", None) == "symbolic" and args.ring == "float":
+        args.usage_error("--ring float does nothing with --weights symbolic")
     handler, key, _ = VERBS[args.verb]
     try:
         result = handler(args)

@@ -9,9 +9,11 @@ Included constructions: the identity connection, the Kasteleyn connection
 (powers of J solved face by face over a dual spanning tree so every bounded
 ccw face has monodromy J^(length-2)), flat annulus connections supported on
 a ray cut, and +-1 spin connections flipping the monodromy sign around
-selected faces.
+selected faces.  The Kasteleyn and spin builders are solved and checked
+on exponents in Z/4 and on +-1 signs; matrices come last, from j_power.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -143,16 +145,17 @@ def unitary_embed(re_m, im_m):
     return out
 
 
+@functools.cache
 def j_power(n, k):
+    """J^k, one shared array per (n, k): callers must not write to it."""
     j = symplectic_J(n)
-    k %= 4
-    if k == 0:
-        return eye(2 * n)
-    if k == 1:
-        return j
-    if k == 2:
-        return -eye(2 * n)
-    return -j
+    return (eye(2 * n), j, -eye(2 * n), -j)[k % 4]
+
+
+def j_connection(g, n, expo):
+    """The connection with matrix J^expo[e] on every edge e."""
+    mats = {eid: j_power(n, k % 4) for eid, k in expo.items()}
+    return Connection(g, n, mats, check=False)
 
 
 def face_loop(g, fidx):
@@ -164,37 +167,42 @@ def _dart_is_canonical(g, d):
     return g.dart_tail(d) == min(e.u, e.v)
 
 
-def kasteleyn_connection(g, n=1):
-    """Powers of J making every bounded ccw face have monodromy
-    J^(length-2).  Exponents are solved leaf-to-root over a spanning tree
-    of the dual graph rooted at the outer face; edges not crossed by the
-    tree keep exponent zero."""
-    outer = g.outer_face
-    parent, order = g.dual_tree(outer)
-    expo = {eid: 0 for eid in g.edges}
-    for f in reversed(order):
-        if parent[f] is None:
-            continue
-        tree_eid = parent[f][1]
-        total = 0
-        coeff = 0
-        for d in g.faces[f]:
-            s = 1 if _dart_is_canonical(g, d) else -1
-            if d[0] == tree_eid:
-                coeff += s
-            else:
-                total += s * expo[d[0]]
-        rhs = (len(g.faces[f]) - 2 - total) % 4
-        expo[tree_eid] = (coeff * rhs) % 4
-    conn = Connection(g, n, {eid: j_power(n, k) for eid, k in expo.items()},
-                      check=False)
-    for f in range(len(g.faces)):
-        if f == outer:
-            continue
-        want = j_power(n, len(g.faces[f]) - 2)
-        if not mat_equal(monodromy(g, conn, face_loop(g, f)), want):
+def exponent_sum(g, darts, expo):
+    """k with monodromy M^k along the darts when each edge e carries the
+    power M^expo[e] in its canonical direction."""
+    return sum(expo[d[0]] if _dart_is_canonical(g, d) else -expo[d[0]]
+               for d in darts)
+
+
+def check_kasteleyn_exponents(g, expo):
+    """Raise SelfCheckFailed unless every bounded ccw face f has monodromy
+    J^(len(f) - 2), comparing exponents mod 4 (k -> J^k is faithful)."""
+    for f in g.bounded_faces():
+        if (exponent_sum(g, g.faces[f], expo) - len(g.faces[f]) + 2) % 4:
             raise SelfCheckFailed("face %d monodromy is wrong" % f)
-    return conn
+
+
+def kasteleyn_exponents(g):
+    """Edge id -> k in Z/4 such that J^k on every edge gives every
+    bounded ccw face monodromy J^(length-2).  Exponents are solved
+    leaf-to-root over a spanning tree of the dual graph rooted at the
+    outer face; edges not crossed by the tree keep exponent zero."""
+    parent, order = g.dual_tree(g.outer_face)
+    expo = {eid: 0 for eid in g.edges}
+    for f in reversed(order[1:]):
+        # the tree edge to f's parent is crossed once, and is still 0
+        tree_eid = parent[f][1]
+        s = 1 if any(d[0] == tree_eid and _dart_is_canonical(g, d)
+                     for d in g.faces[f]) else -1
+        expo[tree_eid] = s * (len(g.faces[f]) - 2
+                              - exponent_sum(g, g.faces[f], expo)) % 4
+    check_kasteleyn_exponents(g, expo)
+    return expo
+
+
+def kasteleyn_connection(g, n=1):
+    """The J-power connection of kasteleyn_exponents at rank n."""
+    return j_connection(g, n, kasteleyn_exponents(g))
 
 
 class AnnulusSpec:
@@ -277,28 +285,27 @@ def flat_annulus_connection(g, spec, m, n=1, tol=1e-12):
     return Connection(g, n, mats, check=False)
 
 
-def face_spin_connection(g, marked_faces, n=1):
-    """A +-I connection whose monodromy is -I exactly around the marked
-    faces.  An odd number of marks is completed by pairing the last one
-    with the outer face."""
+def spin_flips(g, marked_faces):
+    """Edges where -I gives monodromy -I exactly around the marked faces:
+    dual paths joining the marks in pairs, an odd last one to the outer."""
     marked = list(marked_faces)
     if len(marked) % 2:
         marked.append(g.outer_face)
-    flip = {eid: 1 for eid in g.edges}
+    flips = set()
     for f1, f2 in zip(marked[::2], marked[1::2]):
-        for eid in g.dual_path(f1, f2):
-            flip[eid] = -flip[eid]
-    ident = eye(2 * n)
-    mats = {eid: (ident if s == 1 else -ident) for eid, s in flip.items()}
-    conn = Connection(g, n, mats, check=False)
-    for f in range(len(g.faces)):
-        if f == g.outer_face:
-            continue
-        mono = monodromy(g, conn, face_loop(g, f))
-        want = -ident if marked.count(f) % 2 else ident
-        if not mat_equal(mono, want):
+        flips ^= set(g.dual_path(f1, f2))  # a tree path repeats no edge
+    for f in g.bounded_faces():
+        crossed = sum(d[0] in flips for d in g.faces[f])
+        if (crossed - marked.count(f)) % 2:
             raise SelfCheckFailed("spin monodromy wrong on face %d" % f)
-    return conn
+    return flips
+
+
+def face_spin_connection(g, marked_faces, n=1):
+    """A +-I connection whose monodromy is -I exactly around the marked
+    faces (see spin_flips)."""
+    flips = spin_flips(g, marked_faces)
+    return j_connection(g, n, {eid: 2 * (eid in flips) for eid in g.edges})
 
 
 # -- serialization -------------------------------------------------------

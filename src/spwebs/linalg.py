@@ -159,14 +159,11 @@ class SkewMatrix:
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch("skew matrix must be square")
         rows = a.tolist()
-        for i, row in enumerate(rows):
-            for j in range(i, len(rows)):
-                x, y = row[j], rows[j][i]
+        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+            for x, y in zip(row[i:], col[i:]):
                 s = x + y
-                if isinstance(x, float) or isinstance(y, float):
-                    if abs(s) > 1e-12:
-                        raise NotSkew("matrix is not antisymmetric")
-                elif not scalar_is_zero(s):
+                if s and (not (isinstance(x, float) or isinstance(y, float))
+                          or abs(s) > 1e-12):
                     raise NotSkew("matrix is not antisymmetric")
         self.a = a
 

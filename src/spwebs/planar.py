@@ -10,7 +10,6 @@ All geometric predicates (angular order, point in polygon, areas) are
 computed with Fractions; no floating point enters any decision.
 """
 
-import functools
 import json
 from fractions import Fraction
 
@@ -122,20 +121,19 @@ class PlanarGraph:
             out[e.u].append((e.id, 0))
             out[e.v].append((e.id, 1))
 
-        def cmp(d1, d2):
-            a = self.dart_vector(d1)
-            b = self.dart_vector(d2)
-            ca, cb = _angular_class(a), _angular_class(b)
-            if ca != cb:
-                return -1 if ca < cb else 1
-            c = cross(a, b)
-            if c == 0:
-                raise DegenerateGeometry(
-                    "incident edges %d and %d share a direction" % (d1[0], d2[0]))
-            return -1 if c > 0 else 1
+        def key(d):
+            # ccw order within a class is increasing -dx/dy
+            dx, dy = self.dart_vector(d)
+            return (_angular_class((dx, dy)), -dx / dy if dy else 0), d
 
-        for v in out:
-            out[v].sort(key=functools.cmp_to_key(cmp))
+        for v, darts in out.items():
+            keyed = sorted(map(key, darts))
+            for (k1, d1), (k2, d2) in zip(keyed, keyed[1:]):
+                if k1 == k2:
+                    raise DegenerateGeometry(
+                        "incident edges %d and %d share a direction"
+                        % (d1[0], d2[0]))
+            out[v] = [d for _, d in keyed]
         return out
 
     def rotation_prev(self, d):

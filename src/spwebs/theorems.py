@@ -18,24 +18,14 @@ import warnings
 
 import numpy as np
 
-from .connections import (
-    edgewise_product,
-    face_spin_connection,
-    flat_annulus_connection,
-    kasteleyn_connection,
-    monodromy,
-    unitary_embed,
-)
-from .errors import (
-    BadFaceLength,
-    DimensionMismatch,
-    DivByZero,
-    IdentityViolated,
-    IllConditioned,
-    OutOfRange,
-    WrongRank,
-)
-from .linalg import SkewMatrix, mat, scalar_is_zero
+from .connections import (Connection, exponent_sum, j_connection, j_power,
+                          kasteleyn_connection, kasteleyn_exponents,
+                          spin_flips, unitary_embed)
+from .errors import (BadFaceLength, DimensionMismatch, DivByZero,
+                     IdentityViolated, IllConditioned, NonCommuting,
+                     OutOfRange, WrongRank)
+from .linalg import (SkewMatrix, mat, mat_equal, scalar_is_zero,
+                     symplectic_inverse)
 from .planar import standard_structure
 from .rings import Poly, exact_div_scalar
 from .traces import trace_contraction
@@ -94,16 +84,23 @@ class HMatrix(SkewMatrix):
         pos = {vid: i for i, vid in enumerate(vertex_order(g))}
         n = conn.n
         b = 2 * n
-        a = np.full((b * len(pos), b * len(pos)), 0, dtype=object)
+        size = b * len(pos)
+        rows = [[0] * size for _ in range(size)]
         for e in g.edges.values():
-            phi = conn.phi(g, e.id, e.v) * weights[e.id]
-            # J = [[0, I], [-I, 0]], so J * phi swaps the row halves and
-            # negates the new lower half
-            block = np.concatenate([phi[n:], -phi[:n]])
-            ru, rv = b * pos[e.u], b * pos[e.v]
-            a[ru:ru + b, rv:rv + b] += block
-            a[rv:rv + b, ru:ru + b] -= block.T
-        super().__init__(a)
+            # block (hi, lo) is w J m, m the matrix from lo to hi, since
+            # J phi(hi -> lo) = m^T J = -(J m)^T.  Row i < n of J m is row
+            # i + n of m, and row i + n is minus row i.
+            m = conn.matrices[e.id].tolist()
+            wt = weights[e.id]
+            rl, rh = b * pos[min(e.u, e.v)], b * pos[max(e.u, e.v)]
+            for i, row in enumerate(m[n:] + m[:n]):
+                top = rows[rh + i]
+                for j, x in enumerate(row):
+                    if x:
+                        val = x * wt if i < n else -(x * wt)
+                        top[rl + j] += val
+                        rows[rl + j][rh + i] -= val
+        super().__init__(np.array(rows, dtype=object).reshape(size, size))
 
 
 def sum_traces(g, conn, w=None, n=None):
@@ -168,21 +165,13 @@ def kasteleyn_trace_decomposition(g, m, w=None):
     the ordered decompositions of m into 2-multiwebs: each decomposition
     whose loops all enclose even area contributes 2^(number of loops),
     the rest contribute 0, and the total carries the sign (-1)^(nN/2)."""
-    conn = kasteleyn_connection(g, 1)
+    expo = kasteleyn_exponents(g)
     total = 0
     for parts in decompositions_into_2webs(g, m):
-        count = 0
-        good = True
-        for p in parts:
-            for loop in decompose_2multiweb(g, p).loops:
-                if scalar_is_zero(monodromy(g, conn, loop)[0, 0]):
-                    good = False
-                    break
-                count += 1
-            if not good:
-                break
-        if good:
-            total += 2 ** count
+        loops = [lp for p in parts for lp in decompose_2multiweb(g, p).loops]
+        # a loop's monodromy J^k has a zero corner exactly when k is odd
+        if all(exponent_sum(g, loop.darts, expo) % 2 == 0 for loop in loops):
+            total += 2 ** len(loops)
     sign = -1 if (m.n * len(g.vertices) // 2) % 2 else 1
     return sign * total * web_weight(m, weight_map(g, w))
 
@@ -193,12 +182,13 @@ def _ratio(num, den):
     return exact_div_scalar(num, den)
 
 
-def _kasteleyn_ratio(g, twist, w):
-    """Pf(H) under the rank-1 Kasteleyn connection times twist, over
-    Pf(H) under the Kasteleyn connection alone."""
-    kc = kasteleyn_connection(g, 1)
-    num = HMatrix(g, edgewise_product(g, kc, twist), w).pfaffian()
-    return _ratio(num, HMatrix(g, kc, w).pfaffian())
+def _kasteleyn_ratio(g, flipped, w):
+    """Pf(H) under the rank-1 Kasteleyn connection times -I on the
+    flipped edges, over Pf(H) under the Kasteleyn connection alone."""
+    expo = kasteleyn_exponents(g)
+    twisted = {eid: k + 2 * (eid in flipped) for eid, k in expo.items()}
+    num = HMatrix(g, j_connection(g, 1, twisted), w).pfaffian()
+    return _ratio(num, HMatrix(g, j_connection(g, 1, expo), w).pfaffian())
 
 
 def spin_correlation(g, f1, f2, w=None):
@@ -210,15 +200,14 @@ def spin_correlation(g, f1, f2, w=None):
         if ell % 4 != 2:
             warnings.warn("spin flips want faces of length 2 mod 4; "
                           "face %d has length %d" % (f, ell), BadFaceLength)
-    return _kasteleyn_ratio(g, face_spin_connection(g, [f1, f2]), w)
+    return _kasteleyn_ratio(g, spin_flips(g, [f1, f2]), w)
 
 
 def annulus_parity(g, spec, w=None):
     """Double-dimer expectation of (-1)^(total winding) on an annulus,
     as the ratio of the Pfaffian twisted by the flat connection with
-    holonomy -I to the untwisted one."""
-    flat = flat_annulus_connection(g, spec, mat([[-1, 0], [0, -1]]))
-    return _kasteleyn_ratio(g, flat, w)
+    holonomy -I (-I on every cut edge) to the untwisted one."""
+    return _kasteleyn_ratio(g, {eid for eid, _ in spec.cut}, w)
 
 
 def double_dimer_expectation(g, edge_signs, w=None):
@@ -294,9 +283,15 @@ def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0, w=None):
     v = solve_theta(alpha, eps)
     theta = 0.5 * math.acos(max(-1.0, min(1.0, v)))
     r = u2_matrix(theta, alpha, beta, eps)
-    kc = kasteleyn_connection(g, 2)
-    flat = flat_annulus_connection(g, spec, r, n=2, tol=1e-9)
-    return float(HMatrix(g, edgewise_product(g, kc, flat), w).pfaffian())
+    flat = {1: r, -1: symplectic_inverse(r)}
+    mats = {eid: j_power(2, k) for eid, k in kasteleyn_exponents(g).items()}
+    # the flat factor is I off the cut, so only cut edges are multiplied
+    for eid, s in spec.cut:
+        ab, ba = mats[eid] @ flat[s], flat[s] @ mats[eid]
+        if not mat_equal(ab, ba, tol=1e-9):
+            raise NonCommuting("matrices on edge %d do not commute" % eid)
+        mats[eid] = ab
+    return float(HMatrix(g, Connection(g, 2, mats, check=False), w).pfaffian())
 
 
 def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0, w=None):

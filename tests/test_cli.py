@@ -175,6 +175,14 @@ def test_usage_errors_exit_two(capsys):
                  ["annulus-parity", "--graph", cube, "--inner", "5",
                   "--weights", "symbolic"],
                  ["spin-corr", "--graph", cube, "--f1", "1", "--f2", "2",
+                  "--weights", "symbolic"],
+                 # symbolic weights are exact, so --ring float would do
+                 # nothing
+                 ["pfaffian", "--graph", c4, "--ring", "float",
+                  "--weights", "symbolic"],
+                 ["kasteleyn", "--graph", c4, "--weights", "symbolic",
+                  "--ring", "float"],
+                 ["verify-main", "--graph", c4, "--ring", "float",
                   "--weights", "symbolic"]):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)

@@ -5,17 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import c4_ring, cube_ring, inner_face, k4_2by3, pendant_square, simple_loops
-from spwebs.connections import (Connection, annulus_spec, edgewise_product,
+from helpers import (c4_ring, cube_ring, grid, inner_face, k4_2by3,
+                     pendant_square, simple_loops)
+from spwebs.connections import (Connection, annulus_spec,
+                                check_kasteleyn_exponents, edgewise_product,
                                 face_loop, face_spin_connection,
                                 flat_annulus_connection, gauge_transform,
                                 identity_connection, j_power,
-                                kasteleyn_connection, load_connection,
-                                monodromy, rotation_matrix, save_connection,
-                                unitary_embed)
-from spwebs.errors import NonCommuting, NotOnCircle, NotSymplectic, NotUnitary
+                                kasteleyn_connection, kasteleyn_exponents,
+                                load_connection, monodromy, rotation_matrix,
+                                save_connection, spin_flips, unitary_embed)
+from spwebs.errors import (NonCommuting, NotOnCircle, NotSymplectic,
+                           NotUnitary, SelfCheckFailed)
 from spwebs.linalg import eye, is_symplectic, mat, mat_equal, symplectic_J
-from spwebs.rand import random_connection, random_gauges
+from spwebs.rand import random_connection, random_gauges, random_planar_graph
 
 
 def test_identity_monodromy():
@@ -33,6 +36,63 @@ def test_kasteleyn_matrices_are_j_powers():
         m = conn.phi(g, eid, g.edges[eid].u)
         assert any(mat_equal(m, np.linalg.matrix_power(np.array(
             j.tolist(), dtype=object), k)) for k in range(4))
+
+
+def _oracle_suite(seed):
+    """Seeded random planar graphs and grids, the matrix-product monodromy
+    oracle's test bed for the exponent and sign solvers."""
+    rnd = random.Random(seed)
+    graphs = [random_planar_graph(rnd, rnd.randint(3, 8)) for _ in range(12)]
+    return rnd, graphs + [grid(2, 3), grid(3, 3), grid(3, 4), grid(4, 4)]
+
+
+def test_kasteleyn_face_monodromy_matches_matrix_oracle():
+    for n in (1, 2):
+        _, graphs = _oracle_suite(31 + n)
+        for g in graphs:
+            conn = kasteleyn_connection(g, n)
+            for f in g.bounded_faces():
+                want = j_power(n, len(g.faces[f]) - 2)
+                assert mat_equal(monodromy(g, conn, face_loop(g, f)), want)
+
+
+def test_spin_face_monodromy_matches_matrix_oracle():
+    for n in (1, 2):
+        rnd, graphs = _oracle_suite(41 + n)
+        for g in graphs:
+            faces = g.bounded_faces()
+            marked = rnd.sample(faces, rnd.randint(0, len(faces)))
+            conn = face_spin_connection(g, marked, n)
+            flips = spin_flips(g, marked)
+            for eid, e in g.edges.items():
+                want = -eye(2 * n) if eid in flips else eye(2 * n)
+                assert mat_equal(conn.phi(g, eid, e.u), want)
+            for f in faces:
+                want = -eye(2 * n) if f in marked else eye(2 * n)
+                assert mat_equal(monodromy(g, conn, face_loop(g, f)), want)
+
+
+def test_perturbed_kasteleyn_exponents_fail_the_check():
+    rnd, graphs = _oracle_suite(51)
+    for g in graphs:
+        expo = kasteleyn_exponents(g)
+        check_kasteleyn_exponents(g, expo)
+        # an edge between two faces, one of them bounded, shifted by 1, 2
+        # or 3 mod 4 (a bridge would cancel in its one face)
+        eid = rnd.choice([e for e in sorted(g.edges)
+                          if g.face_of_dart[(e, 0)] != g.face_of_dart[(e, 1)]])
+        bad = dict(expo)
+        bad[eid] += rnd.randint(1, 3)
+        with pytest.raises(SelfCheckFailed):
+            check_kasteleyn_exponents(g, bad)
+
+
+def test_spin_flips_check_the_marked_faces(monkeypatch):
+    # dual paths that cross nothing leave the marked faces at +I
+    g = grid(3, 4)
+    monkeypatch.setattr(g, "dual_path", lambda f1, f2: [])
+    with pytest.raises(SelfCheckFailed):
+        spin_flips(g, g.bounded_faces()[:2])
 
 
 def test_j_power():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import c4_ring, cube_ring, grid, k4_2by3, simple_loops, triangle
-from spwebs.errors import HorizontalStep
-from spwebs.planar import (advance_cilium, cilia_parity, euler_area_check,
+from spwebs.errors import DegenerateGeometry, HorizontalStep
+from spwebs.planar import (Edge, PlanarGraph, Vertex, advance_cilium,
+                           cilia_parity, euler_area_check,
                            flip_edge_orientation, graph_from_dict,
                            graph_to_dict, loop_area, standard_structure,
                            vertices_enclosed)
@@ -16,6 +17,23 @@ def test_face_counts():
     assert len(c4_ring().faces) == 2
     assert len(cube_ring().faces) == 6
     assert len(k4_2by3().faces) == 4
+
+
+def test_rotation_is_ccw_and_rejects_shared_directions():
+    # a star around the origin, darts listed out of order: ccw from due
+    # west, one dart per angular class and two in the lower half plane
+    ends = [(3, 1), (-2, 0), (1, -4), (2, 0), (-1, -1), (-5, 2)]
+    vs = [Vertex(0, 0, 0)] + [Vertex(i + 1, x, y)
+                              for i, (x, y) in enumerate(ends)]
+    g = PlanarGraph(vs, [Edge(i, 0, i + 1) for i in range(len(ends))])
+    assert [d[0] for d in g.rotation[0]] == [1, 4, 2, 3, 0, 5]
+    # two incident edges in one direction, within one class and on the
+    # horizontal axis
+    for far, near in (((4, -6), (2, -3)), ((-3, 0), (-1, 0)),
+                      ((5, 0), (1, 0)), ((-2, 6), (-1, 3))):
+        vs = [Vertex(0, 0, 0), Vertex(1, *far), Vertex(2, *near)]
+        with pytest.raises(DegenerateGeometry):
+            PlanarGraph(vs, [Edge(0, 0, 1), Edge(1, 0, 2)])
 
 
 def test_outer_face_is_not_bounded():

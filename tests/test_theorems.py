@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import pytest
 from helpers import (c4_ring, cube_ring, grid, inner_face, k4_2by3,
                      pendant_square)
 from spwebs import theorems as th
-from spwebs.connections import (annulus_spec, flat_annulus_connection,
+from spwebs.connections import (annulus_spec, edgewise_product,
+                                face_spin_connection, flat_annulus_connection,
                                 kasteleyn_connection)
 from spwebs.errors import (BadFaceLength, DimensionMismatch, DivByZero,
                            IllConditioned, OutOfRange, WrongRank)
 from spwebs.linalg import eye, is_symplectic, mat, mat_equal, symplectic_J
-from spwebs.planar import flip_edge_orientation, standard_structure
+from spwebs.planar import (flip_edge_orientation, load_graph,
+                           standard_structure)
 from spwebs.rand import random_connection
 from spwebs.rings import Poly
 from spwebs.traces import trace_contraction
@@ -174,10 +177,57 @@ def test_annulus_squared_twist_is_trivial():
     minus = mat([[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]])
     conn = flat_annulus_connection(g, spec, minus @ minus)
     kc = kasteleyn_connection(g, 1)
-    from spwebs.connections import edgewise_product
     num = th.HMatrix(g, edgewise_product(g, kc, conn)).pfaffian()
     den = th.HMatrix(g, kc).pfaffian()
     assert num == den
+
+
+def _twisted_ratio_oracle(g, twist, w):
+    """Pf(H) under the Kasteleyn connection times twist, as the matrix
+    product edgewise_product, over the untwisted Pf(H)."""
+    kc = kasteleyn_connection(g, 1)
+    num = th.HMatrix(g, edgewise_product(g, kc, twist), w).pfaffian()
+    return num / th.HMatrix(g, kc, w).pfaffian()
+
+
+def test_exponent_twists_match_edgewise_product_oracle():
+    rnd = random.Random(61)
+    cases = [(cube_ring(), None)]
+    for rows, cols in ((2, 4), (3, 4), (4, 4), (2, 5), (4, 5)):
+        g = grid(rows, cols)
+        cases.append((g, {eid: Fraction(rnd.randint(1, 5), rnd.randint(1, 3))
+                          for eid in g.edges}))
+    minus = mat([[-1, 0], [0, -1]])
+    for g, w in cases:
+        faces = g.bounded_faces()
+        for _ in range(3):
+            f1, f2 = rnd.sample(faces, 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BadFaceLength)
+                spin = th.spin_correlation(g, f1, f2, w)
+            assert spin == _twisted_ratio_oracle(
+                g, face_spin_connection(g, [f1, f2]), w)
+            spec = annulus_spec(g, rnd.choice(faces))
+            assert th.annulus_parity(g, spec, w) == _twisted_ratio_oracle(
+                g, flat_annulus_connection(g, spec, minus), w)
+
+
+def test_annulus_partition_values_are_pinned():
+    # float reprs of the U(2)-twisted rank-2 Pfaffian, as computed from
+    # edgewise_product of the Kasteleyn and the flat connection
+    g = grid(4, 4)
+    spec = annulus_spec(g, inner_face(g, [5, 6, 10, 9]))
+    c4 = load_graph(Path(__file__).parent / "data" / "c4.json")
+    c4_spec = annulus_spec(c4, 0 if c4.outer_face != 0 else 1)
+    for graph, sp, values in (
+            (g, spec, ("1636016.579396413", "1383042.1542434879",
+                       "1579191.6430820625")),
+            (c4, c4_spec, ("14.118737498275909", "2.669791829761407",
+                           "11.628768971404618"))):
+        for (eps, alpha, beta), want in zip(
+                ((0.7, 0.0, 0.0), (2.3, 0.0, 0.0), (1.1, 0.2, 0.5)), values):
+            z = th.annulus_partition(graph, sp, eps, alpha=alpha, beta=beta)
+            assert repr(z) == want
 
 
 def test_u2_matrix_is_symplectic():
