@@ -35,6 +35,7 @@ degree, plus one guard bit per field.  The result is unpacked to a Poly
 once.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -106,12 +107,23 @@ def symplectic_J(n):
     return a
 
 
+def j_times(rows):
+    """Rows of J M for M given as a list of 2n rows: rows n.. of M, then
+    minus rows ..n."""
+    n = len(rows) // 2
+    return rows[n:] + [[-x for x in row] for row in rows[:n]]
+
+
 def is_symplectic(m, tol=1e-12):
+    """M^T J M = J, checked as D^2 J on cleared ints for exact entries."""
     m = np.asarray(m, dtype=object)
     if m.shape[0] != m.shape[1] or m.shape[0] % 2:
         return False
-    j = symplectic_J(m.shape[0] // 2)
-    return mat_equal(m.T @ j @ m, j, tol=tol)
+    rows, d = clear_denominators(m.tolist())
+    jcols = list(zip(*j_times(rows)))
+    mtjm = [[sum(a * b for a, b in zip(col, jcol)) for jcol in jcols]
+            for col in zip(*rows)]
+    return mat_equal(mtjm, j_times(eye(len(rows), d * d).tolist()), tol=tol)
 
 
 def symplectic_inverse(m):
@@ -250,12 +262,46 @@ def _has_poly(rows):
     return any(isinstance(x, Poly) for row in rows for x in row)
 
 
+def clear_denominators(rows):
+    """Int and Fraction rows times D, the lcm of their denominators, as
+    ints, and D; rows with a Poly or float entry are returned with D = 1."""
+    if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        return rows, 1
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in rows], d
+
+
 def _clear_rows(rows):
     """Rows of int and Fraction entries scaled to integers: row i times
     d_i, the lcm of its denominators.  Returns the int rows and the d_i."""
     d = [math.lcm(*[x.denominator for x in row]) for row in rows]
     return ([[x.numerator * (di // x.denominator) for x in row]
              for row, di in zip(rows, d)], d)
+
+
+def minors(rows, k):
+    """All k x k minors of a list of rows over any ring, as row mask ->
+    column mask -> minor, zeros left out.  Size j comes from size j - 1 by
+    Laplace expansion along the lowest row s of S: det A[S, T] is the sum
+    over c in T of (-1)^#{t in T: t < c} A[s, c] det A[S - s, T - c]."""
+    table = {0: {0: 1}}
+    for size in range(1, k + 1):
+        level = {}
+        for rs in itertools.combinations(range(len(rows)), size):
+            row = rows[rs[0]]
+            out = {}
+            for sub, val in table[sum(1 << r for r in rs[1:])].items():
+                sign = 1
+                for c, x in enumerate(row):
+                    bit = 1 << c
+                    if sub & bit:
+                        sign = -sign
+                    elif x:
+                        out[sub | bit] = out.get(sub | bit, 0) + sign * x * val
+            level[sum(1 << r for r in rs)] = {t: v for t, v in out.items() if v}
+        table = level
+    return table
 
 
 def _pf_pivot(b, k, sign):
@@ -422,16 +468,8 @@ def _det_poly(rows):
 def exterior_power_trace(a, k):
     """Trace of the k-th exterior power: sum of principal k-minors."""
     a = np.asarray(a, dtype=object)
-    n = a.shape[0]
-    if k < 0 or k > n:
+    if k < 0 or k > a.shape[0]:
         raise BadK("exterior power out of range")
-    if k == 0:
-        return Fraction(1)
-    from itertools import combinations
-
-    total = None
-    for subset in combinations(range(n), k):
-        sub = a[np.ix_(subset, subset)]
-        d = det(sub)
-        total = d if total is None else total + d
-    return total
+    rows, d = clear_denominators(a.tolist())
+    total = sum(t.get(s, 0) for s, t in minors(rows, k).items())
+    return total * Fraction(1, d ** k)

@@ -25,6 +25,12 @@ trace_coloring and trace_identity_colorings sum over these colorings
 directly; they see the split web as a list of copies with their slots
 in the cilium order at each end, and build no graph.
 
+A bond is a minor scaled by D^k: J phi_vu is a signed swap of the row
+halves of phi_vu, exact entries are cleared to integers by the lcm D of
+their denominators (D = 1 for Poly and float), and all k-minors come
+from one Laplace-expansion table.  The network is contracted on these
+integers and the product of the scales is divided out once at the end.
+
 The same index convention fills the blocks of the big antisymmetric matrix
 H, so the Pfaffian pairing terms are exactly the per-edge factors here.
 """
@@ -35,7 +41,8 @@ import numpy as np
 
 from .connections import monodromy
 from .errors import DimensionMismatch, NotBipartite, SelfCheckFailed, WrongRank
-from .linalg import all_pairings, det, perm_sign, symplectic_J
+from .linalg import (all_pairings, clear_denominators, det, j_times, minors,
+                     perm_sign, symplectic_J)
 from .planar import Structure, standard_structure
 from .rings import exact_div_scalar
 from .webs import check_multiweb, decompose_2multiweb
@@ -76,16 +83,18 @@ def trace_coloring(g, conn, m, structure=None):
     divided by the product of multiplicity factorials."""
     s = structure if structure is not None else standard_structure(g)
     _check_web(g, m, conn.n)
-    j = symplectic_J(conn.n)
     n2 = 2 * conn.n
     vids = sorted(g.vertices)
     vpos = {v: i for i, v in enumerate(vids)}
     # per vertex: edges completed once this vertex gets its colors, with
-    # the matrix J phi_vu indexed [tail color][head color]
+    # the rows of D J phi_vu indexed [tail color][head color]
     ready = {v: [] for v in vids}
+    scale = m.split_factor()
     for eid, t, st, h, sh in _split(g, m, s):
         later = t if vpos[t] > vpos[h] else h
-        ready[later].append((j @ conn.phi(g, eid, h), t, h, st, sh))
+        rows, d = clear_denominators(j_times(conn.phi(g, eid, h).tolist()))
+        scale *= d
+        ready[later].append((rows, t, h, st, sh))
     perms = list(itertools.permutations(range(n2)))
     signs = {p: perm_sign(p) for p in perms}
     color = {}
@@ -102,7 +111,7 @@ def trace_coloring(g, conn, m, structure=None):
             term = acc * signs[p]
             ok = True
             for mat, t, h, st, sh in ready[v]:
-                f = mat[color[t][st], color[h][sh]]
+                f = mat[color[t][st]][color[h][sh]]
                 if not f:
                     ok = False
                     break
@@ -112,7 +121,7 @@ def trace_coloring(g, conn, m, structure=None):
         del color[v]
 
     rec(0, 1)
-    return exact_div_scalar(total, m.split_factor())
+    return exact_div_scalar(total, scale)
 
 
 def trace_contraction(g, conn, m, structure=None):
@@ -132,20 +141,13 @@ def _vertex_tensor(n2, sizes):
     return {masks: perm_sign(seq) for masks, seq in entries}
 
 
-def _bond(mat, k):
-    """Tail subset -> head subset -> (-1)^(k(k-1)/2) det(mat[S, T]),
-    nonzero entries only."""
-    sign = -1 if k * (k - 1) // 2 % 2 else 1
-    subsets = list(itertools.combinations(range(mat.shape[0]), k))
-    out = {}
-    for rows in subsets:
-        row = {}
-        for cols in subsets:
-            d = det(mat[np.ix_(rows, cols)])
-            if d:
-                row[sum(1 << c for c in cols)] = sign * d
-        out[sum(1 << r for r in rows)] = row
-    return out
+def _bond(phi, k, symplectic):
+    """Tail subset -> head subset -> k-minor of D J phi (D phi when
+    symplectic is False), nonzero entries only, and the signed scale
+    (-1)^(k(k-1)/2) D^k that the bond is divided by."""
+    rows = phi.tolist()
+    rows, d = clear_denominators(j_times(rows) if symplectic else rows)
+    return minors(rows, k), (-1) ** (k * (k - 1) // 2) * d ** k
 
 
 def _trace_network(g, conn, m, s, symplectic=True):
@@ -154,7 +156,6 @@ def _trace_network(g, conn, m, s, symplectic=True):
     bond matrix is J phi_vu, or phi_vu alone when symplectic is False."""
     _check_web(g, m, conn.n)
     n = conn.n
-    j = symplectic_J(n)
     clusters = {}
     owner = {}
     for v in sorted(g.vertices):
@@ -162,7 +163,7 @@ def _trace_network(g, conn, m, s, symplectic=True):
         clusters[v] = (legs, _vertex_tensor(2 * n, [m[d[0]] for d in legs]))
         for d in legs:
             owner[d] = v
-    scalar = 1
+    scalar = scale = 1
 
     def cost(eid):
         d = s.orient[eid]
@@ -178,7 +179,8 @@ def _trace_network(g, conn, m, s, symplectic=True):
         d = s.orient[eid]
         rd = g.dart_reverse(d)
         phi = conn.phi(g, eid, g.dart_head(d))
-        bond = _bond(j @ phi if symplectic else phi, m[eid])
+        bond, bond_scale = _bond(phi, m[eid], symplectic)
+        scale *= bond_scale
         c1, c2 = owner[d], owner[rd]
         legs1, t1 = clusters[c1]
         if c1 == c2:
@@ -217,7 +219,7 @@ def _trace_network(g, conn, m, s, symplectic=True):
             del clusters[c1]
     if clusters:
         raise SelfCheckFailed("legs left uncontracted")
-    return scalar
+    return exact_div_scalar(scalar, scale)
 
 
 def trace_sp2_loops(g, conn, m, structure=None):

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from spwebs.errors import NotSkew
-from spwebs.linalg import (SkewMatrix, all_pairings, det, exterior_power_trace,
-                           eye, is_symplectic, mat, mat_equal, perm_sign,
-                           pf_combinatorial, pf_eliminate, scalar_is_zero,
-                           symplectic_J, symplectic_inverse, zeros)
-from spwebs.rand import random_skew, random_sp2, random_sp4
+from spwebs.linalg import (SkewMatrix, all_pairings, clear_denominators, det,
+                           exterior_power_trace, eye, is_symplectic, mat,
+                           mat_equal, minors, perm_sign, pf_combinatorial,
+                           pf_eliminate, scalar_is_zero, symplectic_J,
+                           symplectic_inverse, zeros)
+from spwebs.rand import random_fraction, random_skew, random_sp2, random_sp4
 from spwebs.rings import Poly
 
 
@@ -91,6 +93,80 @@ def test_exterior_power_trace():
         assert exterior_power_trace(a, 1) == t1
         assert exterior_power_trace(a, 2) == (t1 * t1 - t2) / 2
         assert exterior_power_trace(a, 4) == det(a)
+
+
+def _check_minors(a, tol=0.0):
+    """Every k-minor of the Laplace table, divided by its scale D^k,
+    equals det of the submatrix."""
+    rows, d = clear_denominators(a.tolist())
+    size = a.shape[0]
+    for k in range(1, size + 1):
+        table = minors(rows, k)
+        for rs in combinations(range(size), k):
+            row = table[sum(1 << r for r in rs)]
+            for cs in combinations(range(size), k):
+                got = row.get(sum(1 << c for c in cs), 0) * Fraction(1, d ** k)
+                assert mat_equal([[got]], [[det(a[np.ix_(rs, cs)])]], tol=tol)
+    return rows, d
+
+
+def test_laplace_minors_match_det():
+    rnd = random.Random(41)
+    for size in (2, 4, 6):
+        for _ in range(3):
+            a = np.array([[0 if rnd.random() < 0.2 else
+                           Fraction(rnd.randint(-9, 9), rnd.randint(1, 6))
+                           for _ in range(size)] for _ in range(size)],
+                         dtype=object)
+            rows, d = _check_minors(a)
+            assert all(type(x) is int for row in rows for x in row)
+            assert d == np.lcm.reduce([x.denominator for x in a.flat])
+    x, y = Poly.var("x"), Poly.var("y")
+    poly = mat([[x, Fraction(1, 2) * y, 0], [y * y - 1, x, Fraction(2, 3)],
+                [1, x * y, y]])
+    assert _check_minors(poly)[1] == 1
+    floats = np.array([[rnd.uniform(-1.0, 1.0) for _ in range(4)]
+                       for _ in range(4)], dtype=object)
+    assert _check_minors(floats, tol=1e-12)[1] == 1
+
+
+def _shear_product(rnd, n, words=4):
+    """A product of symplectic shears, alternately [[I, S], [0, I]] and
+    [[I, 0], [S, I]] with S symmetric and rational."""
+    m = eye(2 * n)
+    for w in range(words):
+        s = zeros(n)
+        for i in range(n):
+            for j in range(i, n):
+                s[i, j] = s[j, i] = random_fraction(rnd, 3, 4)
+        blk = eye(2 * n)
+        if w % 2:
+            blk[:n, n:] = s
+        else:
+            blk[n:, :n] = s
+        m = m @ blk
+    return m
+
+
+def test_exact_is_symplectic_matches_matmul_oracle():
+    rnd = random.Random(43)
+    for n in (1, 2, 3):
+        j = symplectic_J(n)
+        for _ in range(3):
+            m = _shear_product(rnd, n)
+            assert mat_equal(m.T @ j @ m, j)
+            assert is_symplectic(m)
+            # changing entry (i, c) keeps M symplectic only when row i of
+            # J M is a multiple of e_c, which none of these products has
+            for i in range(2 * n):
+                for c in range(2 * n):
+                    p = m.copy()
+                    p[i, c] += 1
+                    assert not mat_equal(p.T @ j @ p, j)
+                    assert not is_symplectic(p)
+    x = Poly.var("x")
+    assert is_symplectic(mat([[1, x], [0, 1]]))
+    assert not is_symplectic(mat([[1, x], [x, 1]]))
 
 
 def test_symplectic_inverse():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from helpers import c4_ring, grid, k4_2by3, triangle
 from spwebs.connections import identity_connection, kasteleyn_connection
 from spwebs.errors import NotBipartite, WrongRank
 from spwebs.linalg import det
-from spwebs.planar import (advance_cilium, flip_edge_orientation,
+from spwebs.planar import (advance_cilium, flip_edge_orientation, load_graph,
                            standard_structure)
 from spwebs.rand import random_connection, random_fraction, random_vector
 from spwebs.rings import Poly
+from spwebs.theorems import sum_traces
 from spwebs.traces import (bipartite_parts, bipartite_structure,
                            crossing_count, det_vertex, qdet, trace_coloring,
                            trace_contraction, trace_identity_colorings,
@@ -56,6 +58,13 @@ def test_trace_engines_agree_rank2():
     for m in enumerate_multiwebs(g, 2):
         assert trace_coloring(g, conn, m, s) == \
             trace_contraction(g, conn, m, s)
+
+
+def test_rank2_trace_sum_on_2by3_is_pinned():
+    # the value of the per-minor det bonds, before integer Laplace bonds
+    g = load_graph(Path(__file__).parent / "data" / "2by3.json")
+    conn = random_connection(g, random.Random(2), 2)
+    assert sum_traces(g, conn) == Fraction(-18128777443, 7558272)
 
 
 def test_identity_colorings_match_identity_connection():
