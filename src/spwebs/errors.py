@@ -101,6 +101,10 @@ class IllConditioned(SpwebsError):
     pass
 
 
+class MixedRing(SpwebsError):
+    """Float and Poly entries in one computation: no ring holds both."""
+
+
 class SelfCheckFailed(SpwebsError):
     """A computed result failed the check that it satisfies by
     construction: a defect in the library, not in the input."""

@@ -12,15 +12,15 @@ Pfaffian minors of the input, and the Dress-Wenzel identity
 
 makes each division exact, so polynomial matrices never leave the
 polynomial ring.  Float matrices use ordinary skew elimination with
-magnitude pivoting.
+magnitude pivoting.  One pass over the entries picks the ring: float if
+any entry is a float, else Poly if any is a Poly, else int and Fraction;
+float and Poly entries together raise MixedRing.
 
 Matrices of int and Fraction entries are first cleared of denominators:
 with d_i the lcm of the denominators in row i and D = diag(d_i), DAD is
 an integer matrix and Pf(DAD) = Pf(A) * prod(d_i).  The elimination then
 runs on Python ints, each exact division a divmod whose remainder must
-be zero, and prod(d_i) is divided out once at the end.  Determinants
-(fraction-free Bareiss elimination) use row scaling alone, det(DA) =
-det(A) * prod(d_i).
+be zero, and prod(d_i) is divided out once at the end.
 
 A matrix with any Poly entry runs the same loops on the packed form of
 rings: coefficient denominators are cleared the same way, every entry
@@ -28,11 +28,16 @@ becomes a dict from packed monomial to int coefficient, each numerator
 is accumulated into one dict, and each exact division in Z[x] is the
 heap division of rings, which raises SelfCheckFailed on a monomial that
 does not divide or a nonzero remainder.  The field width of the packing
-comes from a degree bound: the working entries are Pfaffian minors (for
-Bareiss, minors), so every product has total degree at most dim * D for
-a Pfaffian and 2 * dim * D for a determinant, D the largest entry
+comes from a degree bound: the working entries are Pfaffian minors, so
+every product has total degree at most dim * D, D the largest entry
 degree, plus one guard bit per field.  The result is unpacked to a Poly
 once.
+
+There is no separate determinant elimination.  det A is the Pfaffian of
+the 2n x 2n skew matrix M with the rows of A at even indices and its
+columns at odd ones, M[2i][2j+1] = a_ij = -M[2j+1][2i] and every other
+entry 0: the perfect matchings of M with nonzero weight are the
+permutations of A, each with its sign, so Pf(M) = det A.
 """
 
 import itertools
@@ -41,7 +46,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadK, DimensionMismatch, NotSkew, SelfCheckFailed, TooLarge
+from .errors import (BadK, DimensionMismatch, MixedRing, NotSkew,
+                     SelfCheckFailed, TooLarge)
 from .rings import Poly, _denominator, _Packing, _pk_neg, _pk_quot
 
 
@@ -76,10 +82,6 @@ def scalar_is_zero(x):
     if isinstance(x, Poly):
         return x.is_zero()
     return x == 0
-
-
-def has_float(a):
-    return any(isinstance(x, float) for x in a.flat)
 
 
 def mat_equal(a, b, tol=0.0):
@@ -212,19 +214,29 @@ def pf_eliminate(a):
     a = np.asarray(a, dtype=object)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("Pfaffian of a non-square matrix")
-    n = a.shape[0]
+    rows = a.tolist()
+    types = {type(x) for row in rows for x in row}
+    is_float = any(issubclass(t, float) for t in types)
+    if is_float and Poly in types:
+        raise MixedRing("float and Poly entries in one matrix")
+    n = len(rows)
     if n % 2:
-        return 0.0 if has_float(a) else Fraction(0)
+        return 0.0 if is_float else Fraction(0)
     if n == 0:
         return Fraction(1)
-    if has_float(a):
-        return _pf_float(a)
-    return _pf_fraction_free(a)
+    if is_float:
+        return _pf_float(rows)
+    if Poly in types:
+        return _pf_poly(rows)
+    b, d = _clear_rows(rows)
+    if any(x != 1 for x in d):
+        b = [[x * dj for x, dj in zip(row, d)] for row in b]
+    return Fraction(_pf_int(b), math.prod(d))
 
 
-def _pf_float(a):
-    n = a.shape[0]
-    m = [[float(x) for x in row] for row in a.tolist()]
+def _pf_float(rows):
+    n = len(rows)
+    m = [[float(x) for x in row] for row in rows]
     sign = 1.0
     result = 1.0
     for k in range(0, n, 2):
@@ -246,20 +258,6 @@ def _pf_float(a):
                     m[t][i] -= c * m[t][k + 1]
         result *= p
     return sign * result
-
-
-def _pf_fraction_free(a):
-    rows = a.tolist()
-    if _has_poly(rows):
-        return _pf_poly(rows)
-    b, d = _clear_rows(rows)
-    if any(x != 1 for x in d):
-        b = [[x * dj for x, dj in zip(row, d)] for row in b]
-    return Fraction(_pf_int(b), math.prod(d))
-
-
-def _has_poly(rows):
-    return any(isinstance(x, Poly) for row in rows for x in row)
 
 
 def clear_denominators(rows):
@@ -390,79 +388,15 @@ def _swap_rc(b, i, j):
 
 
 def det(a):
+    """Determinant as the Pfaffian of the interleaved skew matrix (see
+    the module docstring)."""
     a = np.asarray(a, dtype=object)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("determinant of a non-square matrix")
-    if a.shape[0] == 0:
-        return Fraction(1)
-    if has_float(a):
-        return float(np.linalg.det(a.astype(float)))
-    return _det_bareiss(a)
-
-
-def _det_bareiss(a):
-    rows = a.tolist()
-    if _has_poly(rows):
-        return _det_poly(rows)
-    m, d = _clear_rows(rows)
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            sign = _det_pivot(m, k, sign)
-            if not sign:
-                return Fraction(0)
-        mk = m[k]
-        p = mk[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            x = mi[k]
-            for j in range(k + 1, n):
-                val, r = divmod(mi[j] * p - x * mk[j], prev)
-                if r:
-                    raise SelfCheckFailed("inexact Bareiss division")
-                mi[j] = val
-        prev = p
-    return Fraction(sign * m[n - 1][n - 1], math.prod(d))
-
-
-def _det_pivot(m, k, sign):
-    """Swap a row with a nonzero entry in column k into row k; returns
-    the updated sign, or 0 when the column below k is zero."""
-    for i in range(k + 1, len(m)):
-        if m[i][k]:
-            m[k], m[i] = m[i], m[k]
-            return -sign
-    return 0
-
-
-def _det_poly(rows):
-    """Determinant of a matrix with Poly entries: the Bareiss loop on the
-    packed form of rings, rows scaled by the lcm of their coefficient
-    denominators.  Working entries are minors, and each numerator is a
-    product of two of them, so every total degree is at most
-    2 * dim * (largest entry degree)."""
-    n = len(rows)
-    pk = _Packing.of([x for row in rows for x in row], 2 * n)
-    d = [math.lcm(*[_denominator(x) for x in row]) for row in rows]
-    m = [[pk.pack(x, di) for x in row] for row, di in zip(rows, d)]
-    sign = 1
-    div = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            sign = _det_pivot(m, k, sign)
-            if not sign:
-                return Fraction(0)
-        mk = m[k]
-        p = mk[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            x = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = _pk_quot(((mi[j], p),), ((x, mk[j]),), div)
-        div = pk.divisor(p)
-    return pk.unpack(m[n - 1][n - 1], sign * math.prod(d))
+    m = np.zeros((2 * a.shape[0],) * 2, dtype=object)
+    m[::2, 1::2] = a
+    m[1::2, ::2] = -a.T
+    return pf_eliminate(m)
 
 
 def exterior_power_trace(a, k):

@@ -5,10 +5,11 @@ mapping monomials to Fraction coefficients; a monomial is a tuple of
 (variable name, exponent) pairs sorted by name with positive exponents.
 Printing uses graded lexicographic order (total degree first, then
 exponents of the alphabetically sorted variables).  Floats are plain
-Python floats, used only for the numeric experiments.
+Python floats, used only for the numeric experiments; Poly arithmetic
+with a float raises MixedRing, since no ring here holds both.
 
-Division and the Poly Pfaffian and determinant of linalg work on a
-private packed form: a dict from packed monomial to coefficient, where a
+Division and the Poly Pfaffian of linalg work on a private packed
+form: a dict from packed monomial to coefficient, where a
 monomial over a fixed variable list is one int of w-bit fields, the total
 degree in the top field and then one field per variable in alphabetical
 order.  Int order is then graded lexicographic order, and a monomial
@@ -24,7 +25,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .errors import MalformedInput, SelfCheckFailed, UnknownVariable
+from .errors import MalformedInput, MixedRing, SelfCheckFailed, UnknownVariable
 
 
 def _mono_mul(m1, m2):
@@ -138,6 +139,8 @@ class Poly:
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(other)
+        if isinstance(other, float):
+            raise MixedRing("Poly arithmetic with a float")
         return None
 
     def __add__(self, other):

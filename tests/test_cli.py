@@ -195,6 +195,44 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_mixed_float_and_symbolic_input_exits_two(capsys, tmp_path):
+    # no ring holds a float and a Poly, so each of these is malformed
+    # input: exit 2, nothing on stdout, one error line and no traceback
+    c4 = json.loads((DATA / "c4.json").read_text())
+    files = {
+        "vectors": [[1.5, "a"], [0, 1]],
+        "matrix": [[1.5, 2], [3, 1]],
+        "conn": {"n": 1, "edges": [{"id": e["id"],
+                                    "matrix": [[1.0, "a"], [0, 1]]}
+                                   for e in c4["edges"]]},
+        "graph": dict(c4, edges=[dict(e, weight=1.5 if e["id"] % 2 else "a")
+                                 for e in c4["edges"]]),
+    }
+    path = {}
+    for name, doc in files.items():
+        path[name] = str(tmp_path / (name + ".json"))
+        with open(path[name], "w") as fh:
+            json.dump(doc, fh)
+    c4_path, weighted = str(DATA / "c4.json"), path["graph"]
+    for argv in (["wedge-norm", "--n", "1", "--vectors", path["vectors"]],
+                 ["det-vertex", "--n", "1", "--vectors", path["vectors"]],
+                 ["qdet", "--matrix", path["matrix"], "--q", "a"],
+                 ["pfaffian", "--graph", c4_path, "--conn", path["conn"]],
+                 ["verify-main", "--graph", c4_path, "--conn", path["conn"]],
+                 ["pfaffian", "--graph", weighted],
+                 ["kasteleyn", "--graph", weighted],
+                 ["verify-main", "--graph", weighted],
+                 ["spin-corr", "--graph", weighted, "--f1", "0", "--f2", "1"],
+                 ["pfaffian", "--graph", weighted, "--ring", "float"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), \
+            (argv, err)
+
+
 # a value each flag accepts; the parser does not open the files
 FLAG_VALUES = {"graph": G24, "conn": G24, "n": "2", "weights": "symbolic",
                "ring": "float", "seed": "3", "count": "2", "web": G24,

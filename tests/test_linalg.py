@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from spwebs.errors import NotSkew
+from spwebs.errors import MixedRing, NotSkew
 from spwebs.linalg import (SkewMatrix, all_pairings, clear_denominators, det,
                            exterior_power_trace, eye, is_symplectic, mat,
                            mat_equal, minors, perm_sign, pf_combinatorial,
@@ -13,6 +13,7 @@ from spwebs.linalg import (SkewMatrix, all_pairings, clear_denominators, det,
                            symplectic_inverse, zeros)
 from spwebs.rand import random_fraction, random_skew, random_sp2, random_sp4
 from spwebs.rings import Poly
+from spwebs.traces import det_vertex, wedge_norm
 
 
 def test_symplectic_j():
@@ -326,3 +327,89 @@ def test_poly_pfaffian_field_width():
     assert pf.degree() == 27
     assert str(pf) == str(pf_combinatorial(b))
     assert det(b) == pf * pf
+
+
+def _laplace_det(a):
+    """det A as the one full minor of the Laplace table: an oracle that
+    shares no code with the Pfaffian elimination."""
+    rows = np.asarray(a, dtype=object).tolist()
+    full = (1 << len(rows)) - 1
+    return minors(rows, len(rows)).get(full, {}).get(full, 0)
+
+
+def _square_suite(seed=19):
+    """Seeded square matrices of size 1..6 that are not skew: integer,
+    rational with a different denominator in each row, sparse (about 70%
+    zeros, so leading entries vanish and many are singular), with a
+    repeated row (singular), and Poly with 1-4 variables."""
+    rnd = random.Random(seed)
+
+    def poly(names):
+        if rnd.random() < 0.3:
+            return 0
+        t = Poly.const(Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)))
+        for v in names:
+            t = t * Poly.var(v) ** rnd.randint(0, 3)
+        return t + rnd.randint(-2, 2)
+
+    for size in range(1, 7):
+        dens = [rnd.randint(1, 7) for _ in range(size)]
+        for _ in range(3):
+            names = "abcd"[:rnd.randint(1, 4)]
+            for entry in (lambda i: rnd.randint(-9, 9),
+                          lambda i: Fraction(rnd.randint(-9, 9), dens[i]),
+                          lambda i: 0 if rnd.random() < 0.7 else
+                          rnd.randint(-4, 4),
+                          lambda i: poly(names)):
+                yield np.array([[entry(i) for _ in range(size)]
+                                for i in range(size)], dtype=object)
+            a = np.array([[rnd.randint(-5, 5) for _ in range(size)]
+                          for _ in range(size)], dtype=object)
+            a[-1] = a[0]
+            yield a
+
+
+def test_det_matches_laplace_minor():
+    cases = ([a for a in _skew_suite() if a.shape[0] <= 8]
+             + [a for a in _poly_skew_suite() if a.shape[0] <= 6]
+             + list(_square_suite())
+             # zero leading entries, so the elimination searches for
+             # pivots; the last has a zero column
+             + [mat([[0, 1], [1, 0]]), mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+                mat([[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 0], [7, 0, 0, 0]]),
+                mat([[0, 1, 2], [0, 3, 4], [0, 5, 6]])])
+    singular = 0
+    for a in cases:
+        d = det(a)
+        assert d == _laplace_det(a), a
+        singular += d == 0
+    assert singular > 10
+    assert det(np.empty((0, 0), dtype=object)) == 1 == _laplace_det([])
+    rnd = random.Random(23)
+    for size in range(1, 7):
+        for _ in range(5):
+            a = np.array([[rnd.uniform(-1.0, 1.0) for _ in range(size)]
+                          for _ in range(size)], dtype=object)
+            assert isinstance(det(a), float)
+            assert abs(det(a) - _laplace_det(a)) < 1e-12
+    # np.linalg.det gave 3.0000000000000004 and 5.000000000000001 here;
+    # criterion c08 on the same float vectors agrees to the last digit
+    for rows, value in (([[3.0]], 3.0), ([[3.0, 0.0], [0.0, 1.0]], 3.0),
+                        ([[2.0, 1.0], [1.0, 3.0]], 5.0)):
+        assert det(mat(rows)) == _laplace_det(rows) == value
+        if len(rows) == 2:
+            vs = [np.array(r, dtype=object) for r in rows]
+            assert det_vertex(vs) == wedge_norm(vs) == value
+
+
+def test_float_and_poly_entries_do_not_mix():
+    x = Poly.var("x")
+    for a in (mat([[1.5, x], [0, 1]]), mat([[0, x], [-x, 0.0]])):
+        with pytest.raises(MixedRing):
+            det(a)
+        with pytest.raises(MixedRing):
+            pf_eliminate(a)
+    for op in (lambda: x + 1.5, lambda: 1.5 * x, lambda: x - 0.5,
+               lambda: 2.0 - x):
+        with pytest.raises(MixedRing):
+            op()

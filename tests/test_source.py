@@ -50,3 +50,33 @@ def test_bench_contract_names():
     traces = importlib.import_module("spwebs.traces")
     assert any(name.startswith("trace_") and callable(fn)
                for name, fn in vars(traces).items())
+
+
+def _numpy_linalg(node):
+    """Whether an AST node names numpy.linalg."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "linalg" and isinstance(node.value, ast.Name) \
+            and node.value.id in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.linalg") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.linalg") or \
+            (node.module == "numpy" and any(a.name == "linalg"
+                                            for a in node.names))
+    return False
+
+
+def test_float_linear_algebra_only_in_the_ck_fit():
+    # exact paths must never reach float linear algebra: np.linalg is for
+    # the one numeric least-squares fit of C_k
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name
+        found |= {"%s.%s" % (path.stem, owner.get(node, "<module>"))
+                  for node in ast.walk(tree) if _numpy_linalg(node)}
+    assert found == {"theorems.extract_Ck"}, found
