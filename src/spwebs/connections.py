@@ -39,7 +39,7 @@ from .linalg import (
     symplectic_J,
     symplectic_inverse,
 )
-from .planar import Loop, cross
+from .planar import Loop, orient
 from .rings import format_scalar, parse_scalar
 
 
@@ -227,10 +227,11 @@ def annulus_spec(g, inner_face):
     if inner_face == g.outer_face:
         raise InvalidCut("inner face must be a bounded face")
     p0 = g.face_interior_point(inner_face)
-    x0, y0, x1, y1 = g.bounding_box()
+    _, _, x1, y1 = g.bounding_box()
+    d = g.scale
     for k in range(40):
-        p1 = (x1 + 3 + k * Fraction(5, 3),
-              y1 + 2 + Fraction(1, 2) + k * Fraction(7, 11))
+        # (x1 + 3 + 5k/3, y1 + 5/2 + 7k/11) in graph units, over w = 66
+        p1 = (66 * x1 + (198 + 110 * k) * d, 66 * y1 + (165 + 42 * k) * d, 66)
         try:
             cut = _ray_cut(g, p0, p1)
         except DegenerateGeometry:
@@ -249,23 +250,25 @@ def annulus_spec(g, inner_face):
 
 
 def _ray_cut(g, p0, p1):
-    r = (p1[0] - p0[0], p1[1] - p0[1])
+    """Edges crossed by the segment from p0 to p1, (x, y, w) points over
+    g.ipos, with the sign of each crossing."""
+    w = p0[2] * p1[2]
+    q0 = (p0[0] * p1[2], p0[1] * p1[2])
+    q1 = (p1[0] * p0[2], p1[1] * p0[2])
     cut = []
     for e in sorted(g.edges.values(), key=lambda e: e.id):
         lo, hi = min(e.u, e.v), max(e.u, e.v)
-        a = g.vertices[lo].pos
-        b = g.vertices[hi].pos
-        o1 = cross(r, (a[0] - p0[0], a[1] - p0[1]))
-        o2 = cross(r, (b[0] - p0[0], b[1] - p0[1]))
-        w = (b[0] - a[0], b[1] - a[1])
-        o3 = cross(w, (p0[0] - a[0], p0[1] - a[1]))
-        o4 = cross(w, (p1[0] - a[0], p1[1] - a[1]))
+        a = (g.ipos[lo][0] * w, g.ipos[lo][1] * w)
+        b = (g.ipos[hi][0] * w, g.ipos[hi][1] * w)
+        o1, o2 = orient(q0, q1, a), orient(q0, q1, b)
+        o3, o4 = orient(a, b, q0), orient(a, b, q1)
         if 0 in (o1, o2, o3, o4):
             if (o1 * o2 <= 0 and o3 * o4 <= 0):
                 raise DegenerateGeometry("ray touches edge %d" % e.id)
             continue
         if o1 * o2 < 0 and o3 * o4 < 0:
-            cut.append((e.id, 1 if cross(r, w) > 0 else -1))
+            # the crossing sign is that of (q1 - q0) x (b - a) = o2 - o1
+            cut.append((e.id, 1 if o2 > 0 else -1))
     return cut
 
 

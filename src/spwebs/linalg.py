@@ -31,7 +31,7 @@ does not divide or a nonzero remainder.  The field width of the packing
 comes from a degree bound: the working entries are Pfaffian minors, so
 every product has total degree at most dim * D, D the largest entry
 degree, plus one guard bit per field.  The result is unpacked to a Poly
-once.
+once; a zero Pfaffian is the zero Poly too.
 
 There is no separate determinant elimination.  det A is the Pfaffian of
 the 2n x 2n skew matrix M with the rows of A at even indices and its
@@ -221,7 +221,7 @@ def pf_eliminate(a):
         raise MixedRing("float and Poly entries in one matrix")
     n = len(rows)
     if n % 2:
-        return 0.0 if is_float else Fraction(0)
+        return 0.0 if is_float else Poly() if Poly in types else Fraction(0)
     if n == 0:
         return Fraction(1)
     if is_float:
@@ -368,7 +368,7 @@ def _pf_poly(rows):
         if not b[k][k + 1]:
             sign = _pf_pivot(b, k, sign)
             if not sign:
-                return Fraction(0)
+                return Poly()
         bk, bk1 = b[k], b[k + 1]
         p = bk[k + 1]
         for i in range(k + 2, n):

@@ -4,13 +4,20 @@ A graph is stored as a combinatorial map: each edge has two darts
 (edge id, end) and every vertex carries a ccw cyclic list of outgoing
 darts, derived from the vertex positions by exact angular sort.  Faces
 are the orbits of the left-hand tracing rule, checked against Euler's
-formula.
+formula.  Straight edges may meet only at a shared endpoint.
 
-All geometric predicates (angular order, point in polygon, areas) are
-computed with Fractions; no floating point enters any decision.
+Vertex coordinates are rational, but every geometric predicate (angular
+order, orientation, area signs, point in polygon) runs on Python ints:
+the graph multiplies all coordinates once by the lcm D of their
+denominators (PlanarGraph.ipos), and a positive scale changes none of
+these predicates.  Points off the vertex lattice, such as face sample
+points, are int triples (x, y, w) standing for (x/w, y/w) in those
+coordinates, with w > 0.  No floating point enters any decision.
 """
 
+import functools
 import json
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -31,10 +38,6 @@ class Vertex:
         self.id = vid
         self.x = Fraction(x)
         self.y = Fraction(y)
-
-    @property
-    def pos(self):
-        return (self.x, self.y)
 
     def __repr__(self):
         return "Vertex(%d, %s, %s)" % (self.id, self.x, self.y)
@@ -61,6 +64,12 @@ def dot(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
 
+def orient(a, b, c):
+    """Twice the signed area of triangle abc: > 0 when c lies left of the
+    line from a to b, 0 when the three points are collinear."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def _angular_class(d):
     """Cyclic class ccw from due west: west, south side, east, north side."""
     dx, dy = d
@@ -69,6 +78,13 @@ def _angular_class(d):
     if dy > 0:
         return 3
     return 0 if dx < 0 else 2
+
+
+def _ccw(a, b):
+    """Compares (angular class, vector, ...) tuples ccw from due west.
+    Each class lies in an open half-plane or on one ray, so within a
+    class the cross product decides, and 0 means the same direction."""
+    return a[0] - b[0] or cross(b[1], a[1])
 
 
 class PlanarGraph:
@@ -82,7 +98,15 @@ class PlanarGraph:
                 raise DegenerateGeometry("self-loop on vertex %d" % e.u)
             if e.u not in self.vertices or e.v not in self.vertices:
                 raise DegenerateGeometry("edge %d references unknown vertex" % e.id)
+        # every predicate runs on these ints: the coordinates times D, the
+        # lcm of their denominators
+        self.scale = math.lcm(*[c.denominator for v in vertices
+                                for c in (v.x, v.y)])
+        self.ipos = {v.id: (v.x.numerator * (self.scale // v.x.denominator),
+                            v.y.numerator * (self.scale // v.y.denominator))
+                     for v in vertices}
         self.rotation = self._rotation_from_positions()
+        self._check_crossings()
         self.faces = self._trace_faces()
         self._check_euler()
         self.face_of_dart = {}
@@ -105,36 +129,66 @@ class PlanarGraph:
         return (d[0], 1 - d[1])
 
     def dart_vector(self, d):
-        t = self.vertices[self.dart_tail(d)]
-        h = self.vertices[self.dart_head(d)]
-        return (h.x - t.x, h.y - t.y)
+        """Head minus tail, in the int coordinates ipos."""
+        tx, ty = self.ipos[self.dart_tail(d)]
+        hx, hy = self.ipos[self.dart_head(d)]
+        return (hx - tx, hy - ty)
 
     def _rotation_from_positions(self):
         pts = {}
-        for v in self.vertices.values():
-            if v.pos in pts:
+        for vid, p in self.ipos.items():
+            if p in pts:
                 raise DegenerateGeometry(
-                    "vertices %d and %d coincide" % (pts[v.pos], v.id))
-            pts[v.pos] = v.id
+                    "vertices %d and %d coincide" % (pts[p], vid))
+            pts[p] = vid
         out = {v: [] for v in self.vertices}
         for e in self.edges.values():
             out[e.u].append((e.id, 0))
             out[e.v].append((e.id, 1))
-
-        def key(d):
-            # ccw order within a class is increasing -dx/dy
-            dx, dy = self.dart_vector(d)
-            return (_angular_class((dx, dy)), -dx / dy if dy else 0), d
-
         for v, darts in out.items():
-            keyed = sorted(map(key, darts))
-            for (k1, d1), (k2, d2) in zip(keyed, keyed[1:]):
-                if k1 == k2:
+            # darts in id order, so the sort is deterministic and a shared
+            # direction names the lower edge id first
+            keyed = []
+            for d in sorted(darts):
+                vec = self.dart_vector(d)
+                keyed.append((_angular_class(vec), vec, d))
+            keyed.sort(key=functools.cmp_to_key(_ccw))
+            for k1, k2 in zip(keyed, keyed[1:]):
+                if not _ccw(k1, k2):
                     raise DegenerateGeometry(
                         "incident edges %d and %d share a direction"
-                        % (d1[0], d2[0]))
-            out[v] = [d for _, d in keyed]
+                        % (k1[2][0], k2[2][0]))
+            out[v] = [k[2] for k in keyed]
         return out
+
+    def _check_crossings(self):
+        """Straight edges may meet only at a shared endpoint.  Segments are
+        taken by their left end; each is tested against the later ones
+        whose x-extent reaches it and whose y-extent overlaps its own.
+        Edges with a shared endpoint are skipped: they can meet again only
+        along a shared direction, which the rotation already rejects."""
+        segs = []
+        for e in self.edges.values():
+            a, b = sorted((self.ipos[e.u], self.ipos[e.v]))
+            segs.append((a, b, min(a[1], b[1]), max(a[1], b[1]), e))
+        segs.sort(key=lambda s: s[0])
+        for i, (a, b, lo, hi, e) in enumerate(segs):
+            for c, d, lo2, hi2, f in segs[i + 1:]:
+                if c[0] > b[0]:
+                    break
+                if lo2 > hi or hi2 < lo or e.u in (f.u, f.v) or \
+                        e.v in (f.u, f.v):
+                    continue
+                o1, o2 = orient(a, b, c), orient(a, b, d)
+                if o1 * o2 > 0:
+                    continue
+                o3, o4 = orient(c, d, a), orient(c, d, b)
+                if o3 * o4 > 0:
+                    continue
+                # collinear segments (all four zero) get here only when
+                # their extents overlap
+                raise NonPlanarEmbedding("edges %d and %d cross"
+                                         % tuple(sorted((e.id, f.id))))
 
     def rotation_prev(self, d):
         """Next dart cw around the tail of d."""
@@ -198,12 +252,13 @@ class PlanarGraph:
                     % (nv[c], k, nf[c]))
 
     def face_signed_area(self, idx):
-        total = Fraction(0)
+        """Twice the signed area of face idx in the int coordinates ipos,
+        so D² times twice the true area: positive for a ccw boundary."""
+        total = 0
         for d in self.faces[idx]:
-            t = self.vertices[self.dart_tail(d)]
-            h = self.vertices[self.dart_head(d)]
-            total += t.x * h.y - t.y * h.x
-        return total / 2
+            total += cross(self.ipos[self.dart_tail(d)],
+                           self.ipos[self.dart_head(d)])
+        return total
 
     def _find_outer_face(self):
         if len(self.faces) == 1:
@@ -268,23 +323,27 @@ class PlanarGraph:
         return [d[0] for d in self.rotation[vid]]
 
     def bounding_box(self):
-        xs = [v.x for v in self.vertices.values()]
-        ys = [v.y for v in self.vertices.values()]
+        """(min x, min y, max x, max y) of the int coordinates ipos."""
+        xs = [p[0] for p in self.ipos.values()]
+        ys = [p[1] for p in self.ipos.values()]
         return min(xs), min(ys), max(xs), max(ys)
 
     def outside_point(self):
+        """The point (7/3, 11/5) below and left of the bounding box, in
+        graph units, as an (x, y, w) triple."""
         x0, y0, _, _ = self.bounding_box()
-        return (x0 - Fraction(7, 3), y0 - Fraction(11, 5))
+        return (15 * x0 - 35 * self.scale, 15 * y0 - 33 * self.scale, 15)
 
     def face_interior_point(self, idx):
+        """A point strictly inside face idx, as an (x, y, w) triple."""
         if idx == self.outer_face:
             return self.outside_point()
-        walk = [self.vertices[v].pos for v in self.face_vertices(idx)]
+        walk = [self.ipos[v] for v in self.face_vertices(idx)]
         poly = _strip_spurs(walk)
         if len(poly) < 3:
             raise DegenerateGeometry("face %d has no interior" % idx)
         c = _centroid(poly)
-        if _point_in_polygon_strict(c, poly):
+        if _locate(c, poly):
             return c
         return _interior_point(poly)
 
@@ -311,41 +370,33 @@ def _strip_spurs(walk):
 
 
 def _centroid(poly):
-    n = len(poly)
-    sx = sum(p[0] for p in poly)
-    sy = sum(p[1] for p in poly)
-    return (Fraction(sx, n), Fraction(sy, n))
+    return (sum(p[0] for p in poly), sum(p[1] for p in poly), len(poly))
 
 
-def _on_segment(q, a, b):
-    if cross((b[0] - a[0], b[1] - a[1]), (q[0] - a[0], q[1] - a[1])) != 0:
-        return False
-    return (min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1]))
-
-
-def _point_in_polygon_strict(q, poly):
-    n = len(poly)
-    for i in range(n):
-        if _on_segment(q, poly[i], poly[(i + 1) % n]):
-            return False
+def _locate(q, poly):
+    """Where the point q = (x, y, w) lies against a polygon of int
+    points: True inside, False outside, None on the boundary."""
+    x, y, w = q
+    pts = [(a * w, b * w) for a, b in poly]
     inside = False
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        if (a[1] > q[1]) != (b[1] > q[1]):
-            xint = a[0] + (q[1] - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-            if q[0] < xint:
-                inside = not inside
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        o = orient(a, b, (x, y))
+        if o == 0 and min(a[0], b[0]) <= x <= max(a[0], b[0]) \
+                and min(a[1], b[1]) <= y <= max(a[1], b[1]):
+            return None
+        # the edge crosses the horizontal line through q right of q
+        if (a[1] > y) != (b[1] > y) and (o > 0) == (b[1] > a[1]):
+            inside = not inside
     return inside
 
 
 def point_in_polygon(q, poly):
-    """Strict interior test; raises if q lies on the boundary."""
-    n = len(poly)
-    for i in range(n):
-        if _on_segment(q, poly[i], poly[(i + 1) % n]):
-            raise DegenerateGeometry("query point on the polygon boundary")
-    return _point_in_polygon_strict(q, poly)
+    """Strict interior test of q = (x, y, w) against a polygon of int
+    points; raises if q lies on the boundary."""
+    inside = _locate(q, poly)
+    if inside is None:
+        raise DegenerateGeometry("query point on the polygon boundary")
+    return inside
 
 
 def _interior_point(poly):
@@ -359,22 +410,20 @@ def _interior_point(poly):
         if i in ((bi - 1) % n, bi, (bi + 1) % n):
             continue
         if _in_triangle(p, a, b, c):
-            d = abs(cross((c[0] - a[0], c[1] - a[1]), (p[0] - a[0], p[1] - a[1])))
+            d = abs(orient(a, c, p))
             if best_d is None or d > best_d:
                 best, best_d = p, d
     if best is None:
-        q = (Fraction(a[0] + b[0] + c[0], 3), Fraction(a[1] + b[1] + c[1], 3))
+        q = (a[0] + b[0] + c[0], a[1] + b[1] + c[1], 3)
     else:
-        q = (Fraction(b[0] + best[0], 2), Fraction(b[1] + best[1], 2))
-    if not _point_in_polygon_strict(q, poly):
+        q = (b[0] + best[0], b[1] + best[1], 2)
+    if not _locate(q, poly):
         raise DegenerateGeometry("failed to find an interior point")
     return q
 
 
 def _in_triangle(p, a, b, c):
-    d1 = cross((b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1]))
-    d2 = cross((c[0] - b[0], c[1] - b[1]), (p[0] - b[0], p[1] - b[1]))
-    d3 = cross((a[0] - c[0], a[1] - c[1]), (p[0] - c[0], p[1] - c[1]))
+    d1, d2, d3 = orient(a, b, p), orient(b, c, p), orient(c, a, p)
     neg = d1 < 0 or d2 < 0 or d3 < 0
     pos = d1 > 0 or d2 > 0 or d3 > 0
     return not (neg and pos)
@@ -401,7 +450,7 @@ def standard_structure(g):
     """Edges oriented upward by y, cilium due west at every vertex."""
     orient = {}
     for e in g.edges.values():
-        yu, yv = g.vertices[e.u].y, g.vertices[e.v].y
+        yu, yv = g.ipos[e.u][1], g.ipos[e.v][1]
         if yu == yv:
             raise NonGenericPosition("edge %d is horizontal" % e.id)
         orient[e.id] = (e.id, 0) if yu < yv else (e.id, 1)
@@ -455,7 +504,8 @@ class Loop:
         return len(set(self.vertices)) == len(self.vertices)
 
     def polygon(self, g):
-        return [g.vertices[v].pos for v in self.vertices]
+        """The loop's vertices in the int coordinates g.ipos."""
+        return [g.ipos[v] for v in self.vertices]
 
     def reversed(self, g):
         return Loop(g, [g.dart_reverse(d) for d in self.darts[::-1]])
@@ -485,10 +535,10 @@ def vertices_enclosed(g, loop):
     on_loop = set(loop.vertices)
     poly = loop.polygon(g)
     count = 0
-    for v in g.vertices.values():
-        if v.id in on_loop:
+    for vid, (x, y) in g.ipos.items():
+        if vid in on_loop:
             continue
-        if point_in_polygon(v.pos, poly):
+        if point_in_polygon((x, y, 1), poly):
             count += 1
     return count
 
@@ -527,7 +577,7 @@ def cilia_parity(points):
             raise HorizontalStep("step %d is horizontal" % i)
         steps.append(v)
     d = sum(1 for v in steps if v[1] < 0)
-    west = (Fraction(-1), Fraction(0))
+    west = (-1, 0)
     s = 0
     for i in range(n):
         vin = steps[(i - 1) % n]

@@ -120,8 +120,9 @@ def random_skew(rnd, dim):
 
 
 def random_polygon(rnd, npts=8, span=9):
-    """Simple lattice polygon with no horizontal steps: random points
-    sorted by angle around their centroid, one point per direction."""
+    """Simple lattice polygon with no horizontal steps, as int points:
+    random points sorted by angle around their centroid, one point per
+    direction."""
     for _ in range(500):
         pts = {(rnd.randint(-span, span), rnd.randint(-span, span))
                for _ in range(npts)}
@@ -138,5 +139,5 @@ def random_polygon(rnd, npts=8, span=9):
         if any(poly[i][1] == poly[(i + 1) % len(poly)][1]
                for i in range(len(poly))):
             continue
-        return [(Fraction(x), Fraction(y)) for x, y in poly]
+        return poly
     raise DegenerateGeometry("could not sample a polygon")

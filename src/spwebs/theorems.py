@@ -42,8 +42,7 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 def vertex_order(g):
     """Vertex ids sorted by (y, x, id); fixes the block layout of H."""
-    return [v.id for v in sorted(g.vertices.values(),
-                                 key=lambda v: (v.y, v.x, v.id))]
+    return sorted(g.ipos, key=lambda v: (g.ipos[v][1], g.ipos[v][0], v))
 
 
 def weight_map(g, w=None):

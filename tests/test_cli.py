@@ -151,6 +151,20 @@ def test_isotopy_check_verb(capsys):
     assert out.strip() == "ok 50 polygons (seed=3)"
 
 
+def test_crossing_edges_exit_two(capsys, tmp_path):
+    # c4.json with vertex 2 moved to x = -3: edges 1 and 3 cross, and
+    # verify-main used to report Pf(H) = 0 against a trace sum of 4
+    doc = json.loads((DATA / "c4.json").read_text())
+    doc["vertices"][2]["x"] = "-3"
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("verify-main", "pfaffian", "multiwebs"):
+        code = cli.main([verb, "--graph", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == ["error: edges 1 and 3 cross"]
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["trace", "--graph", G24])
@@ -330,7 +344,8 @@ FILLERS = [0, -3, 2.5, float("inf"), "x", "", None, True, [], {}, [1, 2],
 
 def _mutate(doc, rnd):
     """One random edit of a parsed JSON document: drop a key or list
-    item, give a value another type, or nest a value in a list."""
+    item, give a value another type, nest a value in a list, or move a
+    vertex coordinate to a small integer, which can make edges cross."""
     box = [doc]
     slots = []
 
@@ -341,6 +356,11 @@ def _mutate(doc, rnd):
                 walk(node[k])
 
     walk(box)
+    coords = [(node, k) for node, k in slots if k in ("x", "y")]
+    if coords and rnd.random() < 0.25:
+        node, key = rnd.choice(coords)
+        node[key] = str(rnd.randint(-12, 12))
+        return box[0]
     node, key = rnd.choice(slots)
     kind = rnd.randrange(1 if node is box else 0, 3)
     if kind == 0:
@@ -374,6 +394,7 @@ def test_malformed_json_exits_two_without_traceback(capsys, tmp_path):
                ["wedge-norm", "--vectors", path],
                ["qdet", "--matrix", path, "--q", "1"]]
     rnd = random.Random(20260814)
+    crossings = 0
     for doc in docs:
         for _ in range(10):
             bad = copy.deepcopy(doc)
@@ -390,3 +411,6 @@ def test_malformed_json_exits_two_without_traceback(capsys, tmp_path):
                 if code == 2:
                     assert len(err) == 1 and err[0].startswith("error: "), \
                         (argv, bad, err)
+                    crossings += err[0].endswith(" cross")
+    # the coordinate moves reach the crossing-edge check
+    assert crossings

@@ -167,6 +167,17 @@ def test_face_spin_connection_flips_dual_path():
         assert mat_equal(conn.phi(g, eid, e.u), want)
 
 
+def test_annulus_spec_cuts_on_half_integer_coordinates():
+    # the cube's coordinates have denominator 2, so the reference ray is
+    # placed on coordinates cleared by 2; these are the cuts the exact
+    # Fraction geometry chose, and annulus-ck prints C_k fitted on them
+    g = cube_ring()
+    assert g.scale == 2
+    assert [annulus_spec(g, f).cut for f in g.bounded_faces()] == [
+        [(1, 1), (4, -1), (5, 1)], [(1, 1)], [(2, 1)],
+        [(1, 1), (6, 1), (7, 1), (10, -1)], [(1, 1), (5, 1)]]
+
+
 def test_annulus_spec_windings():
     g = cube_ring()
     f_in = inner_face(g, [4, 5, 6, 7])

@@ -298,8 +298,38 @@ def test_poly_pfaffian_pivot_and_rank_exhaustion():
     b = np.full((6, 6), 0, dtype=object)
     b[0, 1], b[1, 0] = Fraction(1, 2) * x, -Fraction(1, 2) * x
     pf = pf_eliminate(b)
-    assert isinstance(pf, Fraction) and pf == 0
+    assert isinstance(pf, Poly) and pf.is_zero()
     assert det(b) == 0
+
+
+def _singular_poly_squares(seed=29):
+    """Seeded square Poly matrices of size 2..5 whose last row is a Poly
+    multiple of another row, so every determinant is 0."""
+    rnd = random.Random(seed)
+    x, y = Poly.var("x"), Poly.var("y")
+    for size in range(2, 6):
+        for _ in range(4):
+            a = np.array([[rnd.randint(-2, 2) + rnd.randint(-2, 2) * x
+                           + rnd.randint(0, 1) * x * y for _ in range(size)]
+                          for _ in range(size)], dtype=object)
+            a[-1] = a[rnd.randrange(size - 1)] * (1 + rnd.randint(-1, 1) * y)
+            yield a
+
+
+def test_zero_poly_pfaffian_is_a_poly():
+    # a Poly matrix has a Poly Pfaffian whichever way it reaches 0: odd
+    # dimension, rank exhaustion in the pivot search (above), or a last
+    # entry that comes out 0, as here with Pf = x*y - x*y + 0
+    x, y = Poly.var("x"), Poly.var("y")
+    a = mat([[0, x, x, 0], [-x, 0, y, y], [-x, -y, 0, y], [0, -y, -y, 0]])
+    for m in (a, a[:3, :3]):
+        pf = pf_eliminate(m)
+        assert isinstance(pf, Poly) and pf.is_zero()
+    values = [pf_eliminate(m) for m in _poly_skew_suite()
+              if any(isinstance(v, Poly) for v in m.flat)]
+    values += [det(m) for m in _singular_poly_squares()]
+    assert all(isinstance(v, Poly) for v in values)
+    assert sum(v.is_zero() for v in values) >= 20
 
 
 def test_poly_pfaffian_field_width():

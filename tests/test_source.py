@@ -80,3 +80,37 @@ def test_float_linear_algebra_only_in_the_ck_fit():
         found |= {"%s.%s" % (path.stem, owner.get(node, "<module>"))
                   for node in ast.walk(tree) if _numpy_linalg(node)}
     assert found == {"theorems.extract_Ck"}, found
+
+
+# every planar predicate runs on the int coordinates PlanarGraph.ipos;
+# a Fraction or a true division inside one would bring back the slow path
+INT_PREDICATES = {
+    "planar": ["_rotation_from_positions", "_check_crossings", "dart_vector",
+               "face_signed_area", "_find_outer_face", "bounding_box",
+               "outside_point", "face_interior_point", "_centroid", "_locate",
+               "point_in_polygon", "_interior_point", "_in_triangle",
+               "orient", "_ccw", "loop_area", "vertices_enclosed",
+               "standard_structure", "cilia_parity", "_wedge_contains"],
+    "connections": ["_ray_cut", "annulus_spec"],
+    "theorems": ["vertex_order"],
+}
+
+
+def _slow_arithmetic(node):
+    """Whether an AST node names Fraction or divides with /."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    return isinstance(node, ast.Name) and node.id == "Fraction" or \
+        isinstance(node, ast.Attribute) and node.attr == "Fraction"
+
+
+def test_planar_predicates_construct_no_fraction():
+    found = []
+    for module, names in INT_PREDICATES.items():
+        tree = ast.parse((SRC / (module + ".py")).read_text())
+        fns = {fn.name: fn for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)}
+        found += ["%s.%s:%d" % (module, name, node.lineno)
+                  for name in names for node in ast.walk(fns[name])
+                  if _slow_arithmetic(node)]
+    assert not found, found
