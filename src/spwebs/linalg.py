@@ -1,7 +1,10 @@
 """Matrices over exact rings, the symplectic form, and Pfaffians.
 
-Matrices are dense numpy arrays with dtype=object so the entries can be
-Fraction, Poly, or float; @ and elementwise ops work on all three.
+Matrices are numpy arrays with dtype=object so the entries can be
+Fraction, Poly, or float; @ and elementwise ops work on all three.  A
+SkewMatrix, the input of the Pfaffian, holds only its rows of nonzero
+entries, as dicts from column index to entry; its skewness is checked
+once per unordered pair of stored entries, and .a gives the dense array.
 
 Pfaffians come in two flavours: a combinatorial sum over perfect pairings
 (only for small matrices, used as an oracle) and an elimination scheme.
@@ -12,26 +15,53 @@ Pfaffian minors of the input, and the Dress-Wenzel identity
 
 makes each division exact, so polynomial matrices never leave the
 polynomial ring.  Float matrices use ordinary skew elimination with
-magnitude pivoting.  One pass over the entries picks the ring: float if
-any entry is a float, else Poly if any is a Poly, else int and Fraction;
-float and Poly entries together raise MixedRing.
+magnitude pivoting.  The set of entry types, zeros included, picks the
+ring: float if any entry is a float, else Poly if any is a Poly, else int
+and Fraction; float and Poly entries together raise MixedRing.
 
 Matrices of int and Fraction entries are first cleared of denominators:
-with d_i the lcm of the denominators in row i and D = diag(d_i), DAD is
-an integer matrix and Pf(DAD) = Pf(A) * prod(d_i).  The elimination then
-runs on Python ints, each exact division a divmod whose remainder must
-be zero, and prod(d_i) is divided out once at the end.
+with d_i the lcm of the denominators of the nonzeros in row i and
+D = diag(d_i), B = DAD is an integer matrix and Pf(B) = Pf(A) * prod(d_i).
+B is eliminated sparsely on Python ints, and prod(d_i) is divided out
+once at the end.
 
-A matrix with any Poly entry runs the same loops on the packed form of
-rings: coefficient denominators are cleared the same way, every entry
-becomes a dict from packed monomial to int coefficient, each numerator
-is accumulated into one dict, and each exact division in Z[x] is the
-heap division of rings, which raises SelfCheckFailed on a monomial that
-does not divide or a nonzero remainder.  The field width of the packing
-comes from a degree bound: the working entries are Pfaffian minors, so
-every product has total degree at most dim * D, D the largest entry
-degree, plus one guard bit per field.  The result is unpacked to a Poly
-once; a zero Pfaffian is the zero Poly too.
+* Pivot order.  Each step takes the remaining row p with the fewest
+  nonzeros and, among its columns, the row q with the fewest (minimum
+  degree: George, SIAM J. Numer. Anal. 10, 1973; Lipton, Rose & Tarjan,
+  SIAM J. Numer. Anal. 16, 1979).  With ip the position of p among the
+  remaining indices and iq that of q once p is gone, ip + iq adjacent
+  transpositions move the pair to the front, so the sign flips when
+  ip + iq is odd.  Pf(B) is the sign times the last pivot.
+* Working entries.  With S the pivot rows p1 q1 ... ps qs of the first
+  s steps, the entry (i, j) of stage s is w_s(i, j) = Pf(B[S, i, j]),
+  and the pivot of step s is P_s = Pf(B[S]), P_0 = 1.  The identity
+  above gives w_s(i, j) = (P_s w(i, j) - w(p, i) w(q, j) + w(p, j) w(q, i))
+  / P_{s-1}, the w on the right of stage s - 1.
+* Lazy stages.  The cross term vanishes unless i and j both meet p or q,
+  and it vanishes too when both meet p only or both meet q only.  Every
+  other entry just becomes w_{s-1}(i, j) P_s / P_{s-1}, so a step
+  rewrites only the hot entries of the rows its pivot pair touches.  A
+  row keeps the stage t of its last rewrite, and an entry of it stands
+  for w_t(i, j) P_s / P_t at stage s.  When a pivot pair next touches
+  the row, its entries are brought forward by P_now / P_then.  That
+  division is exact, because its quotient is again a Pfaffian minor of
+  the integer B.  So is the update's, by the identity.  Each division
+  is a divmod whose remainder must be zero, else SelfCheckFailed.
+* A remaining row with no nonzeros makes the working matrix singular,
+  and with it B, so the Pfaffian is 0.
+
+A matrix with any Poly entry runs a dense fraction-free loop on the
+packed form of rings: each step pivots on (k, k + 1), found by a search
+when it vanishes, and rewrites every remaining entry by the update above.
+Coefficient denominators are cleared the same way, every entry becomes a
+dict from packed monomial to int coefficient, each numerator is
+accumulated into one dict, and each exact division in Z[x] is the heap
+division of rings, which raises SelfCheckFailed on a monomial that does
+not divide or a nonzero remainder.  The field width of the packing comes
+from a degree bound: the working entries are Pfaffian minors, so every
+product has total degree at most dim * D, D the largest entry degree,
+plus one guard bit per field.  The result is unpacked to a Poly once; a
+zero Pfaffian is the zero Poly too.
 
 There is no separate determinant elimination.  det A is the Pfaffian of
 the 2n x 2n skew matrix M with the rows of A at even indices and its
@@ -42,6 +72,7 @@ permutations of A, each with its sign, so Pf(M) = det A.
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -164,29 +195,71 @@ def perm_sign(seq):
 
 
 class SkewMatrix:
-    """A square matrix checked to satisfy A^T = -A at construction."""
+    """A square matrix checked to satisfy A^T = -A at construction, held
+    as its rows of nonzero entries.
+
+    a is a square matrix, or its rows as dicts from column index to entry;
+    such a row may also hold zero entries (H of a zero weight), which the
+    Pfaffian drops.  kinds is the set of entry types,
+    zeros included, from which pf_eliminate picks the ring; float and
+    Poly entries together raise MixedRing.  Skewness is checked once per
+    unordered pair of stored entries, so each pair costs one addition; a
+    float pair may miss by 1e-12.
+    """
 
     def __init__(self, a):
-        a = np.asarray(a, dtype=object) if not isinstance(a, np.ndarray) else a
-        if a.dtype != object:
-            a = a.astype(object)
-        if a.shape[0] != a.shape[1]:
-            raise DimensionMismatch("skew matrix must be square")
-        rows = a.tolist()
-        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
-            for x, y in zip(row[i:], col[i:]):
-                s = x + y
+        if isinstance(a, list) and all(isinstance(row, dict) for row in a):
+            rows, kinds = a, set()
+            for row in rows:
+                kinds.update(map(type, row.values()))
+        else:
+            a = np.asarray(a, dtype=object)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise DimensionMismatch("skew matrix must be square")
+            dense = a.tolist()
+            rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+            kinds = {type(x) for row in dense for x in row}
+        if Poly in kinds and any(issubclass(t, float) for t in kinds):
+            raise MixedRing("float and Poly entries in one matrix")
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                y = rows[j].get(i)
+                if y is None:
+                    s = x
+                elif j >= i:
+                    s = x + y
+                else:
+                    continue
                 if s and (not (isinstance(x, float) or isinstance(y, float))
                           or abs(s) > 1e-12):
                     raise NotSkew("matrix is not antisymmetric")
-        self.a = a
+        self.rows = rows
+        self.kinds = kinds
 
     @property
     def dim(self):
-        return self.a.shape[0]
+        return len(self.rows)
+
+    @property
+    def a(self):
+        """The dense matrix, with int 0 at the entries not stored."""
+        n = self.dim
+        return np.array(_dense(self.rows), dtype=object).reshape(n, n)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.a, dtype=dtype)
 
     def pfaffian(self):
-        return pf_eliminate(self.a)
+        return pf_eliminate(self)
+
+
+def _dense(rows):
+    """Rows of entries as lists, with int 0 at the entries not stored."""
+    out = [[0] * len(rows) for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row.items():
+            dense[j] = x
+    return out
 
 
 def pf_combinatorial(a):
@@ -210,27 +283,27 @@ def pf_combinatorial(a):
 
 
 def pf_eliminate(a):
-    """Pfaffian by skew elimination; exact entries stay exact."""
-    a = np.asarray(a, dtype=object)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("Pfaffian of a non-square matrix")
-    rows = a.tolist()
-    types = {type(x) for row in rows for x in row}
-    is_float = any(issubclass(t, float) for t in types)
-    if is_float and Poly in types:
-        raise MixedRing("float and Poly entries in one matrix")
+    """Pfaffian of a SkewMatrix, or of a matrix that SkewMatrix accepts,
+    by elimination; exact entries stay exact."""
+    if not isinstance(a, SkewMatrix):
+        a = SkewMatrix(a)
+    rows, kinds = a.rows, a.kinds
+    is_float = any(issubclass(t, float) for t in kinds)
     n = len(rows)
     if n % 2:
-        return 0.0 if is_float else Poly() if Poly in types else Fraction(0)
+        return 0.0 if is_float else Poly() if Poly in kinds else Fraction(0)
     if n == 0:
         return Fraction(1)
     if is_float:
-        return _pf_float(rows)
-    if Poly in types:
-        return _pf_poly(rows)
-    b, d = _clear_rows(rows)
-    if any(x != 1 for x in d):
-        b = [[x * dj for x, dj in zip(row, d)] for row in b]
+        return _pf_float(_dense(rows))
+    if Poly in kinds:
+        return _pf_poly(_dense(rows))
+    # B = DAD with d_i the lcm of the denominators in row i is an integer
+    # skew matrix, and Pf(B) = Pf(A) * prod(d_i)
+    d = [math.lcm(*[x.denominator for x in row.values()]) for row in rows]
+    b = [{j: v for j, x in row.items()
+          if (v := x.numerator * (di // x.denominator) * d[j])}
+         for row, di in zip(rows, d)]
     return Fraction(_pf_int(b), math.prod(d))
 
 
@@ -268,14 +341,6 @@ def clear_denominators(rows):
     d = math.lcm(*[x.denominator for row in rows for x in row])
     return [[x.numerator * (d // x.denominator) for x in row]
             for row in rows], d
-
-
-def _clear_rows(rows):
-    """Rows of int and Fraction entries scaled to integers: row i times
-    d_i, the lcm of its denominators.  Returns the int rows and the d_i."""
-    d = [math.lcm(*[x.denominator for x in row]) for row in rows]
-    return ([[x.numerator * (di // x.denominator) for x in row]
-             for row, di in zip(rows, d)], d)
 
 
 def minors(rows, k):
@@ -320,39 +385,91 @@ def _pf_pivot(b, k, sign):
     return 0
 
 
+def _div(num, den):
+    q, r = divmod(num, den)
+    if r:
+        raise SelfCheckFailed("inexact Pfaffian minor division")
+    return q
+
+
+def _lift(row, now, then):
+    """A row written at the stage whose pivot was then, brought to the
+    stage whose pivot is now."""
+    if now == then:
+        return row
+    return {j: _div(v * now, then) for j, v in row.items()}
+
+
 def _pf_int(b):
-    """Fraction-free Pfaffian of an integer skew matrix (list of rows,
-    overwritten)."""
-    n = len(b)
+    """Pfaffian of an integer skew matrix given as rows of nonzero
+    entries, by sparse fraction-free elimination in minimum-degree order
+    (see the module docstring).  The rows of b are replaced as it runs."""
+    deg = [len(row) for row in b]
+    stage = [0] * len(b)
+    piv = [1]
+    alive = list(range(len(b)))
     sign = 1
-    prev = 1
-    for k in range(0, n - 2, 2):
-        if not b[k][k + 1]:
-            sign = _pf_pivot(b, k, sign)
-            if not sign:
-                # every bordered Pfaffian minor vanishes, so the rank is
-                # exhausted and the full Pfaffian is zero
-                return 0
-        bk, bk1 = b[k], b[k + 1]
-        p = bk[k + 1]
-        for i in range(k + 2, n):
-            bi, x, y = b[i], bk[i], bk1[i]
-            for j in range(i + 1, n):
-                val, r = divmod(p * bi[j] - x * bk1[j] + bk[j] * y, prev)
-                if r:
-                    raise SelfCheckFailed("inexact Pfaffian minor division")
-                bi[j] = val
-                b[j][i] = -val
-        prev = p
-    return sign * b[n - 2][n - 1]
+    while alive:
+        p = min(alive, key=deg.__getitem__)
+        if not deg[p]:
+            # a zero row of the working matrix: its Pfaffian vanishes,
+            # and with it that of b
+            return 0
+        q = min(b[p], key=deg.__getitem__)
+        # ip + iq adjacent transpositions move p, q to the front
+        ip = bisect_left(alive, p)
+        del alive[ip]
+        iq = bisect_left(alive, q)
+        del alive[iq]
+        if (ip + iq) & 1:
+            sign = -sign
+        s, prev = len(piv), piv[-1]
+        bp = _lift(b[p], prev, piv[stage[p]])
+        bq = _lift(b[q], prev, piv[stage[q]])
+        pv = bp[q]
+        piv.append(pv)
+        # touched rows in three groups: A meets p only, C both, B q only.
+        # The cross term of (i, j) vanishes within A and within B, so a row
+        # updates only its hot columns and rescales the rest.
+        touched = [i for i in bp if i != q and i not in bq]
+        na = len(touched)
+        touched += [i for i in bp if i in bq]
+        nac = len(touched)
+        touched += [i for i in bq if i != p and i not in bp]
+        hot = (set(touched[na:]), set(touched), set(touched[:nac]))
+        skip = [h | {p, q} for h in hot]
+        new, old = [], []
+        for a, i in enumerate(touched):
+            g = (a >= na) + (a >= nac)
+            row, then = b[i], piv[stage[i]]
+            new.append({j: _div(v * pv, then) for j, v in row.items()
+                        if j not in skip[g]})
+            if g < 2:
+                old.append(row if then == prev else
+                           {j: _div(v * prev, then) for j, v in row.items()
+                            if j in hot[g]})
+        xs = [bp.get(i, 0) for i in touched]
+        ys = [bq.get(i, 0) for i in touched]
+        for a in range(nac):
+            i, oi, ni, x, y = touched[a], old[a], new[a], xs[a], ys[a]
+            for c in range(max(a + 1, na), len(touched)):
+                j = touched[c]
+                num = pv * oi.get(j, 0) - x * ys[c] + xs[c] * y
+                if num:
+                    v = _div(num, prev)
+                    ni[j] = v
+                    new[c][i] = -v
+        for i, row in zip(touched, new):
+            b[i], deg[i], stage[i] = row, len(row), s
+    return sign * piv[-1]
 
 
 def _pf_poly(rows):
-    """Pfaffian of a matrix with Poly entries: the loop of _pf_int on the
-    packed form of rings, with B = DAD built from the upper triangle and
-    d_i the lcm of the coefficient denominators in row i above the
-    diagonal.  Every working entry is a Pfaffian minor of B, so every
-    product has total degree at most dim * (largest entry degree)."""
+    """Pfaffian of a matrix with Poly entries by the dense fraction-free
+    loop on the packed form of rings, with B = DAD built from the upper
+    triangle and d_i the lcm of the coefficient denominators in row i
+    above the diagonal.  Every working entry is a Pfaffian minor of B, so
+    every product has total degree at most dim * (largest entry degree)."""
     n = len(rows)
     pk = _Packing.of([x for i, row in enumerate(rows) for x in row[i + 1:]], n)
     d = [math.lcm(*[_denominator(x) for x in row[i + 1:]])
@@ -393,10 +510,12 @@ def det(a):
     a = np.asarray(a, dtype=object)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("determinant of a non-square matrix")
-    m = np.zeros((2 * a.shape[0],) * 2, dtype=object)
-    m[::2, 1::2] = a
-    m[1::2, ::2] = -a.T
-    return pf_eliminate(m)
+    rows = [{} for _ in range(2 * a.shape[0])]
+    for i, row in enumerate(a.tolist()):
+        for j, x in enumerate(row):
+            rows[2 * i][2 * j + 1] = x
+            rows[2 * j + 1][2 * i] = -x
+    return pf_eliminate(SkewMatrix(rows))
 
 
 def exterior_power_trace(a, k):

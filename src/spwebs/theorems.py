@@ -74,8 +74,10 @@ class HMatrix(SkewMatrix):
     Block (u, v) holds w_e * J * phi_e(v -> u): the same edge factor the
     trace engines contract, with the row indexing the color at u, so the
     Pfaffian expansion reproduces the colored trace sum term by term.
-    Parallel edges add up.  Vertices are laid out in (y, x, id) order
-    with the 2n colors of a vertex contiguous.
+    Vertices are laid out in (y, x, id) order with the 2n colors of a
+    vertex contiguous.  Only the entries where an edge matrix is nonzero
+    are stored, as rows of dicts (zeros under a zero weight, which keep
+    its ring); edges are straight, so no two share a block.
     """
 
     def __init__(self, g, conn, w=None):
@@ -83,8 +85,7 @@ class HMatrix(SkewMatrix):
         pos = {vid: i for i, vid in enumerate(vertex_order(g))}
         n = conn.n
         b = 2 * n
-        size = b * len(pos)
-        rows = [[0] * size for _ in range(size)]
+        rows = [{} for _ in range(b * len(pos))]
         for e in g.edges.values():
             # block (hi, lo) is w J m, m the matrix from lo to hi, since
             # J phi(hi -> lo) = m^T J = -(J m)^T.  Row i < n of J m is row
@@ -93,13 +94,14 @@ class HMatrix(SkewMatrix):
             wt = weights[e.id]
             rl, rh = b * pos[min(e.u, e.v)], b * pos[max(e.u, e.v)]
             for i, row in enumerate(m[n:] + m[:n]):
-                top = rows[rh + i]
+                r = rh + i
+                top = rows[r]
                 for j, x in enumerate(row):
                     if x:
                         val = x * wt if i < n else -(x * wt)
-                        top[rl + j] += val
-                        rows[rl + j][rh + i] -= val
-        super().__init__(np.array(rows, dtype=object).reshape(size, size))
+                        top[rl + j] = val
+                        rows[rl + j][r] = -val
+        super().__init__(rows)
 
 
 def sum_traces(g, conn, w=None, n=None):
