@@ -19,11 +19,14 @@ magnitude pivoting.  The set of entry types, zeros included, picks the
 ring: float if any entry is a float, else Poly if any is a Poly, else int
 and Fraction; float and Poly entries together raise MixedRing.
 
-Matrices of int and Fraction entries are first cleared of denominators:
-with d_i the lcm of the denominators of the nonzeros in row i and
-D = diag(d_i), B = DAD is an integer matrix and Pf(B) = Pf(A) * prod(d_i).
-B is eliminated sparsely on Python ints, and prod(d_i) is divided out
-once at the end.
+Exact matrices run one sparse fraction-free elimination, on Python ints
+for int and Fraction entries and on the packed polynomials of rings
+(dicts from packed monomial to int coefficient) for Poly entries.  With
+d_i the lcm of the (coefficient) denominators in row i, above the
+diagonal for Poly, and D = diag(d_i), B = DAD has integer coefficients
+and Pf(B) = Pf(A) * prod(d_i), divided out once at the end.  A packed B
+is the upper triangle mirrored by negation, and its Pfaffian is
+unpacked to a Poly once (the zero Poly for 0).
 
 * Pivot order.  Each step takes the remaining row p with the fewest
   nonzeros and, among its columns, the row q with the fewest (minimum
@@ -45,33 +48,34 @@ once at the end.
   for w_t(i, j) P_s / P_t at stage s.  When a pivot pair next touches
   the row, its entries are brought forward by P_now / P_then.  That
   division is exact, because its quotient is again a Pfaffian minor of
-  the integer B.  So is the update's, by the identity.  Each division
-  is a divmod whose remainder must be zero, else SelfCheckFailed.
+  B.  So is the update's, by the identity.
+* Two arithmetics.  The loop is handed the ring's lift, v * now / then,
+  cross update, (P o - x y' + x' y) / prev, and negation.  Each division
+  is a divmod on ints and the heap division of rings, by a pivot
+  prepared once, on packed polynomials; an inexact one raises.
+* Field width.  With e the largest entry degree, an entry of stage t
+  has total degree at most (t + 1) e and P_s at most s e.  At step s a
+  lift multiplies an entry of stage t < s by P_s, or of t < s - 1 by
+  P_{s-1}, and the update multiplies two of stage s - 1: at most 2 s e.
+  Rows are left to update only while s <= dim/2 - 1, and the last step
+  only lifts the pivot to P_{dim/2-1}, so no product passes (dim - 2) e.
+  The packing is sized for max(dim - 2, 1) e, which also holds the
+  entries and the Pfaffian; a dividend past it raises SelfCheckFailed.
 * A remaining row with no nonzeros makes the working matrix singular,
   and with it B, so the Pfaffian is 0.
-
-A matrix with any Poly entry runs a dense fraction-free loop on the
-packed form of rings: each step pivots on (k, k + 1), found by a search
-when it vanishes, and rewrites every remaining entry by the update above.
-Coefficient denominators are cleared the same way, every entry becomes a
-dict from packed monomial to int coefficient, each numerator is
-accumulated into one dict, and each exact division in Z[x] is the heap
-division of rings, which raises SelfCheckFailed on a monomial that does
-not divide or a nonzero remainder.  The field width of the packing comes
-from a degree bound: the working entries are Pfaffian minors, so every
-product has total degree at most dim * D, D the largest entry degree,
-plus one guard bit per field.  The result is unpacked to a Poly once; a
-zero Pfaffian is the zero Poly too.
 
 There is no separate determinant elimination.  det A is the Pfaffian of
 the 2n x 2n skew matrix M with the rows of A at even indices and its
 columns at odd ones, M[2i][2j+1] = a_ij = -M[2j+1][2i] and every other
 entry 0: the perfect matchings of M with nonzero weight are the
-permutations of A, each with its sign, so Pf(M) = det A.
+permutations of A, each with its sign, so Pf(M) = det A.  det builds
+the rows of M itself, skew by construction, and hands them to the ring
+dispatch without SkewMatrix's check.
 """
 
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -200,11 +204,11 @@ class SkewMatrix:
 
     a is a square matrix, or its rows as dicts from column index to entry;
     such a row may also hold zero entries (H of a zero weight), which the
-    Pfaffian drops.  kinds is the set of entry types,
-    zeros included, from which pf_eliminate picks the ring; float and
-    Poly entries together raise MixedRing.  Skewness is checked once per
-    unordered pair of stored entries, so each pair costs one addition; a
-    float pair may miss by 1e-12.
+    Pfaffian drops.  kinds is the set of entry types, zeros included,
+    from which pf_eliminate picks the ring; float and Poly entries
+    together raise MixedRing.  Skewness is checked once per unordered
+    pair of stored entries, so each pair costs one addition; a float pair
+    may miss by 1e-12.
     """
 
     def __init__(self, a):
@@ -219,8 +223,7 @@ class SkewMatrix:
             dense = a.tolist()
             rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
             kinds = {type(x) for row in dense for x in row}
-        if Poly in kinds and any(issubclass(t, float) for t in kinds):
-            raise MixedRing("float and Poly entries in one matrix")
+        _ring(kinds)
         for i, row in enumerate(rows):
             for j, x in row.items():
                 y = rows[j].get(i)
@@ -287,24 +290,48 @@ def pf_eliminate(a):
     by elimination; exact entries stay exact."""
     if not isinstance(a, SkewMatrix):
         a = SkewMatrix(a)
-    rows, kinds = a.rows, a.kinds
+    return _pf_rows(a.rows, a.kinds)
+
+
+def _ring(kinds):
+    """float, Poly or Fraction (int and Fraction) for a set of types."""
     is_float = any(issubclass(t, float) for t in kinds)
+    if is_float and Poly in kinds:
+        raise MixedRing("float and Poly entries in one matrix")
+    return float if is_float else Poly if Poly in kinds else Fraction
+
+
+def _pf_rows(rows, kinds):
+    """Pfaffian of skew rows of entries (dicts, zeros allowed) in the ring
+    that kinds picks, B = DAD cleared as in the module docstring."""
+    ring = _ring(kinds)
     n = len(rows)
     if n % 2:
-        return 0.0 if is_float else Poly() if Poly in kinds else Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    if is_float:
+        return ring()
+    if ring is float:
         return _pf_float(_dense(rows))
-    if Poly in kinds:
-        return _pf_poly(_dense(rows))
-    # B = DAD with d_i the lcm of the denominators in row i is an integer
-    # skew matrix, and Pf(B) = Pf(A) * prod(d_i)
+    if ring is Poly:
+        upper = [{j: x for j, x in row.items() if j > i and x}
+                 for i, row in enumerate(rows)]
+        pk = _Packing.of([x for row in upper for x in row.values()],
+                         max(n - 2, 1))
+        d = [math.lcm(*map(_denominator, row.values())) for row in upper]
+        b = [{} for _ in rows]
+        for i, row in enumerate(upper):
+            for j, x in row.items():
+                b[i][j] = pk.pack(x, d[i] * d[j])
+                b[j][i] = _pk_neg(b[i][j])
+        one = {0: 1}
+        pf = _pf_sparse(b, {}, one,
+                        lambda g: None if g == one else pk.divisor(g),
+                        _pk_lift, _pk_cross, _pk_neg)
+        return pk.unpack(pf, math.prod(d))
     d = [math.lcm(*[x.denominator for x in row.values()]) for row in rows]
     b = [{j: v for j, x in row.items()
           if (v := x.numerator * (di // x.denominator) * d[j])}
          for row, di in zip(rows, d)]
-    return Fraction(_pf_int(b), math.prod(d))
+    return Fraction(_pf_sparse(b, 0, 1, int, _lift, _cross, operator.neg),
+                    math.prod(d))
 
 
 def _pf_float(rows):
@@ -367,54 +394,51 @@ def minors(rows, k):
     return table
 
 
-def _pf_pivot(b, k, sign):
-    """Move a nonzero entry of the trailing block to (k, k + 1) by
-    simultaneous row and column swaps; returns the updated sign, or 0
-    when the trailing block is zero."""
-    n = len(b)
-    for i in range(k, n):
-        for j in range(i + 1, n):
-            if b[i][j]:
-                if i != k:
-                    _swap_rc(b, i, k)
-                    sign = -sign
-                if j != k + 1:
-                    _swap_rc(b, j, k + 1)
-                    sign = -sign
-                return sign
-    return 0
-
-
-def _div(num, den):
-    q, r = divmod(num, den)
+def _lift(v, now, then):
+    """v * now / then on ints; the division must be exact."""
+    q, r = divmod(v * now, then)
     if r:
         raise SelfCheckFailed("inexact Pfaffian minor division")
     return q
 
 
-def _lift(row, now, then):
-    """A row written at the stage whose pivot was then, brought to the
-    stage whose pivot is now."""
-    if now == then:
-        return row
-    return {j: _div(v * now, then) for j, v in row.items()}
+def _cross(pv, o, x, y2, x2, y, prev):
+    """(pv o - x y2 + x2 y) / prev on ints; the division must be exact."""
+    q, r = divmod(pv * o - x * y2 + x2 * y, prev)
+    if r:
+        raise SelfCheckFailed("inexact Pfaffian minor division")
+    return q
 
 
-def _pf_int(b):
-    """Pfaffian of an integer skew matrix given as rows of nonzero
-    entries, by sparse fraction-free elimination in minimum-degree order
-    (see the module docstring).  The rows of b are replaced as it runs."""
+def _pk_lift(v, now, then):
+    """v * now / then on packed polynomials, then prepared (None for 1)."""
+    return _pk_quot(((v, now),), (), then)
+
+
+def _pk_cross(pv, o, x, y2, x2, y, prev):
+    """(pv o - x y2 + x2 y) / prev on packed polynomials, prev prepared."""
+    return _pk_quot(((pv, o), (x2, y)), ((x, y2),), prev)
+
+
+def _pf_sparse(b, zero, one, prepare, lift, cross, neg):
+    """Pfaffian of a skew matrix given as rows of nonzero entries, by the
+    sparse elimination of the module docstring, on ints or packed
+    polynomials: zero and one are the ring's, prepare(P) readies a pivot
+    as a divisor, lift(v, now, then) = v now / then and cross(P, o, x,
+    y2, x2, y, prev) = (P o - x y2 + x2 y) / prev, divisors prepared,
+    and neg negates.  The rows of b are replaced as it runs."""
     deg = [len(row) for row in b]
     stage = [0] * len(b)
-    piv = [1]
+    piv, divs = [one], [prepare(one)]
     alive = list(range(len(b)))
     sign = 1
+
     while alive:
         p = min(alive, key=deg.__getitem__)
         if not deg[p]:
             # a zero row of the working matrix: its Pfaffian vanishes,
             # and with it that of b
-            return 0
+            return zero
         q = min(b[p], key=deg.__getitem__)
         # ip + iq adjacent transpositions move p, q to the front
         ip = bisect_left(alive, p)
@@ -423,11 +447,19 @@ def _pf_int(b):
         del alive[iq]
         if (ip + iq) & 1:
             sign = -sign
-        s, prev = len(piv), piv[-1]
-        bp = _lift(b[p], prev, piv[stage[p]])
-        bq = _lift(b[q], prev, piv[stage[q]])
+        s, prev, dprev = len(piv), piv[-1], divs[-1]
+        # p and q brought forward to prev; the last step needs only pv
+        bp, then = b[p], divs[stage[p]]
+        if piv[stage[p]] != prev:
+            bp = {j: lift(v, prev, then) for j, v in bp.items()}
         pv = bp[q]
+        if not alive:
+            return pv if sign > 0 else neg(pv)
+        bq, then = b[q], divs[stage[q]]
+        if piv[stage[q]] != prev:
+            bq = {j: lift(v, prev, then) for j, v in bq.items()}
         piv.append(pv)
+        divs.append(prepare(pv))
         # touched rows in three groups: A meets p only, C both, B q only.
         # The cross term of (i, j) vanishes within A and within B, so a row
         # updates only its hot columns and rescales the rest.
@@ -441,81 +473,41 @@ def _pf_int(b):
         new, old = [], []
         for a, i in enumerate(touched):
             g = (a >= na) + (a >= nac)
-            row, then = b[i], piv[stage[i]]
-            new.append({j: _div(v * pv, then) for j, v in row.items()
+            row, then = b[i], divs[stage[i]]
+            new.append({j: lift(v, pv, then) for j, v in row.items()
                         if j not in skip[g]})
             if g < 2:
-                old.append(row if then == prev else
-                           {j: _div(v * prev, then) for j, v in row.items()
+                old.append(row if piv[stage[i]] == prev else
+                           {j: lift(v, prev, then) for j, v in row.items()
                             if j in hot[g]})
-        xs = [bp.get(i, 0) for i in touched]
-        ys = [bq.get(i, 0) for i in touched]
+        xs = [bp.get(i, zero) for i in touched]
+        ys = [bq.get(i, zero) for i in touched]
         for a in range(nac):
             i, oi, ni, x, y = touched[a], old[a], new[a], xs[a], ys[a]
             for c in range(max(a + 1, na), len(touched)):
                 j = touched[c]
-                num = pv * oi.get(j, 0) - x * ys[c] + xs[c] * y
-                if num:
-                    v = _div(num, prev)
+                v = cross(pv, oi.get(j, zero), x, ys[c], xs[c], y, dprev)
+                if v:
                     ni[j] = v
-                    new[c][i] = -v
+                    new[c][i] = neg(v)
         for i, row in zip(touched, new):
             b[i], deg[i], stage[i] = row, len(row), s
-    return sign * piv[-1]
-
-
-def _pf_poly(rows):
-    """Pfaffian of a matrix with Poly entries by the dense fraction-free
-    loop on the packed form of rings, with B = DAD built from the upper
-    triangle and d_i the lcm of the coefficient denominators in row i
-    above the diagonal.  Every working entry is a Pfaffian minor of B, so
-    every product has total degree at most dim * (largest entry degree)."""
-    n = len(rows)
-    pk = _Packing.of([x for i, row in enumerate(rows) for x in row[i + 1:]], n)
-    d = [math.lcm(*[_denominator(x) for x in row[i + 1:]])
-         for i, row in enumerate(rows)]
-    b = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            b[i][j] = pk.pack(rows[i][j], d[i] * d[j])
-            b[j][i] = _pk_neg(b[i][j])
-    sign = 1
-    div = None
-    for k in range(0, n - 2, 2):
-        if not b[k][k + 1]:
-            sign = _pf_pivot(b, k, sign)
-            if not sign:
-                return Poly()
-        bk, bk1 = b[k], b[k + 1]
-        p = bk[k + 1]
-        for i in range(k + 2, n):
-            bi, x, y = b[i], bk[i], bk1[i]
-            for j in range(i + 1, n):
-                val = _pk_quot(((p, bi[j]), (bk[j], y)), ((x, bk1[j]),), div)
-                bi[j] = val
-                b[j][i] = _pk_neg(val)
-        div = pk.divisor(p)
-    return pk.unpack(b[n - 2][n - 1], sign * math.prod(d))
-
-
-def _swap_rc(b, i, j):
-    b[i], b[j] = b[j], b[i]
-    for row in b:
-        row[i], row[j] = row[j], row[i]
+    return one
 
 
 def det(a):
     """Determinant as the Pfaffian of the interleaved skew matrix (see
-    the module docstring)."""
+    the module docstring), whose rows are skew by construction."""
     a = np.asarray(a, dtype=object)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("determinant of a non-square matrix")
-    rows = [{} for _ in range(2 * a.shape[0])]
-    for i, row in enumerate(a.tolist()):
+    dense = a.tolist()
+    rows = [{} for _ in range(2 * len(dense))]
+    for i, row in enumerate(dense):
         for j, x in enumerate(row):
             rows[2 * i][2 * j + 1] = x
             rows[2 * j + 1][2 * i] = -x
-    return pf_eliminate(SkewMatrix(rows))
+    return _pf_rows(rows, {type(x) for row in dense for x in row})
 
 
 def exterior_power_trace(a, k):

@@ -16,9 +16,10 @@ order.  Int order is then graded lexicographic order, and a monomial
 product is one int addition.  The caller proves a bound on every total
 degree that can arise and w is its bit length plus one guard bit, so a
 field never carries into the next; m1 divides m2 exactly when m2 - m1 is
-nonnegative with no guard bit set.  Exact division pops the remainder's
-leading monomial from a heapq heap (Johnson, ACM SIGSAM Bull. 8(3),
-1974; packed monomials after Monagan & Pearce, CASC 2007).
+nonnegative with no guard bit set, and a dividend of total degree past
+the bound raises.  Exact division pops the remainder's leading monomial
+from a heapq heap (Johnson, ACM SIGSAM Bull. 8(3), 1974; packed
+monomials after Monagan & Pearce, CASC 2007).
 """
 
 import heapq
@@ -341,10 +342,12 @@ def _pk_quot(plus, minus, div):
 
 def _pk_div(f, div):
     """Exact quotient of packed f by a divisor prepared by
-    _Packing.divisor; raises SelfCheckFailed when a monomial does not
-    divide or an int coefficient leaves a remainder.  Fraction
-    coefficients divide exactly."""
+    _Packing.divisor; raises SelfCheckFailed when f has a total degree
+    that reaches the guard bit (no exponent is larger), a monomial does
+    not divide or an int coefficient leaves a remainder."""
     lm, lc, rest, guard = div
+    if f and max(f) >> (guard.bit_length() - 1):
+        raise SelfCheckFailed("packed degree overflows its field")
     ints = type(lc) is int
 
     def quotient_term(m, c):

@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from spwebs.errors import MixedRing, NotSkew
+from spwebs import linalg
+from spwebs.errors import MixedRing, NotSkew, SelfCheckFailed
 from spwebs.linalg import (SkewMatrix, all_pairings, clear_denominators, det,
                            exterior_power_trace, eye, is_symplectic, mat,
                            mat_equal, minors, perm_sign, pf_combinatorial,
@@ -229,7 +230,7 @@ def test_integer_pfaffian_matches_oracles():
         assert isinstance(pf, Fraction)
         if a.shape[0] <= 8:
             assert pf == pf_combinatorial(a)
-        # the packed Poly loop, run on constant Polys, as an oracle
+        # the same elimination on packed polynomials, run on constant Polys
         wrapped = np.vectorize(Poly.const, otypes=[object])(a) \
             if a.size else a
         assert pf_eliminate(wrapped) == pf
@@ -332,7 +333,7 @@ def test_zero_poly_pfaffian_is_a_poly():
     assert sum(v.is_zero() for v in values) >= 20
 
 
-def test_poly_pfaffian_field_width():
+def test_poly_pfaffian_field_width(monkeypatch):
     rnd = random.Random(17)
     # 30 variables, two in each entry above the diagonal
     a = np.full((6, 6), 0, dtype=object)
@@ -357,6 +358,60 @@ def test_poly_pfaffian_field_width():
     assert pf.degree() == 27
     assert str(pf) == str(pf_combinatorial(b))
     assert det(b) == pf * pf
+    # dimension 10, sparse, entries homogeneous of degree D = 8 in three
+    # variables: the products of the elimination reach (10 - 2) * D = 64,
+    # a power of two, so a factor one smaller narrows every field by a
+    # bit and degree 64 reaches the guard bit
+    c = np.full((10, 10), 0, dtype=object)
+    monos = [u ** 8, v ** 8, w ** 8, u ** 3 * v ** 5, v ** 2 * w ** 6,
+             u * v * w ** 6]
+    for i in range(10):
+        for j in range(i + 1, 10):
+            if j == i + 1 or rnd.random() < 0.2:
+                c[i, j] = rnd.choice(monos) * rnd.choice([-2, 1, 3])
+                c[i, j] += rnd.choice(monos) * Fraction(1, rnd.randint(1, 5))
+                c[j, i] = -c[i, j]
+    gaps = []
+    monkeypatch.setattr(linalg, "_pf_sparse",
+                        _stage_spy(linalg._pf_sparse, gaps))
+    pf = pf_eliminate(c)
+    assert pf.degree() == 40
+    # minimum-degree order leaves some row at its stage over 3 pivots
+    assert max(gaps) >= 3
+    for point in ({"u": 2, "v": -1, "w": 3}, {"u": 1, "v": 5, "w": -2}):
+        at = np.vectorize(lambda x: x.substitute(point) if isinstance(x, Poly)
+                          else x, otypes=[object])(c)
+        assert pf.substitute(point) == pf_eliminate(at)
+    # at the last point also against an oracle that shares no code with it
+    assert pf.substitute(point) ** 2 == _laplace_det(at)
+    of = linalg._Packing.of.__func__
+    monkeypatch.setattr(linalg._Packing, "of", classmethod(
+        lambda cls, entries, factor: of(cls, entries, factor - 1)))
+    with pytest.raises(SelfCheckFailed):
+        pf_eliminate(c)
+
+
+def _stage_spy(sparse, gaps):
+    """linalg._pf_sparse, wrapped to append to gaps, for every lift, the
+    number of pivots over which it brings a row forward."""
+
+    def spy(b, zero, one, prepare, lift, cross, neg):
+        pivots = []
+
+        def prep(g):
+            pivots.append(g)
+            return len(pivots) - 1, prepare(g)
+
+        def lf(v, now, then):
+            gaps.append(len(pivots) - 1 - then[0])
+            return lift(v, now, then[1])
+
+        def cr(*args):
+            return cross(*args[:-1], args[-1][1])
+
+        return sparse(b, zero, one, prep, lf, cr, neg)
+
+    return spy
 
 
 def _laplace_det(a):

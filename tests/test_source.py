@@ -1,6 +1,10 @@
 import ast
 import importlib
+from fractions import Fraction
 from pathlib import Path
+
+from spwebs import linalg
+from spwebs.rings import Poly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spwebs"
 
@@ -114,3 +118,28 @@ def test_planar_predicates_construct_no_fraction():
                   for name in names for node in ast.walk(fns[name])
                   if _slow_arithmetic(node)]
     assert not found, found
+
+
+def test_one_pfaffian_elimination_for_every_exact_ring(monkeypatch):
+    # the dense Poly loop and its pivot search are gone, with no fallback
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert not [name for name in ("_pf_poly", "_pf_pivot", "_swap_rc")
+                    if name in text], path.name
+    # int, Fraction and Poly matrices all reach the one sparse loop
+    seen = []
+    sparse = linalg._pf_sparse
+
+    def spy(b, *ops):
+        seen.append(ops[0])
+        return sparse(b, *ops)
+
+    monkeypatch.setattr(linalg, "_pf_sparse", spy)
+    x = Poly.var("x")
+    half = Fraction(1, 2)
+    for a, pf in (([[0, 3], [-3, 0]], 3), ([[0, half], [-half, 0]], half),
+                  ([[0, x], [-x, 0]], x)):
+        assert linalg.pf_eliminate(linalg.mat(a)) == pf
+        assert linalg.det(linalg.mat(a)) == pf * pf
+    # the zero of each ring: int 0 for the int rows, {} for packed ones
+    assert seen == [0, 0, 0, 0, {}, {}]

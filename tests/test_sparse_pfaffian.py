@@ -1,5 +1,5 @@
-"""The sparse integer Pfaffian against the dense loop it replaced, and the
-sparse storage of skew matrices."""
+"""The sparse Pfaffian elimination against a dense loop on ints, on int,
+Fraction and Poly matrices, and the sparse storage of skew matrices."""
 
 import importlib.util
 import math
@@ -14,10 +14,10 @@ from helpers import grid
 from spwebs import theorems as th
 from spwebs.connections import gauge_transform, kasteleyn_connection
 from spwebs.errors import MixedRing, NotSkew, SelfCheckFailed
-from spwebs.linalg import (SkewMatrix, _div, _lift, det, mat,
-                           pf_combinatorial, pf_eliminate)
+from spwebs.linalg import (SkewMatrix, _cross, _lift, _pk_cross, _pk_lift, det,
+                           mat, pf_combinatorial, pf_eliminate)
 from spwebs.rand import random_gauges
-from spwebs.rings import Poly
+from spwebs.rings import Poly, _Packing
 
 
 def dense_pf(a):
@@ -128,11 +128,10 @@ def test_sparse_pfaffian_matches_dense_loop():
         assert SkewMatrix(a).pfaffian() == pf
         if a.shape[0] <= 8:
             assert pf == pf_combinatorial(a)
-        if a.shape[0] <= 12:
-            # the packed Poly loop, run on constant Polys
-            const = np.vectorize(Poly.const, otypes=[object])(a) \
-                if a.size else a
-            assert pf_eliminate(const) == pf
+        # the same loop on packed polynomials, run on constant Polys
+        const = np.vectorize(Poly.const, otypes=[object])(a) \
+            if a.size else a
+        assert pf_eliminate(const) == pf
         zeros += a.shape[0] >= 4 and pf == 0
         degrees = {sum(1 for x in row if x) for row in a.tolist()}
         ties += a.shape[0] >= 4 and len(degrees) == 1 and pf != 0
@@ -146,6 +145,37 @@ def test_sparse_pfaffian_of_grid_h_matches_dense_loop():
         assert pf != 0
 
 
+def test_symbolic_h_pfaffian_matches_dense_loop_at_integer_points():
+    # an oracle for Poly Pfaffians far past pf_combinatorial's dimension
+    # 8: Pf(H) with one variable per edge, evaluated at seeded integer
+    # points, against dense_pf of H evaluated at the same points, under
+    # the Kasteleyn connection and a gauged one (Fraction coefficients)
+    rnd = random.Random(43)
+    dims = set()
+    for rows, cols, ranks in ((2, 2, (1, 2)), (2, 3, (1, 2)), (3, 3, (1,)),
+                              (3, 4, (1, 2)), (4, 4, (1,))):
+        g = grid(rows, cols)
+        weights = th.symbolic_weights(g)
+        names = sorted(str(w) for w in weights.values())
+        for n in ranks:
+            kc = kasteleyn_connection(g, n)
+            for conn in (kc, gauge_transform(g, kc,
+                                             random_gauges(g, rnd, n))):
+                h = th.HMatrix(g, conn, weights)
+                pf = h.pfaffian()
+                assert isinstance(pf, Poly)
+                # 3x3 has an odd number of vertices, so no dimers
+                assert pf.is_zero() == (rows * cols % 2 == 1)
+                dims.add(h.dim)
+                for _ in range(3):
+                    point = {v: rnd.randint(-4, 4) for v in names}
+                    at = np.vectorize(
+                        lambda x: x.substitute(point) if isinstance(x, Poly)
+                        else x, otypes=[object])(h.a)
+                    assert pf.substitute(point) == dense_pf(at)
+    assert max(dims) == 48
+
+
 def test_kasteleyn_pfaffian_size_guard():
     # |Pf(H)| = Z^(2n) at dim 288 (12x12, rank 1) and 400 (10x10, rank 2)
     for size, n, z in ((12, 1, 53060477521960000), (10, 2, 258584046368)):
@@ -155,14 +185,38 @@ def test_kasteleyn_pfaffian_size_guard():
 
 
 def test_division_checks_raise():
-    # every division of the elimination goes through _div: the update of
-    # a hot entry directly, and a row brought forward through _lift
-    assert _div(-12, 4) == -3
+    # every division of the elimination is a lift, v * now / then, or a
+    # cross update, (P o - x y' + x' y) / prev; on ints each is a divmod
+    assert _lift(3, 4, 2) == 6
+    assert _cross(2, 5, 1, 2, 3, 4, 4) == 5
     with pytest.raises(SelfCheckFailed):
-        _div(7, 2)
-    assert _lift({0: 3, 1: 4}, 4, 2) == {0: 6, 1: 8}
+        _lift(3, 2, 4)
     with pytest.raises(SelfCheckFailed):
-        _lift({0: 3, 1: 4}, 2, 4)
+        _cross(2, 5, 1, 2, 3, 3, 4)
+    # on packed polynomials each is a heap division, which checks every
+    # coefficient and every monomial of the quotient
+    x, y = Poly.var("x"), Poly.var("y")
+    pk = _Packing("xy", 4)
+
+    def packed(p):
+        return pk.pack(p, 1)
+
+    def poly(f):
+        return pk.unpack(f)
+
+    for div, num in ((3, 2 * x), (x, y), (x + y, x * x + y)):
+        # lift: v * now / then, with now = 1
+        divisor = pk.divisor(packed(div))
+        with pytest.raises(SelfCheckFailed):
+            _pk_lift(packed(num), packed(Poly.const(1)), divisor)
+        # cross: (P o - x y' + x' y) / prev, with only P o nonzero
+        with pytest.raises(SelfCheckFailed):
+            _pk_cross(packed(num), packed(Poly.const(1)), {}, {}, {}, {},
+                      divisor)
+        assert poly(_pk_lift(packed(num), packed(div), divisor)) == num
+        assert poly(_pk_cross(packed(num), packed(div), packed(x),
+                              packed(y), packed(y), packed(x),
+                              divisor)) == num
 
 
 def test_skew_matrix_storage_checks():
