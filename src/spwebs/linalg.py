@@ -5,6 +5,8 @@ Fraction, Poly, or float; @ and elementwise ops work on all three.  A
 SkewMatrix, the input of the Pfaffian, holds only its rows of nonzero
 entries, as dicts from column index to entry; its skewness is checked
 once per unordered pair of stored entries, and .a gives the dense array.
+Int and Fraction rows are checked once on ints, as the rows of B = DAD
+below (skew exactly when A is, all d_i > 0), which the elimination takes.
 
 Pfaffians come in two flavours: a combinatorial sum over perfect pairings
 (only for small matrices, used as an oracle) and an elimination scheme.
@@ -208,7 +210,8 @@ class SkewMatrix:
     from which pf_eliminate picks the ring; float and Poly entries
     together raise MixedRing.  Skewness is checked once per unordered
     pair of stored entries, so each pair costs one addition; a float pair
-    may miss by 1e-12.
+    may miss by 1e-12.  Int and Fraction pairs are checked on cleared =
+    (B, d), the int rows of B = DAD and the d_i, kept for the Pfaffian.
     """
 
     def __init__(self, a):
@@ -223,10 +226,12 @@ class SkewMatrix:
             dense = a.tolist()
             rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
             kinds = {type(x) for row in dense for x in row}
-        _ring(kinds)
-        for i, row in enumerate(rows):
+        self.rows, self.kinds = rows, kinds
+        self.cleared = _clear(rows) if _ring(kinds) is Fraction else None
+        check = rows if self.cleared is None else self.cleared[0]
+        for i, row in enumerate(check):
             for j, x in row.items():
-                y = rows[j].get(i)
+                y = check[j].get(i)
                 if y is None:
                     s = x
                 elif j >= i:
@@ -236,8 +241,6 @@ class SkewMatrix:
                 if s and (not (isinstance(x, float) or isinstance(y, float))
                           or abs(s) > 1e-12):
                     raise NotSkew("matrix is not antisymmetric")
-        self.rows = rows
-        self.kinds = kinds
 
     @property
     def dim(self):
@@ -290,7 +293,7 @@ def pf_eliminate(a):
     by elimination; exact entries stay exact."""
     if not isinstance(a, SkewMatrix):
         a = SkewMatrix(a)
-    return _pf_rows(a.rows, a.kinds)
+    return _pf_rows(a.rows, a.kinds, a.cleared)
 
 
 def _ring(kinds):
@@ -301,9 +304,17 @@ def _ring(kinds):
     return float if is_float else Poly if Poly in kinds else Fraction
 
 
-def _pf_rows(rows, kinds):
+def _clear(rows):
+    """B = DAD of int and Fraction rows, as rows of nonzero ints, and d."""
+    d = [math.lcm(*[x.denominator for x in row.values()]) for row in rows]
+    return [{j: v for j, x in row.items()
+             if (v := x.numerator * (di // x.denominator) * d[j])}
+            for row, di in zip(rows, d)], d
+
+
+def _pf_rows(rows, kinds, cleared=None):
     """Pfaffian of skew rows of entries (dicts, zeros allowed) in the ring
-    that kinds picks, B = DAD cleared as in the module docstring."""
+    that kinds picks; int and Fraction ones on cleared, or _clear(rows)."""
     ring = _ring(kinds)
     n = len(rows)
     if n % 2:
@@ -326,12 +337,9 @@ def _pf_rows(rows, kinds):
                         lambda g: None if g == one else pk.divisor(g),
                         _pk_lift, _pk_cross, _pk_neg)
         return pk.unpack(pf, math.prod(d))
-    d = [math.lcm(*[x.denominator for x in row.values()]) for row in rows]
-    b = [{j: v for j, x in row.items()
-          if (v := x.numerator * (di // x.denominator) * d[j])}
-         for row, di in zip(rows, d)]
-    return Fraction(_pf_sparse(b, 0, 1, int, _lift, _cross, operator.neg),
-                    math.prod(d))
+    b, d = cleared or _clear(rows)
+    return Fraction(_pf_sparse(list(b), 0, 1, int, _lift, _cross,
+                               operator.neg), math.prod(d))
 
 
 def _pf_float(rows):

@@ -36,8 +36,8 @@ class Vertex:
 
     def __init__(self, vid, x, y):
         self.id = vid
-        self.x = Fraction(x)
-        self.y = Fraction(y)
+        self.x = x if isinstance(x, Fraction) else Fraction(x)
+        self.y = y if isinstance(y, Fraction) else Fraction(y)
 
     def __repr__(self):
         return "Vertex(%d, %s, %s)" % (self.id, self.x, self.y)

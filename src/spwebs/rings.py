@@ -392,7 +392,9 @@ def _pk_div(f, div):
 
 
 def parse_scalar(text, symbols_as_vars=True):
-    """Parse "p/q", integer strings, or a bare symbol name."""
+    """Parse "p/q", integer strings, or a bare symbol name.  "[+-]d" and
+    "[+-]d/d", d decimal digits, take int() of each side, and any other
+    string Fraction(str), so every string parses or fails as there."""
     if isinstance(text, bool) or not isinstance(text, (int, Fraction, float, str)):
         raise MalformedInput("cannot parse scalar %r" % (text,))
     if isinstance(text, (int, Fraction)):
@@ -402,7 +404,11 @@ def parse_scalar(text, symbols_as_vars=True):
             raise MalformedInput("cannot parse scalar %r" % (text,))
         return text
     text = text.strip()
+    num, sep, den = text.partition("/")
     try:
+        if (num[1:] if num[:1] in "+-" else num).isdecimal() and \
+                (not sep or den.isdecimal()):
+            return Fraction(int(num), int(den)) if sep else Fraction(int(num))
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass

@@ -35,7 +35,9 @@ The same index convention fills the blocks of the big antisymmetric matrix
 H, so the Pfaffian pairing terms are exactly the per-edge factors here.
 """
 
+import functools
 import itertools
+from types import MappingProxyType
 
 import numpy as np
 
@@ -130,15 +132,17 @@ def trace_contraction(g, conn, m, structure=None):
     return _trace_network(g, conn, m, s)
 
 
+@functools.cache
 def _vertex_tensor(n2, sizes):
-    """Subset labels of the legs -> sign of the concatenated subsets."""
+    """Subset labels of the legs -> sign of the concatenated subsets; read
+    only, since every vertex with the same leg sizes shares it."""
     entries = [((), ())]
     for k in sizes:
         entries = [(masks + (sum(1 << c for c in sub),), seq + sub)
                    for masks, seq in entries
                    for sub in itertools.combinations(
                        [c for c in range(n2) if c not in seq], k)]
-    return {masks: perm_sign(seq) for masks, seq in entries}
+    return MappingProxyType({masks: perm_sign(seq) for masks, seq in entries})
 
 
 def _bond(phi, k, symplectic):
@@ -160,7 +164,8 @@ def _trace_network(g, conn, m, s, symplectic=True):
     owner = {}
     for v in sorted(g.vertices):
         legs = [d for d in s.order[v] if m[d[0]]]
-        clusters[v] = (legs, _vertex_tensor(2 * n, [m[d[0]] for d in legs]))
+        clusters[v] = (legs,
+                       _vertex_tensor(2 * n, tuple(m[d[0]] for d in legs)))
         for d in legs:
             owner[d] = v
     scalar = scale = 1

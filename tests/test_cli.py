@@ -414,3 +414,15 @@ def test_malformed_json_exits_two_without_traceback(capsys, tmp_path):
                     crossings += err[0].endswith(" cross")
     # the coordinate moves reach the crossing-edge check
     assert crossings
+    # coordinates that miss parse_scalar's int() fast path fail as
+    # Fraction(str) does: a sign after the slash, a superscript digit
+    doc = json.loads((DATA / "c4.json").read_text())
+    for x in ("3/-4", "²"):
+        doc["vertices"][0]["x"] = x
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in readers:
+            if argv[1:3] == ["--graph", path]:
+                assert cli.main(argv) == 2, (argv, x)
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error: "), err

@@ -120,6 +120,23 @@ def test_parse_unknown_strictness():
         parse_scalar("q", symbols_as_vars=False)
 
 
+@pytest.mark.parametrize("text", [
+    "+3", " 3 ", "-0", "07", "\u0663", "1.5", "1e3", "1_0", "1_000/3",
+    "-2/4", "3/-4", "3/ 4", " -7 / 2", "1/0",
+    "\u00b2", "0x10", "+-3", "", "+", "/", "3/", "/4"])
+def test_parse_scalar_agrees_with_fraction(text):
+    # the int() fast path takes only [+-]digits[/digits]; every other
+    # string must parse, or fail, exactly as Fraction(str) does
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_scalar(text, False)
+    else:
+        got = parse_scalar(text, False)
+        assert type(got) is Fraction and got == want
+
+
 def test_is_exact():
     assert is_exact(Fraction(1, 3)) and is_exact(2) and is_exact(A)
     assert not is_exact(0.5)

@@ -1,9 +1,14 @@
 import ast
 import importlib
+import random
 from fractions import Fraction
 from pathlib import Path
 
+from helpers import grid
 from spwebs import linalg
+from spwebs import theorems as th
+from spwebs.connections import gauge_transform, kasteleyn_connection
+from spwebs.rand import random_gauges
 from spwebs.rings import Poly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spwebs"
@@ -143,3 +148,29 @@ def test_one_pfaffian_elimination_for_every_exact_ring(monkeypatch):
         assert linalg.det(linalg.mat(a)) == pf * pf
     # the zero of each ring: int 0 for the int rows, {} for packed ones
     assert seen == [0, 0, 0, 0, {}, {}]
+
+
+def test_rational_rows_are_cleared_once(monkeypatch):
+    # SkewMatrix clears int and Fraction rows to B = DAD for its skew
+    # check, and the Pfaffian reuses that B instead of clearing again
+    calls = []
+    clear = linalg._clear
+
+    def spy(rows):
+        calls.append(len(rows))
+        return clear(rows)
+
+    monkeypatch.setattr(linalg, "_clear", spy)
+    g = grid(3, 4)
+    kc = kasteleyn_connection(g, 1)
+    gauged = gauge_transform(g, kc, random_gauges(g, random.Random(59), 1))
+    h = th.HMatrix(g, gauged)
+    assert any(x.denominator > 1 for row in h.rows for x in row.values())
+    assert calls == [len(h.rows)]
+    assert h.pfaffian() == h.pfaffian() != 0
+    assert calls == [len(h.rows)]
+    # Poly and float matrices never reach the clearing
+    calls.clear()
+    for w in (th.symbolic_weights(g), dict.fromkeys(g.edges, 1.5)):
+        assert th.HMatrix(g, kc, w).pfaffian()
+    assert calls == []

@@ -125,7 +125,9 @@ def test_sparse_pfaffian_matches_dense_loop():
         pf = pf_eliminate(a)
         assert isinstance(pf, Fraction)
         assert pf == dense_pf(a)
-        assert SkewMatrix(a).pfaffian() == pf
+        # twice on one matrix: the elimination leaves its cleared rows
+        s = SkewMatrix(a)
+        assert s.pfaffian() == pf == s.pfaffian()
         if a.shape[0] <= 8:
             assert pf == pf_combinatorial(a)
         # the same loop on packed polynomials, run on constant Polys
@@ -143,6 +145,7 @@ def test_sparse_pfaffian_of_grid_h_matches_dense_loop():
         pf = h.pfaffian()
         assert pf == dense_pf(h.a)
         assert pf != 0
+        assert h.pfaffian() == pf
 
 
 def test_symbolic_h_pfaffian_matches_dense_loop_at_integer_points():
@@ -220,8 +223,13 @@ def test_division_checks_raise():
 
 
 def test_skew_matrix_storage_checks():
+    # int and Fraction pairs are checked on the cleared rows B = DAD:
+    # 1/3 against -1/6 reads 6 against -3 there
     for bad in (mat([[1, 0], [0, 0]]), [{0: Fraction(1, 2)}, {}],
                 mat([[0, 3], [0, 0]]), [{1: 3}, {}], [{}, {0: 3}],
+                mat([[0, 3], [3, 0]]),
+                mat([[0, Fraction(1, 3)], [Fraction(-1, 6), 0]]),
+                [{1: Fraction(1, 2), 2: 1}, {0: Fraction(-1, 2)}, {0: 1}],
                 mat([[0, 0.25], [-0.25 - 2 ** -39, 0]]),
                 mat([[0, 2e-12], [0, 0]])):
         with pytest.raises(NotSkew):
@@ -233,6 +241,19 @@ def test_skew_matrix_storage_checks():
     # stored zeros, as H of a zero weight has, are dropped
     h = SkewMatrix([{1: 2, 2: 0}, {0: -2}, {0: 0, 3: 5}, {2: -5}])
     assert h.pfaffian() == 10 == pf_combinatorial(h.a)
+    half = Fraction(1, 2)
+    h = SkewMatrix([{1: half, 2: 0}, {0: -half}, {0: 0, 3: Fraction(5, 3)},
+                    {2: Fraction(-5, 3)}])
+    assert h.pfaffian() == Fraction(5, 6) == pf_combinatorial(h.a)
+    # and so is H with one zero edge weight among nonzero rational ones
+    g = grid(2, 2)
+    kc = gauge_transform(g, kasteleyn_connection(g, 1),
+                         random_gauges(g, random.Random(53), 1))
+    w = {eid: Fraction(eid + 1, 3) for eid in g.edges}
+    w[min(w)] = 0
+    h = th.HMatrix(g, kc, w)
+    assert any(0 in row.values() for row in h.rows)
+    assert h.pfaffian() == pf_combinatorial(h.a) != 0
 
 
 def test_ring_comes_from_every_entry_zeros_included():

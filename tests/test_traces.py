@@ -17,7 +17,8 @@ from spwebs.theorems import sum_traces
 from spwebs.traces import (bipartite_parts, bipartite_structure,
                            crossing_count, det_vertex, qdet, trace_coloring,
                            trace_contraction, trace_identity_colorings,
-                           trace_sl_bipartite, trace_sp2_loops, wedge_norm)
+                           trace_sl_bipartite, trace_sp2_loops, wedge_norm,
+                           _vertex_tensor)
 from spwebs.webs import Multiweb, enumerate_multiwebs
 
 
@@ -58,6 +59,11 @@ def test_trace_engines_agree_rank2():
     for m in enumerate_multiwebs(g, 2):
         assert trace_coloring(g, conn, m, s) == \
             trace_contraction(g, conn, m, s)
+    # vertices with the same leg sizes share one cached, read-only tensor
+    t = _vertex_tensor(4, (1, 2))
+    assert t is _vertex_tensor(4, (1, 2)) and len(t) == 12
+    with pytest.raises(TypeError):
+        t[(1, 6)] = 0
 
 
 def test_rank2_trace_sum_on_2by3_is_pinned():
