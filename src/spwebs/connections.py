@@ -3,7 +3,10 @@
 A connection assigns to every edge a matrix in Sp(2n) for the edge's
 canonical direction (low vertex id to high); the reverse direction is the
 symplectic inverse -J M^T J.  Loop monodromy multiplies matrices right to
-left along the traversal.
+left along the traversal.  Each exact edge matrix M is cleared once,
+when the connection is built, to the integer rows of dM (each shared
+j_power array once): H and the trace bonds are built from those
+integers, and only the oracle engines read the matrices themselves.
 
 Included constructions: the identity connection, the Kasteleyn connection
 (powers of J solved face by face over a dual spanning tree so every bounded
@@ -15,7 +18,6 @@ on exponents in Z/4 and on +-1 signs; matrices come last, from j_power.
 
 import functools
 import json
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     InvalidCut,
     NonCommuting,
-    NotOnCircle,
     NotSymplectic,
     NotUnitary,
     SelfCheckFailed,
@@ -32,42 +33,70 @@ from .errors import (
     json_field,
 )
 from .linalg import (
+    block_transpose,
+    clear_denominators,
     eye,
     is_symplectic,
     mat,
     mat_equal,
     symplectic_J,
     symplectic_inverse,
+    symplectic_rows,
 )
 from .planar import Loop, orient
 from .rings import format_scalar, parse_scalar
 
 
 class Connection:
+    """Edge id -> matrix M in Sp(2n) for the edge's canonical direction,
+    and cleared[eid] = (N, d) for M of int and Fraction entries: the int
+    rows of N = dM, d the lcm of the denominators (None for Poly and float
+    entries).  Each distinct matrix object is cleared, and checked to be
+    symplectic on those rows, once."""
+
     def __init__(self, g, n, matrices, check=True):
         self.n = n
-        self.matrices = {}
+        self.matrices, self.cleared = {}, {}
+        done = {}
         for eid in g.edges:
-            m = matrices[eid]
-            m = np.asarray(m, dtype=object)
+            m = np.asarray(matrices[eid], dtype=object)
             if m.shape != (2 * n, 2 * n):
                 raise DimensionMismatch(
                     "edge %d matrix has shape %r, expected %dx%d"
                     % (eid, m.shape, 2 * n, 2 * n))
-            if check and not is_symplectic(m):
-                raise NotSymplectic("edge %d matrix is not symplectic" % eid)
+            if id(m) not in done:
+                rows, d = clear_denominators(m.tolist())
+                if check and not symplectic_rows(rows, d):
+                    raise NotSymplectic("edge %d matrix is not symplectic"
+                                        % eid)
+                exact = all(type(x) is int for row in rows for x in row)
+                done[id(m)] = (rows, d) if exact else None
             self.matrices[eid] = m
+            self.cleared[eid] = done[id(m)]
 
     def phi(self, g, eid, tail):
         """Parallel transport along edge eid leaving the given vertex."""
-        e = g.edges[eid]
         m = self.matrices[eid]
-        if tail == min(e.u, e.v):
-            return m
-        if tail == max(e.u, e.v):
-            return symplectic_inverse(m)
+        return m if _leaves_low_end(g, eid, tail) else symplectic_inverse(m)
+
+    def cleared_phi(self, g, eid, tail):
+        """(rows, d) with rows the rows of d phi(g, eid, tail): from cleared
+        for an exact matrix, else the rows of phi and d = 1."""
+        if self.cleared[eid] is None:
+            return self.phi(g, eid, tail).tolist(), 1
+        rows, d = self.cleared[eid]
+        return (rows if _leaves_low_end(g, eid, tail)
+                else block_transpose(rows)), d
+
+
+def _leaves_low_end(g, eid, tail):
+    """Whether transport along edge eid from tail runs in the canonical
+    direction, low vertex id to high."""
+    e = g.edges[eid]
+    if tail not in (e.u, e.v):
         raise DimensionMismatch("vertex %d is not an endpoint of edge %d"
                                 % (tail, eid))
+    return tail == min(e.u, e.v)
 
 
 def identity_connection(g, n=1):
@@ -109,16 +138,6 @@ def edgewise_product(g, c1, c2):
             raise NonCommuting("matrices on edge %d do not commute" % eid)
         mats[eid] = ab
     return Connection(g, c1.n, mats, check=False)
-
-
-def rotation_matrix(c, s):
-    """2x2 rotation [[c, s], [-s, c]] for an exact point on the circle."""
-    if isinstance(c, float) or isinstance(s, float):
-        if abs(c * c + s * s - 1.0) > 1e-12:
-            raise NotOnCircle("c^2 + s^2 != 1")
-    elif Fraction(c) ** 2 + Fraction(s) ** 2 != 1:
-        raise NotOnCircle("c^2 + s^2 != 1")
-    return mat([[c, s], [-s, c]])
 
 
 def unitary_embed(re_m, im_m):

@@ -21,23 +21,11 @@ class NotUnitary(SpwebsError):
     pass
 
 
-class NotOnCircle(SpwebsError):
-    pass
-
-
 class NonCommuting(SpwebsError):
     pass
 
 
 class NotSkew(SpwebsError):
-    pass
-
-
-class TooLarge(SpwebsError):
-    pass
-
-
-class BadK(SpwebsError):
     pass
 
 

@@ -6,12 +6,13 @@ SkewMatrix, the input of the Pfaffian, holds only its rows of nonzero
 entries, as dicts from column index to entry; its skewness is checked
 once per unordered pair of stored entries, and .a gives the dense array.
 Int and Fraction rows are checked once on ints, as the rows of B = DAD
-below (skew exactly when A is, all d_i > 0), which the elimination takes.
+below (skew exactly when A is, all d_i > 0), which the elimination takes;
+a caller that builds B itself (H, from cleared connections) hands it over.
 
-Pfaffians come in two flavours: a combinatorial sum over perfect pairings
-(only for small matrices, used as an oracle) and an elimination scheme.
-For exact entries the elimination is fraction-free: the working entries are
-Pfaffian minors of the input, and the Dress-Wenzel identity
+Pfaffians are taken by elimination; a sum over perfect pairings is kept
+in the tests as an oracle.  For exact entries the elimination is
+fraction-free: the working entries are Pfaffian minors of the input, and
+the Dress-Wenzel identity
 
     Pf(Sab)Pf(Scd) - Pf(Sac)Pf(Sbd) + Pf(Sad)Pf(Sbc) = Pf(S)Pf(Sabcd)
 
@@ -75,6 +76,7 @@ the rows of M itself, skew by construction, and hands them to the ring
 dispatch without SkewMatrix's check.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -83,8 +85,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BadK, DimensionMismatch, MixedRing, NotSkew,
-                     SelfCheckFailed, TooLarge)
+from .errors import DimensionMismatch, MixedRing, NotSkew, SelfCheckFailed
 from .rings import Poly, _denominator, _Packing, _pk_neg, _pk_quot
 
 
@@ -158,24 +159,32 @@ def is_symplectic(m, tol=1e-12):
     m = np.asarray(m, dtype=object)
     if m.shape[0] != m.shape[1] or m.shape[0] % 2:
         return False
-    rows, d = clear_denominators(m.tolist())
+    return symplectic_rows(*clear_denominators(m.tolist()), tol=tol)
+
+
+def symplectic_rows(rows, d, tol=1e-12):
+    """Whether the 2n rows of D M, for d = D, have M^T J M = J, checked
+    as (DM)^T J (DM) = D^2 J: exactly on ints, to tol on floats."""
     jcols = list(zip(*j_times(rows)))
     mtjm = [[sum(a * b for a, b in zip(col, jcol)) for jcol in jcols]
             for col in zip(*rows)]
-    return mat_equal(mtjm, j_times(eye(len(rows), d * d).tolist()), tol=tol)
+    want = j_times(eye(len(rows), d * d).tolist())
+    return mtjm == want or mat_equal(mtjm, want, tol=tol)
+
+
+def block_transpose(rows):
+    """Rows of -J M^T J for M given as 2n rows: for M = [[A, B], [C, D]]
+    the signed block transpose [[D^T, -B^T], [-C^T, A^T]], whose row i
+    is column n + i of M with its halves swapped and the lower negated."""
+    n = len(rows) // 2
+    cols = list(zip(*rows))
+    return ([list(c[n:]) + [-x for x in c[:n]] for c in cols[n:]]
+            + [[-x for x in c[n:]] + list(c[:n]) for c in cols[:n]])
 
 
 def symplectic_inverse(m):
-    """Inverse of a symplectic matrix: -J M^T J, which for M = [[A, B],
-    [C, D]] is the signed block transpose [[D^T, -B^T], [-C^T, A^T]]."""
-    t = np.asarray(m, dtype=object).T
-    n = t.shape[0] // 2
-    out = np.empty_like(t)
-    out[:n, :n] = t[n:, n:]
-    out[:n, n:] = -t[n:, :n]
-    out[n:, :n] = -t[:n, n:]
-    out[n:, n:] = t[:n, :n]
-    return out
+    """Inverse of a symplectic matrix: -J M^T J, its block_transpose."""
+    return mat(block_transpose(np.asarray(m, dtype=object).tolist()))
 
 
 def all_pairings(items):
@@ -211,11 +220,14 @@ class SkewMatrix:
     together raise MixedRing.  Skewness is checked once per unordered
     pair of stored entries, so each pair costs one addition; a float pair
     may miss by 1e-12.  Int and Fraction pairs are checked on cleared =
-    (B, d), the int rows of B = DAD and the d_i, kept for the Pfaffian.
+    (B, d), the int rows of B = DAD and the d_i, kept for the Pfaffian;
+    a caller may pass B and d, and then rows is built only when asked for.
     """
 
-    def __init__(self, a):
-        if isinstance(a, list) and all(isinstance(row, dict) for row in a):
+    def __init__(self, a, d=None):
+        if d is not None:
+            rows, kinds, self.cleared = a, {Fraction}, (a, d)
+        elif isinstance(a, list) and all(isinstance(row, dict) for row in a):
             rows, kinds = a, set()
             for row in rows:
                 kinds.update(map(type, row.values()))
@@ -226,8 +238,10 @@ class SkewMatrix:
             dense = a.tolist()
             rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
             kinds = {type(x) for row in dense for x in row}
-        self.rows, self.kinds = rows, kinds
-        self.cleared = _clear(rows) if _ring(kinds) is Fraction else None
+        self.kinds, self.dim = kinds, len(rows)
+        if d is None:
+            self.rows = rows
+            self.cleared = _clear(rows) if _ring(kinds) is Fraction else None
         check = rows if self.cleared is None else self.cleared[0]
         for i, row in enumerate(check):
             for j, x in row.items():
@@ -242,9 +256,12 @@ class SkewMatrix:
                           or abs(s) > 1e-12):
                     raise NotSkew("matrix is not antisymmetric")
 
-    @property
-    def dim(self):
-        return len(self.rows)
+    @functools.cached_property
+    def rows(self):
+        """The entries B_ij / (d_i d_j) of a matrix given as (B, d)."""
+        b, d = self.cleared
+        return [{j: Fraction(v, di * d[j]) for j, v in row.items()}
+                for row, di in zip(b, d)]
 
     @property
     def a(self):
@@ -268,32 +285,14 @@ def _dense(rows):
     return out
 
 
-def pf_combinatorial(a):
-    """Pfaffian as the signed sum over perfect pairings; dim <= 8."""
-    a = np.asarray(a, dtype=object)
-    n = a.shape[0]
-    if n > 8:
-        raise TooLarge("combinatorial Pfaffian limited to dimension 8")
-    if n % 2:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    total = None
-    for pairing in all_pairings(list(range(n))):
-        word = [x for pair in pairing for x in pair]
-        term = perm_sign(word)
-        for i, j in pairing:
-            term = term * a[i, j]
-        total = term if total is None else total + term
-    return total
-
-
 def pf_eliminate(a):
     """Pfaffian of a SkewMatrix, or of a matrix that SkewMatrix accepts,
     by elimination; exact entries stay exact."""
     if not isinstance(a, SkewMatrix):
         a = SkewMatrix(a)
-    return _pf_rows(a.rows, a.kinds, a.cleared)
+    if a.cleared is not None:
+        return _pf_cleared(*a.cleared)
+    return _pf_rows(a.rows, a.kinds)
 
 
 def _ring(kinds):
@@ -312,9 +311,9 @@ def _clear(rows):
             for row, di in zip(rows, d)], d
 
 
-def _pf_rows(rows, kinds, cleared=None):
+def _pf_rows(rows, kinds):
     """Pfaffian of skew rows of entries (dicts, zeros allowed) in the ring
-    that kinds picks; int and Fraction ones on cleared, or _clear(rows)."""
+    that kinds picks."""
     ring = _ring(kinds)
     n = len(rows)
     if n % 2:
@@ -337,7 +336,13 @@ def _pf_rows(rows, kinds, cleared=None):
                         lambda g: None if g == one else pk.divisor(g),
                         _pk_lift, _pk_cross, _pk_neg)
         return pk.unpack(pf, math.prod(d))
-    b, d = cleared or _clear(rows)
+    return _pf_cleared(*_clear(rows))
+
+
+def _pf_cleared(b, d):
+    """Pfaffian of A from the int rows of B = DAD and the d_i."""
+    if len(b) % 2:
+        return Fraction(0)
     return Fraction(_pf_sparse(list(b), 0, 1, int, _lift, _cross,
                                operator.neg), math.prod(d))
 
@@ -516,13 +521,3 @@ def det(a):
             rows[2 * i][2 * j + 1] = x
             rows[2 * j + 1][2 * i] = -x
     return _pf_rows(rows, {type(x) for row in dense for x in row})
-
-
-def exterior_power_trace(a, k):
-    """Trace of the k-th exterior power: sum of principal k-minors."""
-    a = np.asarray(a, dtype=object)
-    if k < 0 or k > a.shape[0]:
-        raise BadK("exterior power out of range")
-    rows, d = clear_denominators(a.tolist())
-    total = sum(t.get(s, 0) for s, t in minors(rows, k).items())
-    return total * Fraction(1, d ** k)

@@ -510,9 +510,6 @@ class Loop:
     def reversed(self, g):
         return Loop(g, [g.dart_reverse(d) for d in self.darts[::-1]])
 
-    def rotated(self, g, k):
-        return Loop(g, self.darts[k:] + self.darts[:k])
-
 
 def loop_encloses_face(g, loop, fidx):
     """Exact point-in-polygon test of the face sample point."""

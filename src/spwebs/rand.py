@@ -35,15 +35,6 @@ def _fan_diagonals(rnd, lo, hi, out):
     _fan_diagonals(rnd, k, hi, out)
 
 
-def random_triangulation(rnd, nv):
-    verts = _convex_vertices(rnd, nv)
-    pairs = [(i, (i + 1) % nv) for i in range(nv)]
-    diags = []
-    _fan_diagonals(rnd, 0, nv - 1, diags)
-    pairs += diags
-    return PlanarGraph(verts, [Edge(i, u, v) for i, (u, v) in enumerate(pairs)])
-
-
 def random_planar_graph(rnd, nv, keep=0.6):
     """Convex polygon plus a random subset of triangulation diagonals."""
     verts = _convex_vertices(rnd, nv)
@@ -98,25 +89,6 @@ def random_sp(rnd, n, words=4):
 
 def random_connection(g, rnd, n=1):
     return Connection(g, n, {eid: random_sp(rnd, n) for eid in g.edges})
-
-
-def random_gauges(g, rnd, n=1):
-    return {vid: random_sp(rnd, n) for vid in g.vertices}
-
-
-def random_vector(rnd, n):
-    return np.array([random_fraction(rnd, 3, 4) for _ in range(2 * n)],
-                    dtype=object)
-
-
-def random_skew(rnd, dim):
-    a = np.full((dim, dim), Fraction(0), dtype=object)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            x = random_fraction(rnd, 3, 3)
-            a[i, j] = x
-            a[j, i] = -x
-    return a
 
 
 def random_polygon(rnd, npts=8, span=9):

@@ -120,20 +120,6 @@ class Poly:
                 raise UnknownVariable("variable %r not present" % v)
         return self.terms.get(mono, Fraction(0))
 
-    def substitute(self, values):
-        """Evaluate with values for every variable (Fraction or float)."""
-        total = None
-        for m, c in self.terms.items():
-            term = c
-            for v, e in m:
-                if v not in values:
-                    raise UnknownVariable("no value for %r" % v)
-                term = term * values[v] ** e
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
-
     @staticmethod
     def _coerce(other):
         if isinstance(other, Poly):
@@ -427,10 +413,6 @@ def format_scalar(x):
     if isinstance(x, int):
         return str(x)
     return repr(x)
-
-
-def is_exact(x):
-    return isinstance(x, (int, Fraction, Poly))
 
 
 def exact_div_scalar(a, b):

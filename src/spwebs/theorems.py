@@ -15,6 +15,7 @@ Pfaffian into a polynomial in 2 + 4*cos(eps).
 import math
 import cmath
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .connections import (Connection, exponent_sum, j_connection, j_power,
                           spin_flips, unitary_embed)
 from .errors import (BadFaceLength, DimensionMismatch, DivByZero,
                      IdentityViolated, IllConditioned, NonCommuting,
-                     OutOfRange, WrongRank)
+                     OutOfRange, SelfCheckFailed, WrongRank)
 from .linalg import (SkewMatrix, mat, mat_equal, scalar_is_zero,
                      symplectic_inverse)
 from .planar import standard_structure
@@ -75,33 +76,77 @@ class HMatrix(SkewMatrix):
     trace engines contract, with the row indexing the color at u, so the
     Pfaffian expansion reproduces the colored trace sum term by term.
     Vertices are laid out in (y, x, id) order with the 2n colors of a
-    vertex contiguous.  Only the entries where an edge matrix is nonzero
-    are stored, as rows of dicts (zeros under a zero weight, which keep
-    its ring); edges are straight, so no two share a block.
+    vertex contiguous.  Edges are straight, so no two share a block.
+
+    With int and Fraction weights and an exact connection, the int rows
+    of B = DAD and the d_i come straight from the cleared edge matrices
+    (_cleared_rows), and H's own entries are built only when asked for.
+    Otherwise the entries where an edge matrix is nonzero are stored as
+    rows of dicts (zeros under a zero weight, which keep its ring).
     """
 
     def __init__(self, g, conn, w=None):
         weights = weight_map(g, w)
         pos = {vid: i for i, vid in enumerate(vertex_order(g))}
-        n = conn.n
-        b = 2 * n
+        n, b = conn.n, 2 * conn.n
+        # block (hi, lo) is w J m, m the matrix from lo to hi, since
+        # J phi(hi -> lo) = m^T J = -(J m)^T.  Row i < n of J m is row
+        # i + n of m, and row i + n is minus row i.
+        blocks = [(b * pos[max(e.u, e.v)], b * pos[min(e.u, e.v)],
+                   weights[e.id], e.id) for e in g.edges.values()]
+        exact = [(rh, rl, wt, conn.cleared[eid]) for rh, rl, wt, eid in blocks
+                 if isinstance(wt, (int, Fraction)) and conn.cleared[eid]]
+        if len(exact) == len(blocks):
+            super().__init__(*_cleared_rows(exact, n, b * len(pos)))
+            return
         rows = [{} for _ in range(b * len(pos))]
-        for e in g.edges.values():
-            # block (hi, lo) is w J m, m the matrix from lo to hi, since
-            # J phi(hi -> lo) = m^T J = -(J m)^T.  Row i < n of J m is row
-            # i + n of m, and row i + n is minus row i.
-            m = conn.matrices[e.id].tolist()
-            wt = weights[e.id]
-            rl, rh = b * pos[min(e.u, e.v)], b * pos[max(e.u, e.v)]
+        for rh, rl, wt, eid in blocks:
+            m = conn.matrices[eid].tolist()
+            # a float entry times the float of the weight is its product
+            # with the weight, in fewer steps
+            wf = float(wt) if isinstance(wt, (int, Fraction)) else wt
             for i, row in enumerate(m[n:] + m[:n]):
-                r = rh + i
-                top = rows[r]
-                for j, x in enumerate(row):
+                for c, x in enumerate(row, rl):
                     if x:
-                        val = x * wt if i < n else -(x * wt)
-                        top[rl + j] = val
-                        rows[rl + j][r] = -val
+                        val = x * (wf if isinstance(x, float) else wt)
+                        val = val if i < n else -val
+                        rows[rh + i][c] = val
+                        rows[c][rh + i] = -val
         super().__init__(rows)
+
+
+def _cleared_rows(blocks, n, dim):
+    """The int rows of B = DAD and the d_i for H of exact rank-n blocks
+    (rh, rl, w, (N, d)): block (rh, rl) is w J N / d, J N being N with its
+    row halves swapped and the lower half negated, and d_r is the lcm of
+    the lowest-terms denominators in row r, as linalg._clear takes them.
+    With w = p/q and D = dq, the entries x p / D of a line (row or column)
+    of J N whose gcd is g have denominators D / gcd(D, x p), whose lcm is
+    D / gcd(D, p g).  Every entry of B is checked to be an integer."""
+    blocks = [(rh, rl, w.numerator, dn * w.denominator, nr[n:] + nr[:n])
+              for rh, rl, w, (nr, dn) in blocks]
+    d = [1] * dim
+    for rh, rl, p, den, swapped in blocks:
+        if den > 1:
+            for r, line in [*enumerate(swapped, rh),
+                            *enumerate(zip(*swapped), rl)]:
+                g = math.gcd(den, p * math.gcd(*line))
+                d[r] = math.lcm(d[r], den // g)
+    rows = [{} for _ in range(dim)]
+    for rh, rl, p, den, swapped in blocks:
+        if not p:
+            continue
+        for r, row in enumerate(swapped, rh):
+            s = p * d[r] if r < rh + n else -p * d[r]
+            for c, x in enumerate(row, rl):
+                if x:
+                    v, rem = divmod(x * s * d[c], den)
+                    if rem:
+                        raise SelfCheckFailed("H entry %d, %d does not clear"
+                                              % (r, c))
+                    rows[r][c] = v
+                    rows[c][r] = -v
+    return rows, d
 
 
 def sum_traces(g, conn, w=None, n=None):

@@ -25,11 +25,14 @@ trace_coloring and trace_identity_colorings sum over these colorings
 directly; they see the split web as a list of copies with their slots
 in the cilium order at each end, and build no graph.
 
-A bond is a minor scaled by D^k: J phi_vu is a signed swap of the row
-halves of phi_vu, exact entries are cleared to integers by the lcm D of
-their denominators (D = 1 for Poly and float), and all k-minors come
-from one Laplace-expansion table.  The network is contracted on these
-integers and the product of the scales is divided out once at the end.
+A bond is a minor scaled by D^k: the connection has cleared each exact
+edge matrix once to the integers N = D phi, D the lcm of its
+denominators, so D phi_vu is N in the canonical direction and the
+signed block transpose of N against it (Connection.cleared_phi; Poly and
+float matrices come as they are, with D = 1).  J D phi_vu is a signed
+swap of its row halves, and all k-minors come from one Laplace-expansion
+table.  The network is contracted on these integers and the product of
+the scales is divided out once at the end.
 
 The same index convention fills the blocks of the big antisymmetric matrix
 H, so the Pfaffian pairing terms are exactly the per-edge factors here.
@@ -145,13 +148,12 @@ def _vertex_tensor(n2, sizes):
     return MappingProxyType({masks: perm_sign(seq) for masks, seq in entries})
 
 
-def _bond(phi, k, symplectic):
-    """Tail subset -> head subset -> k-minor of D J phi (D phi when
-    symplectic is False), nonzero entries only, and the signed scale
-    (-1)^(k(k-1)/2) D^k that the bond is divided by."""
-    rows = phi.tolist()
-    rows, d = clear_denominators(j_times(rows) if symplectic else rows)
-    return minors(rows, k), (-1) ** (k * (k - 1) // 2) * d ** k
+def _bond(rows, d, k, symplectic):
+    """Tail subset -> head subset -> k-minor of J D phi (D phi when
+    symplectic is False) from the rows of D phi and d = D, nonzero entries
+    only, and the signed scale (-1)^(k(k-1)/2) D^k it is divided by."""
+    return (minors(j_times(rows) if symplectic else rows, k),
+            (-1) ** (k * (k - 1) // 2) * d ** k)
 
 
 def _trace_network(g, conn, m, s, symplectic=True):
@@ -183,8 +185,8 @@ def _trace_network(g, conn, m, s, symplectic=True):
         pending.remove(eid)
         d = s.orient[eid]
         rd = g.dart_reverse(d)
-        phi = conn.phi(g, eid, g.dart_head(d))
-        bond, bond_scale = _bond(phi, m[eid], symplectic)
+        bond, bond_scale = _bond(*conn.cleared_phi(g, eid, g.dart_head(d)),
+                                 m[eid], symplectic)
         scale *= bond_scale
         c1, c2 = owner[d], owner[rd]
         legs1, t1 = clusters[c1]

@@ -1,12 +1,22 @@
-"""Shared graph builders for the test suite.
+"""Shared graph builders, generators and oracles for the test suite.
 
 Coordinates are in generic position: no horizontal edges, no three
-collinear vertices along a face boundary.
+collinear vertices along a face boundary.  The functions below the
+graph builders are used only by tests, so they live here and not in
+the package.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from spwebs import Edge, Loop, PlanarGraph, Vertex
+from spwebs.errors import SpwebsError, UnknownVariable
+from spwebs.linalg import (all_pairings, clear_denominators, mat, minors,
+                           perm_sign)
+from spwebs.rand import (_convex_vertices, _fan_diagonals, random_fraction,
+                         random_sp)
+from spwebs.rings import Poly
 
 
 def k4_2by3():
@@ -102,3 +112,107 @@ def simple_loops(g):
             darts.append((eid, 0) if e.u == vs[i] else (eid, 1))
         loops.append(Loop(g, darts))
     return loops
+
+
+class NotOnCircle(SpwebsError):
+    pass
+
+
+class TooLarge(SpwebsError):
+    pass
+
+
+class BadK(SpwebsError):
+    pass
+
+
+def rotated(loop, g, k):
+    """The loop started k darts later."""
+    return Loop(g, loop.darts[k:] + loop.darts[:k])
+
+
+def random_triangulation(rnd, nv):
+    verts = _convex_vertices(rnd, nv)
+    pairs = [(i, (i + 1) % nv) for i in range(nv)]
+    diags = []
+    _fan_diagonals(rnd, 0, nv - 1, diags)
+    pairs += diags
+    return PlanarGraph(verts, [Edge(i, u, v) for i, (u, v) in enumerate(pairs)])
+
+
+def random_gauges(g, rnd, n=1):
+    return {vid: random_sp(rnd, n) for vid in g.vertices}
+
+
+def random_vector(rnd, n):
+    return np.array([random_fraction(rnd, 3, 4) for _ in range(2 * n)],
+                    dtype=object)
+
+
+def random_skew(rnd, dim):
+    a = np.full((dim, dim), Fraction(0), dtype=object)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            x = random_fraction(rnd, 3, 3)
+            a[i, j] = x
+            a[j, i] = -x
+    return a
+
+
+def substitute(p, values):
+    """Evaluate a Poly with values for every variable (Fraction or float)."""
+    total = None
+    for m, c in p.terms.items():
+        term = c
+        for v, e in m:
+            if v not in values:
+                raise UnknownVariable("no value for %r" % v)
+            term = term * values[v] ** e
+        total = term if total is None else total + term
+    if total is None:
+        return Fraction(0)
+    return total
+
+
+def is_exact(x):
+    return isinstance(x, (int, Fraction, Poly))
+
+
+def rotation_matrix(c, s):
+    """2x2 rotation [[c, s], [-s, c]] for an exact point on the circle."""
+    if isinstance(c, float) or isinstance(s, float):
+        if abs(c * c + s * s - 1.0) > 1e-12:
+            raise NotOnCircle("c^2 + s^2 != 1")
+    elif Fraction(c) ** 2 + Fraction(s) ** 2 != 1:
+        raise NotOnCircle("c^2 + s^2 != 1")
+    return mat([[c, s], [-s, c]])
+
+
+def pf_combinatorial(a):
+    """Pfaffian as the signed sum over perfect pairings; dim <= 8."""
+    a = np.asarray(a, dtype=object)
+    n = a.shape[0]
+    if n > 8:
+        raise TooLarge("combinatorial Pfaffian limited to dimension 8")
+    if n % 2:
+        return Fraction(0)
+    if n == 0:
+        return Fraction(1)
+    total = None
+    for pairing in all_pairings(list(range(n))):
+        word = [x for pair in pairing for x in pair]
+        term = perm_sign(word)
+        for i, j in pairing:
+            term = term * a[i, j]
+        total = term if total is None else total + term
+    return total
+
+
+def exterior_power_trace(a, k):
+    """Trace of the k-th exterior power: sum of principal k-minors."""
+    a = np.asarray(a, dtype=object)
+    if k < 0 or k > a.shape[0]:
+        raise BadK("exterior power out of range")
+    rows, d = clear_denominators(a.tolist())
+    total = sum(t.get(s, 0) for s, t in minors(rows, k).items())
+    return total * Fraction(1, d ** k)

@@ -12,19 +12,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import (c4_ring, cube_ring, grid, inner_face, k4_2by3,
-                     pendant_square, simple_loops, triangle)
+from helpers import (c4_ring, cube_ring, exterior_power_trace, grid,
+                     inner_face, k4_2by3, pendant_square, random_triangulation,
+                     random_vector, rotation_matrix, simple_loops, triangle)
 from spwebs import theorems as th
 from spwebs.connections import (Connection, annulus_spec,
                                 identity_connection, kasteleyn_connection,
-                                monodromy, rotation_matrix)
-from spwebs.linalg import (det, exterior_power_trace, scalar_is_zero,
-                           symplectic_J)
+                                monodromy)
+from spwebs.linalg import det, scalar_is_zero, symplectic_J
 from spwebs.planar import (advance_cilium, cilia_parity, euler_area_check,
                            flip_edge_orientation, standard_structure)
 from spwebs.rand import (random_connection, random_fraction,
-                         random_planar_graph, random_polygon,
-                         random_triangulation, random_vector)
+                         random_planar_graph, random_polygon)
 from spwebs.rings import Poly
 from spwebs.traces import (det_vertex, qdet, trace_coloring,
                            trace_contraction, trace_identity_colorings,

@@ -5,20 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (c4_ring, cube_ring, grid, inner_face, k4_2by3,
-                     pendant_square, simple_loops)
+from helpers import (NotOnCircle, c4_ring, cube_ring, grid, inner_face,
+                     k4_2by3, pendant_square, random_gauges, rotation_matrix,
+                     simple_loops)
 from spwebs.connections import (Connection, annulus_spec,
                                 check_kasteleyn_exponents, edgewise_product,
                                 face_loop, face_spin_connection,
                                 flat_annulus_connection, gauge_transform,
                                 identity_connection, j_power,
                                 kasteleyn_connection, kasteleyn_exponents,
-                                load_connection, monodromy, rotation_matrix,
-                                save_connection, spin_flips, unitary_embed)
-from spwebs.errors import (NonCommuting, NotOnCircle, NotSymplectic,
-                           NotUnitary, SelfCheckFailed)
+                                load_connection, monodromy, save_connection,
+                                spin_flips, unitary_embed)
+from spwebs.errors import (NonCommuting, NotSymplectic, NotUnitary,
+                           SelfCheckFailed)
 from spwebs.linalg import eye, is_symplectic, mat, mat_equal, symplectic_J
-from spwebs.rand import random_connection, random_gauges, random_planar_graph
+from spwebs.rand import random_connection, random_planar_graph
 
 
 def test_identity_monodromy():

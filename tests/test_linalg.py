@@ -5,14 +5,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from helpers import (exterior_power_trace, pf_combinatorial, random_skew,
+                     substitute)
 from spwebs import linalg
 from spwebs.errors import MixedRing, NotSkew, SelfCheckFailed
 from spwebs.linalg import (SkewMatrix, all_pairings, clear_denominators, det,
-                           exterior_power_trace, eye, is_symplectic, mat,
-                           mat_equal, minors, perm_sign, pf_combinatorial,
-                           pf_eliminate, scalar_is_zero, symplectic_J,
-                           symplectic_inverse, zeros)
-from spwebs.rand import random_fraction, random_skew, random_sp2, random_sp4
+                           eye, is_symplectic, mat, mat_equal, minors,
+                           perm_sign, pf_eliminate, scalar_is_zero,
+                           symplectic_J, symplectic_inverse, zeros)
+from spwebs.rand import random_fraction, random_sp2, random_sp4
 from spwebs.rings import Poly
 from spwebs.traces import det_vertex, wedge_norm
 
@@ -379,11 +380,11 @@ def test_poly_pfaffian_field_width(monkeypatch):
     # minimum-degree order leaves some row at its stage over 3 pivots
     assert max(gaps) >= 3
     for point in ({"u": 2, "v": -1, "w": 3}, {"u": 1, "v": 5, "w": -2}):
-        at = np.vectorize(lambda x: x.substitute(point) if isinstance(x, Poly)
-                          else x, otypes=[object])(c)
-        assert pf.substitute(point) == pf_eliminate(at)
+        at = np.vectorize(lambda x: substitute(x, point)
+                          if isinstance(x, Poly) else x, otypes=[object])(c)
+        assert substitute(pf, point) == pf_eliminate(at)
     # at the last point also against an oracle that shares no code with it
-    assert pf.substitute(point) ** 2 == _laplace_det(at)
+    assert substitute(pf, point) ** 2 == _laplace_det(at)
     of = linalg._Packing.of.__func__
     monkeypatch.setattr(linalg._Packing, "of", classmethod(
         lambda cls, entries, factor: of(cls, entries, factor - 1)))

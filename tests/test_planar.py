@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import c4_ring, cube_ring, grid, k4_2by3, simple_loops, triangle
+from helpers import (c4_ring, cube_ring, grid, k4_2by3, random_triangulation,
+                     rotated, simple_loops, triangle)
 from spwebs import cli
 from spwebs.connections import _ray_cut
 from spwebs.errors import (DegenerateGeometry, HorizontalStep,
@@ -14,8 +15,7 @@ from spwebs.planar import (Edge, Loop, PlanarGraph, Vertex, advance_cilium,
                            flip_edge_orientation, graph_from_dict,
                            graph_to_dict, loop_area, save_graph,
                            standard_structure, vertices_enclosed)
-from spwebs.rand import (random_planar_graph, random_polygon,
-                         random_triangulation)
+from spwebs.rand import random_planar_graph, random_polygon
 
 
 def test_face_counts():
@@ -128,7 +128,7 @@ def test_loop_area_orientation_independent():
     loop = simple_loops(g)[0]
     assert loop.is_simple()
     assert loop_area(g, loop.reversed(g)) == loop_area(g, loop) == 2
-    assert loop_area(g, loop.rotated(g, 2)) == loop_area(g, loop)
+    assert loop_area(g, rotated(loop, g, 2)) == loop_area(g, loop)
 
 
 def test_vertices_enclosed():

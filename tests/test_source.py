@@ -4,11 +4,10 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import grid
+from helpers import grid, random_gauges
 from spwebs import linalg
 from spwebs import theorems as th
 from spwebs.connections import gauge_transform, kasteleyn_connection
-from spwebs.rand import random_gauges
 from spwebs.rings import Poly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spwebs"
@@ -91,7 +90,8 @@ def test_float_linear_algebra_only_in_the_ck_fit():
     assert found == {"theorems.extract_Ck"}, found
 
 
-# every planar predicate runs on the int coordinates PlanarGraph.ipos;
+# every planar predicate runs on the int coordinates PlanarGraph.ipos,
+# and exact H and the trace bonds on the int rows that Connection clears;
 # a Fraction or a true division inside one would bring back the slow path
 INT_PREDICATES = {
     "planar": ["_rotation_from_positions", "_check_crossings", "dart_vector",
@@ -100,8 +100,9 @@ INT_PREDICATES = {
                "point_in_polygon", "_interior_point", "_in_triangle",
                "orient", "_ccw", "loop_area", "vertices_enclosed",
                "standard_structure", "cilia_parity", "_wedge_contains"],
-    "connections": ["_ray_cut", "annulus_spec"],
-    "theorems": ["vertex_order"],
+    "connections": ["_ray_cut", "annulus_spec", "cleared_phi"],
+    "theorems": ["vertex_order", "_cleared_rows"],
+    "traces": ["_bond"],
 }
 
 
@@ -151,8 +152,10 @@ def test_one_pfaffian_elimination_for_every_exact_ring(monkeypatch):
 
 
 def test_rational_rows_are_cleared_once(monkeypatch):
-    # SkewMatrix clears int and Fraction rows to B = DAD for its skew
-    # check, and the Pfaffian reuses that B instead of clearing again
+    # H over an exact connection is built as B = DAD from the cleared edge
+    # matrices, so no Fraction row of it is ever cleared; a dense rational
+    # SkewMatrix is cleared once, for its skew check, and the Pfaffian
+    # reuses that B
     calls = []
     clear = linalg._clear
 
@@ -164,11 +167,15 @@ def test_rational_rows_are_cleared_once(monkeypatch):
     g = grid(3, 4)
     kc = kasteleyn_connection(g, 1)
     gauged = gauge_transform(g, kc, random_gauges(g, random.Random(59), 1))
-    h = th.HMatrix(g, gauged)
-    assert any(x.denominator > 1 for row in h.rows for x in row.values())
-    assert calls == [len(h.rows)]
-    assert h.pfaffian() == h.pfaffian() != 0
-    assert calls == [len(h.rows)]
+    for w in (None, {eid: Fraction(eid - 3, 4) for eid in g.edges}):
+        h = th.HMatrix(g, gauged, w)
+        assert h.pfaffian() == h.pfaffian() != 0
+        assert max(h.cleared[1]) > 1
+    assert calls == []
+    s = linalg.SkewMatrix(h.a)
+    assert calls == [s.dim]
+    assert s.pfaffian() == h.pfaffian()
+    assert calls == [s.dim]
     # Poly and float matrices never reach the clearing
     calls.clear()
     for w in (th.symbolic_weights(g), dict.fromkeys(g.edges, 1.5)):

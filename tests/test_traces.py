@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import c4_ring, grid, k4_2by3, triangle
+from helpers import c4_ring, grid, k4_2by3, random_vector, triangle
 from spwebs.connections import identity_connection, kasteleyn_connection
 from spwebs.errors import NotBipartite, WrongRank
 from spwebs.linalg import det
 from spwebs.planar import (advance_cilium, flip_edge_orientation, load_graph,
                            standard_structure)
-from spwebs.rand import random_connection, random_fraction, random_vector
+from spwebs.rand import random_connection, random_fraction
 from spwebs.rings import Poly
 from spwebs.theorems import sum_traces
 from spwebs.traces import (bipartite_parts, bipartite_structure,
