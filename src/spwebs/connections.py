@@ -11,9 +11,10 @@ integers, and only the oracle engines read the matrices themselves.
 Included constructions: the identity connection, the Kasteleyn connection
 (powers of J solved face by face over a dual spanning tree so every bounded
 ccw face has monodromy J^(length-2)), flat annulus connections supported on
-a ray cut, and +-1 spin connections flipping the monodromy sign around
-selected faces.  The Kasteleyn and spin builders are solved and checked
-on exponents in Z/4 and on +-1 signs; matrices come last, from j_power.
+a shortest dual cut, and +-1 spin connections flipping the monodromy sign
+around selected faces.  The Kasteleyn and spin builders are solved and
+checked on exponents in Z/4 and on +-1 signs; matrices come last, from
+j_power.
 """
 
 import functools
@@ -22,7 +23,6 @@ import json
 import numpy as np
 
 from .errors import (
-    DegenerateGeometry,
     DimensionMismatch,
     InvalidCut,
     NonCommuting,
@@ -43,7 +43,7 @@ from .linalg import (
     symplectic_inverse,
     symplectic_rows,
 )
-from .planar import Loop, orient
+from .planar import Loop
 from .rings import format_scalar, parse_scalar
 
 
@@ -225,8 +225,9 @@ def kasteleyn_connection(g, n=1):
 
 
 class AnnulusSpec:
-    """A reference cut from the inner face to the outer face: the edges a
-    straight ray crosses, each with the sign of the crossing."""
+    """A cut from the inner face to the outer face: the edges crossed by a
+    shortest dual path, each with the sign of the crossing (+1 when the
+    edge's canonical dart lies on the face the path leaves)."""
 
     def __init__(self, inner_face, cut):
         self.inner_face = inner_face
@@ -242,53 +243,21 @@ class AnnulusSpec:
 
 
 def annulus_spec(g, inner_face):
-    """Build the cut by shooting an exact ray from inside the inner face."""
+    """The cut along g.dual_path from the inner face to the outer face;
+    every face then winds 1 (inner), -1 (outer) or 0 around the cut."""
     if inner_face == g.outer_face:
         raise InvalidCut("inner face must be a bounded face")
-    p0 = g.face_interior_point(inner_face)
-    _, _, x1, y1 = g.bounding_box()
-    d = g.scale
-    for k in range(40):
-        # (x1 + 3 + 5k/3, y1 + 5/2 + 7k/11) in graph units, over w = 66
-        p1 = (66 * x1 + (198 + 110 * k) * d, 66 * y1 + (165 + 42 * k) * d, 66)
-        try:
-            cut = _ray_cut(g, p0, p1)
-        except DegenerateGeometry:
-            continue
-        spec = AnnulusSpec(inner_face, cut)
-        ok = True
-        for f in range(len(g.faces)):
-            w = spec.winding(g, face_loop(g, f))
-            want = 1 if f == inner_face else (-1 if f == g.outer_face else 0)
-            if w != want:
-                ok = False
-                break
-        if ok:
-            return spec
-    raise InvalidCut("no valid reference ray found")
-
-
-def _ray_cut(g, p0, p1):
-    """Edges crossed by the segment from p0 to p1, (x, y, w) points over
-    g.ipos, with the sign of each crossing."""
-    w = p0[2] * p1[2]
-    q0 = (p0[0] * p1[2], p0[1] * p1[2])
-    q1 = (p1[0] * p0[2], p1[1] * p0[2])
-    cut = []
-    for e in sorted(g.edges.values(), key=lambda e: e.id):
-        lo, hi = min(e.u, e.v), max(e.u, e.v)
-        a = (g.ipos[lo][0] * w, g.ipos[lo][1] * w)
-        b = (g.ipos[hi][0] * w, g.ipos[hi][1] * w)
-        o1, o2 = orient(q0, q1, a), orient(q0, q1, b)
-        o3, o4 = orient(a, b, q0), orient(a, b, q1)
-        if 0 in (o1, o2, o3, o4):
-            if (o1 * o2 <= 0 and o3 * o4 <= 0):
-                raise DegenerateGeometry("ray touches edge %d" % e.id)
-            continue
-        if o1 * o2 < 0 and o3 * o4 < 0:
-            # the crossing sign is that of (q1 - q0) x (b - a) = o2 - o1
-            cut.append((e.id, 1 if o2 > 0 else -1))
-    return cut
+    cut, face = [], inner_face
+    for eid in g.dual_path(inner_face, g.outer_face):
+        d = (eid, 0) if g.face_of_dart[(eid, 0)] == face else (eid, 1)
+        cut.append((eid, 1 if _dart_is_canonical(g, d) else -1))
+        face = g.face_of_dart[(eid, 1 - d[1])]
+    spec = AnnulusSpec(inner_face, cut)
+    for f in range(len(g.faces)):
+        want = 1 if f == inner_face else (-1 if f == g.outer_face else 0)
+        if spec.winding(g, face_loop(g, f)) != want:
+            raise SelfCheckFailed("face %d winds wrongly around the cut" % f)
+    return spec
 
 
 def flat_annulus_connection(g, spec, m, n=1, tol=1e-12):

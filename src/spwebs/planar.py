@@ -322,22 +322,11 @@ class PlanarGraph:
     def incident_edges(self, vid):
         return [d[0] for d in self.rotation[vid]]
 
-    def bounding_box(self):
-        """(min x, min y, max x, max y) of the int coordinates ipos."""
-        xs = [p[0] for p in self.ipos.values()]
-        ys = [p[1] for p in self.ipos.values()]
-        return min(xs), min(ys), max(xs), max(ys)
-
-    def outside_point(self):
-        """The point (7/3, 11/5) below and left of the bounding box, in
-        graph units, as an (x, y, w) triple."""
-        x0, y0, _, _ = self.bounding_box()
-        return (15 * x0 - 35 * self.scale, 15 * y0 - 33 * self.scale, 15)
-
     def face_interior_point(self, idx):
-        """A point strictly inside face idx, as an (x, y, w) triple."""
+        """A point strictly inside bounded face idx, as an (x, y, w)
+        triple."""
         if idx == self.outer_face:
-            return self.outside_point()
+            raise DegenerateGeometry("the outer face has no sample point")
         walk = [self.ipos[v] for v in self.face_vertices(idx)]
         poly = _strip_spurs(walk)
         if len(poly) < 3:

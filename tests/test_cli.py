@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import random
 import warnings
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 
 from helpers import grid
 from spwebs import cli
-from spwebs.connections import (connection_to_dict, kasteleyn_connection,
-                                save_connection)
+from spwebs import theorems as th
+from spwebs.connections import (annulus_spec, connection_to_dict,
+                                kasteleyn_connection, save_connection)
 from spwebs.planar import load_graph, save_graph
 from spwebs.rand import random_connection, random_planar_graph
 from spwebs.rings import Poly
@@ -110,6 +112,26 @@ def test_annulus_ck_verb(capsys):
     assert abs(payload["C"][0] - 4.0) < 1e-6
     assert abs(payload["C"][1] - 2.0) < 1e-6
     assert payload["residual"] < 1e-8
+
+
+def test_annulus_ck_default_samples_fit_every_face_of_a_grid(capsys,
+                                                             tmp_path):
+    # the shortest dual cut keeps K = 2|cut| small enough for the float fit
+    # on every face of a 5x5 grid; at x = 6 the holonomy is the identity,
+    # so sum C_k 6^k is Z^4 of the plain dimer sum
+    g = grid(5, 5)
+    path = str(tmp_path / "g.json")
+    save_graph(g, path)
+    z4 = float(th.dimer_partition(g)) ** 4
+    for f in g.bounded_faces():
+        code, out = run(capsys, ["annulus-ck", "--graph", path, "--inner",
+                                 str(f), "--json"])
+        assert code == 0, f
+        payload = json.loads(out)
+        assert len(payload["C"]) == 2 * len(annulus_spec(g, f).cut) + 1
+        total = sum(c * 6.0 ** k for k, c in enumerate(payload["C"]))
+        assert math.isclose(total, z4, rel_tol=1e-9), f
+        assert payload["residual"] <= 1e-6 * z4, f
 
 
 def test_det_vertex_matches_wedge_norm(capsys, tmp_path):

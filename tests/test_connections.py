@@ -168,15 +168,34 @@ def test_face_spin_connection_flips_dual_path():
         assert mat_equal(conn.phi(g, eid, e.u), want)
 
 
-def test_annulus_spec_cuts_on_half_integer_coordinates():
-    # the cube's coordinates have denominator 2, so the reference ray is
-    # placed on coordinates cleared by 2; these are the cuts the exact
-    # Fraction geometry chose, and annulus-ck prints C_k fitted on them
+def _dual_distance(g, f):
+    """Breadth-first number of edge crossings from face f to the outer
+    face, over the face_of_dart table alone."""
+    dist, todo = {f: 0}, [f]
+    for cur in todo:
+        for (eid, side), face in sorted(g.face_of_dart.items()):
+            nxt = g.face_of_dart[(eid, 1 - side)]
+            if face == cur and nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                todo.append(nxt)
+    return dist[g.outer_face]
+
+
+def test_annulus_spec_cuts_along_shortest_dual_paths():
+    # the cut is combinatorial: the cube's dual cuts, pinned, and on every
+    # bounded face of the cube and the grids a cut as short as the dual
+    # distance to the outer face, around which each face winds as required
     g = cube_ring()
-    assert g.scale == 2
     assert [annulus_spec(g, f).cut for f in g.bounded_faces()] == [
-        [(1, 1), (4, -1), (5, 1)], [(1, 1)], [(2, 1)],
-        [(1, 1), (6, 1), (7, 1), (10, -1)], [(1, 1), (5, 1)]]
+        [(0, 1)], [(1, 1)], [(2, 1)], [(3, -1)], [(4, 1), (0, 1)]]
+    graphs = [g] + [grid(r, c) for r in (4, 5, 6) for c in (4, 5, 6)]
+    for g in graphs:
+        for f_in in g.bounded_faces():
+            spec = annulus_spec(g, f_in)
+            assert len(spec.cut) == _dual_distance(g, f_in)
+            for f in range(len(g.faces)):
+                want = 1 if f == f_in else -1 if f == g.outer_face else 0
+                assert spec.winding(g, face_loop(g, f)) == want
 
 
 def test_annulus_spec_windings():

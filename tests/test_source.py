@@ -95,12 +95,12 @@ def test_float_linear_algebra_only_in_the_ck_fit():
 # a Fraction or a true division inside one would bring back the slow path
 INT_PREDICATES = {
     "planar": ["_rotation_from_positions", "_check_crossings", "dart_vector",
-               "face_signed_area", "_find_outer_face", "bounding_box",
-               "outside_point", "face_interior_point", "_centroid", "_locate",
-               "point_in_polygon", "_interior_point", "_in_triangle",
-               "orient", "_ccw", "loop_area", "vertices_enclosed",
-               "standard_structure", "cilia_parity", "_wedge_contains"],
-    "connections": ["_ray_cut", "annulus_spec", "cleared_phi"],
+               "face_signed_area", "_find_outer_face", "face_interior_point",
+               "_centroid", "_locate", "point_in_polygon", "_interior_point",
+               "_in_triangle", "orient", "_ccw", "loop_area",
+               "vertices_enclosed", "standard_structure", "cilia_parity",
+               "_wedge_contains"],
+    "connections": ["annulus_spec", "cleared_phi"],
     "theorems": ["vertex_order", "_cleared_rows"],
     "traces": ["_bond"],
 }
@@ -149,6 +149,15 @@ def test_one_pfaffian_elimination_for_every_exact_ring(monkeypatch):
         assert linalg.det(linalg.mat(a)) == pf * pf
     # the zero of each ring: int 0 for the int rows, {} for packed ones
     assert seen == [0, 0, 0, 0, {}, {}]
+
+
+def test_one_annulus_cut_builder():
+    # the annulus cut is the shortest dual path; the geometric ray search
+    # is gone, with no second cut builder beside it
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert not [name for name in ("_ray_cut", "reference ray")
+                    if name in text], path.name
 
 
 def test_rational_rows_are_cleared_once(monkeypatch):

@@ -214,16 +214,18 @@ def test_exponent_twists_match_edgewise_product_oracle():
 
 def test_annulus_partition_values_are_pinned():
     # float reprs of the U(2)-twisted rank-2 Pfaffian, as computed from
-    # edgewise_product of the Kasteleyn and the flat connection
+    # edgewise_product of the Kasteleyn and the flat connection on the
+    # shortest dual cut; another cut gives a gauge-equivalent connection
+    # whose floats round differently in the last digits
     g = grid(4, 4)
     spec = annulus_spec(g, inner_face(g, [5, 6, 10, 9]))
     c4 = load_graph(Path(__file__).parent / "data" / "c4.json")
     c4_spec = annulus_spec(c4, 0 if c4.outer_face != 0 else 1)
     for graph, sp, values in (
-            (g, spec, ("1636016.579396413", "1383042.1542434879",
-                       "1579191.6430820625")),
+            (g, spec, ("1636016.5793964125", "1383042.154243487",
+                       "1579191.643082061")),
             (c4, c4_spec, ("14.118737498275909", "2.669791829761407",
-                           "11.628768971404618"))):
+                           "11.628768971404616"))):
         for (eps, alpha, beta), want in zip(
                 ((0.7, 0.0, 0.0), (2.3, 0.0, 0.0), (1.1, 0.2, 0.5)), values):
             z = th.annulus_partition(graph, sp, eps, alpha=alpha, beta=beta)
