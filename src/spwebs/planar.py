@@ -7,12 +7,10 @@ are the orbits of the left-hand tracing rule, checked against Euler's
 formula.  Straight edges may meet only at a shared endpoint.
 
 Vertex coordinates are rational, but every geometric predicate (angular
-order, orientation, area signs, point in polygon) runs on Python ints:
-the graph multiplies all coordinates once by the lcm D of their
-denominators (PlanarGraph.ipos), and a positive scale changes none of
-these predicates.  Points off the vertex lattice, such as face sample
-points, are int triples (x, y, w) standing for (x/w, y/w) in those
-coordinates, with w > 0.  No floating point enters any decision.
+order, orientation, area signs) runs on Python ints: the graph
+multiplies all coordinates once by the lcm D of their denominators
+(PlanarGraph.ipos), and a positive scale changes none of these
+predicates.  No floating point enters any decision.
 """
 
 import functools
@@ -284,16 +282,17 @@ class PlanarGraph:
     def face_vertices(self, idx):
         return [self.dart_tail(d) for d in self.faces[idx]]
 
-    def dual_tree(self, root):
+    def dual_tree(self, root, cut=()):
         """Breadth-first spanning tree of the dual graph from face root,
         taking neighbours in (face, edge id) order; dual self-loops
-        (bridges) are skipped.  Returns (parent, order): parent maps each
-        reached face to (previous face, crossed edge id), None at the root,
-        and order lists the faces as they were reached."""
+        (bridges) and the edges listed in cut are not crossed.  Returns
+        (parent, order): parent maps each reached face to (previous face,
+        crossed edge id), None at the root, and order lists the faces as
+        they were reached."""
         adj = {}
         for eid in self.edges:
             a, b = self.face_of_dart[(eid, 0)], self.face_of_dart[(eid, 1)]
-            if a != b:
+            if a != b and eid not in cut:
                 adj.setdefault(a, []).append((b, eid))
                 adj.setdefault(b, []).append((a, eid))
         parent = {root: None}
@@ -322,100 +321,9 @@ class PlanarGraph:
     def incident_edges(self, vid):
         return [d[0] for d in self.rotation[vid]]
 
-    def face_interior_point(self, idx):
-        """A point strictly inside bounded face idx, as an (x, y, w)
-        triple."""
-        if idx == self.outer_face:
-            raise DegenerateGeometry("the outer face has no sample point")
-        walk = [self.ipos[v] for v in self.face_vertices(idx)]
-        poly = _strip_spurs(walk)
-        if len(poly) < 3:
-            raise DegenerateGeometry("face %d has no interior" % idx)
-        c = _centroid(poly)
-        if _locate(c, poly):
-            return c
-        return _interior_point(poly)
-
     def __repr__(self):
         return "PlanarGraph(V=%d, E=%d, F=%d)" % (
             len(self.vertices), len(self.edges), len(self.faces))
-
-
-def _strip_spurs(walk):
-    """Remove backtracking spurs (u, v, u) from a closed walk."""
-    pts = list(walk)
-    changed = True
-    while changed and len(pts) >= 3:
-        changed = False
-        n = len(pts)
-        for i in range(n):
-            if pts[(i - 1) % n] == pts[(i + 1) % n]:
-                j = (i + 1) % n
-                for k in sorted({i, j}, reverse=True):
-                    pts.pop(k)
-                changed = True
-                break
-    return pts
-
-
-def _centroid(poly):
-    return (sum(p[0] for p in poly), sum(p[1] for p in poly), len(poly))
-
-
-def _locate(q, poly):
-    """Where the point q = (x, y, w) lies against a polygon of int
-    points: True inside, False outside, None on the boundary."""
-    x, y, w = q
-    pts = [(a * w, b * w) for a, b in poly]
-    inside = False
-    for a, b in zip(pts, pts[1:] + pts[:1]):
-        o = orient(a, b, (x, y))
-        if o == 0 and min(a[0], b[0]) <= x <= max(a[0], b[0]) \
-                and min(a[1], b[1]) <= y <= max(a[1], b[1]):
-            return None
-        # the edge crosses the horizontal line through q right of q
-        if (a[1] > y) != (b[1] > y) and (o > 0) == (b[1] > a[1]):
-            inside = not inside
-    return inside
-
-
-def point_in_polygon(q, poly):
-    """Strict interior test of q = (x, y, w) against a polygon of int
-    points; raises if q lies on the boundary."""
-    inside = _locate(q, poly)
-    if inside is None:
-        raise DegenerateGeometry("query point on the polygon boundary")
-    return inside
-
-
-def _interior_point(poly):
-    """A point strictly inside a simple polygon (convex-corner method)."""
-    n = len(poly)
-    bi = min(range(n), key=lambda i: (poly[i][1], poly[i][0]))
-    a, b, c = poly[(bi - 1) % n], poly[bi], poly[(bi + 1) % n]
-    best = None
-    best_d = None
-    for i, p in enumerate(poly):
-        if i in ((bi - 1) % n, bi, (bi + 1) % n):
-            continue
-        if _in_triangle(p, a, b, c):
-            d = abs(orient(a, c, p))
-            if best_d is None or d > best_d:
-                best, best_d = p, d
-    if best is None:
-        q = (a[0] + b[0] + c[0], a[1] + b[1] + c[1], 3)
-    else:
-        q = (b[0] + best[0], b[1] + best[1], 2)
-    if not _locate(q, poly):
-        raise DegenerateGeometry("failed to find an interior point")
-    return q
-
-
-def _in_triangle(p, a, b, c):
-    d1, d2, d3 = orient(a, b, p), orient(b, c, p), orient(c, a, p)
-    neg = d1 < 0 or d2 < 0 or d3 < 0
-    pos = d1 > 0 or d2 > 0 or d3 > 0
-    return not (neg and pos)
 
 
 class Structure:
@@ -490,43 +398,35 @@ class Loop:
         return [d[0] for d in self.darts]
 
     def is_simple(self):
-        return len(set(self.vertices)) == len(self.vertices)
-
-    def polygon(self, g):
-        """The loop's vertices in the int coordinates g.ipos."""
-        return [g.ipos[v] for v in self.vertices]
+        return len(set(self.vertices)) == len(self.vertices) >= 3
 
     def reversed(self, g):
         return Loop(g, [g.dart_reverse(d) for d in self.darts[::-1]])
 
 
-def loop_encloses_face(g, loop, fidx):
-    """Exact point-in-polygon test of the face sample point."""
+def enclosed_faces(g, loop):
+    """The faces inside a simple loop: the dual graph less the loop's
+    edges falls into two parts, and the inside is the one without the
+    outer face."""
     if not loop.is_simple():
-        raise NotSimpleLoop("area defined for simple loops only")
-    return point_in_polygon(g.face_interior_point(fidx), loop.polygon(g))
+        raise NotSimpleLoop("enclosure is defined for simple loops only")
+    cut = set(loop.edge_ids())
+    d = loop.darts[0]
+    side = g.dual_tree(g.face_of_dart[d], cut)[1]
+    if g.outer_face in side:
+        side = g.dual_tree(g.face_of_dart[g.dart_reverse(d)], cut)[1]
+    return side
 
 
 def loop_area(g, loop):
     """Total area in triangles: each enclosed face counts length - 2."""
-    total = 0
-    for f in g.bounded_faces():
-        if loop_encloses_face(g, loop, f):
-            total += g.face_length(f) - 2
-    return total
+    return sum(g.face_length(f) - 2 for f in enclosed_faces(g, loop))
 
 
 def vertices_enclosed(g, loop):
-    """Vertices strictly inside the loop (loop vertices excluded)."""
-    on_loop = set(loop.vertices)
-    poly = loop.polygon(g)
-    count = 0
-    for vid, (x, y) in g.ipos.items():
-        if vid in on_loop:
-            continue
-        if point_in_polygon((x, y, 1), poly):
-            count += 1
-    return count
+    """Vertices of the enclosed faces not on the loop."""
+    inside = {v for f in enclosed_faces(g, loop) for v in g.face_vertices(f)}
+    return len(inside - set(loop.vertices))
 
 
 def euler_area_check(g, loop):

@@ -175,16 +175,30 @@ def test_isotopy_check_verb(capsys):
 
 def test_crossing_edges_exit_two(capsys, tmp_path):
     # c4.json with vertex 2 moved to x = -3: edges 1 and 3 cross, and
-    # verify-main used to report Pf(H) = 0 against a trace sum of 4
-    doc = json.loads((DATA / "c4.json").read_text())
-    doc["vertices"][2]["x"] = "-3"
-    path = tmp_path / "crossing.json"
-    path.write_text(json.dumps(doc))
-    for verb in ("verify-main", "pfaffian", "multiwebs"):
-        code = cli.main([verb, "--graph", str(path)])
+    # verify-main used to report Pf(H) = 0 against a trace sum of 4;
+    # with vertex 1 moved to y = 0 edge 0 is horizontal
+    paths = {}
+    for name, vid, key, value in (("crossing", 2, "x", "-3"),
+                                  ("horizontal", 1, "y", "0")):
+        doc = json.loads((DATA / "c4.json").read_text())
+        doc["vertices"][vid][key] = value
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(doc))
+    cube = str(DATA / "cube.json")
+    outer = str(load_graph(cube).outer_face)
+    runs = [([verb, "--graph", str(paths["crossing"])], "edges 1 and 3 cross")
+            for verb in ("verify-main", "pfaffian", "multiwebs")]
+    runs += [(["verify-main", "--graph", str(paths["horizontal"])],
+              "edge 0 is horizontal")]
+    # the outer face cannot be the inner face of an annulus
+    runs += [([verb, "--graph", cube, "--inner", outer],
+              "inner face must be a bounded face")
+             for verb in ("annulus-parity", "annulus-ck")]
+    for argv, message in runs:
+        code = cli.main(argv)
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.splitlines() == ["error: edges 1 and 3 cross"]
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.splitlines() == ["error: " + message]
 
 
 def test_usage_errors_exit_two(capsys):

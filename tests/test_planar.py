@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (c4_ring, cube_ring, grid, k4_2by3, random_triangulation,
-                     rotated, simple_loops, triangle)
+from helpers import (c4_ring, cube_ring, grid, k4_2by3, pendant_square,
+                     random_triangulation, rotated, simple_loops, triangle)
 from spwebs import cli
 from spwebs.errors import (DegenerateGeometry, HorizontalStep,
-                           NonPlanarEmbedding)
+                           NonPlanarEmbedding, NotSimpleLoop)
 from spwebs.planar import (Edge, Loop, PlanarGraph, Vertex, advance_cilium,
-                           cilia_parity, euler_area_check,
-                           flip_edge_orientation, graph_from_dict,
-                           graph_to_dict, loop_area, point_in_polygon,
+                           cilia_parity, cross, enclosed_faces,
+                           euler_area_check, flip_edge_orientation,
+                           graph_from_dict, graph_to_dict, loop_area,
                            save_graph, standard_structure, vertices_enclosed)
 from spwebs.rand import random_planar_graph, random_polygon
 
@@ -20,15 +20,6 @@ def test_face_counts():
     assert len(c4_ring().faces) == 2
     assert len(cube_ring().faces) == 6
     assert len(k4_2by3().faces) == 4
-
-
-def test_face_interior_point_only_on_bounded_faces():
-    g = cube_ring()
-    for f in g.bounded_faces():
-        poly = [g.ipos[v] for v in g.face_vertices(f)]
-        assert point_in_polygon(g.face_interior_point(f), poly)
-    with pytest.raises(DegenerateGeometry):
-        g.face_interior_point(g.outer_face)
 
 
 def test_rotation_is_ccw_and_rejects_shared_directions():
@@ -144,6 +135,47 @@ def test_vertices_enclosed():
              if sorted(set(l.vertices)) == [0, 1, 2, 3]]
     assert outer
     assert vertices_enclosed(g, outer[0]) == 4
+
+
+def test_enclosed_faces_fill_the_loop_polygon():
+    # an independent geometric oracle: the enclosed faces tile the loop's
+    # polygon, so their doubled areas add up to its shoelace sum
+    rnd = random.Random(13)
+    graphs = [cube_ring()]
+    for _ in range(8):
+        graphs.append(random_planar_graph(rnd, rnd.randint(5, 8)))
+        graphs.append(random_triangulation(rnd, rnd.randint(4, 7)))
+    count = 0
+    for g in graphs:
+        for loop in simple_loops(g):
+            for l in (loop, loop.reversed(g)):
+                pts = [g.ipos[v] for v in l.vertices]
+                shoelace = sum(cross(p, q)
+                               for p, q in zip(pts, pts[1:] + pts[:1]))
+                assert sum(g.face_signed_area(f)
+                           for f in enclosed_faces(g, l)) == abs(shoelace)
+                count += 1
+    assert count > 300
+
+
+def test_enclosure_needs_a_simple_loop():
+    # a two-dart loop u -> v -> u has no inside
+    g = triangle()
+    for fn in (loop_area, vertices_enclosed):
+        with pytest.raises(NotSimpleLoop):
+            fn(g, Loop(g, [(0, 0), (0, 1)]))
+    # the square of pendant_square with a spur out to vertex 4 and back
+    g = pendant_square()
+    square = simple_loops(g)[0]
+    assert square.vertices[0] == 0 and vertices_enclosed(g, square) == 0
+    with pytest.raises(NotSimpleLoop):
+        vertices_enclosed(g, Loop(g, [(4, 0), (4, 1)] + square.darts))
+    # a vertex with no edges lies on no face, so the loop around it
+    # encloses none and area = L + 2V - 2 still holds
+    g = PlanarGraph([Vertex(0, 0, 0), Vertex(1, 7, 2), Vertex(2, 3, 9),
+                     Vertex(3, 3, 4)],
+                    [Edge(i, i, (i + 1) % 3) for i in range(3)])
+    assert euler_area_check(g, Loop(g, [(0, 0), (1, 0), (2, 0)])) == (1, 3, 0)
 
 
 def test_structure_covers_all_darts():

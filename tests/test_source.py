@@ -95,11 +95,9 @@ def test_float_linear_algebra_only_in_the_ck_fit():
 # a Fraction or a true division inside one would bring back the slow path
 INT_PREDICATES = {
     "planar": ["_rotation_from_positions", "_check_crossings", "dart_vector",
-               "face_signed_area", "_find_outer_face", "face_interior_point",
-               "_centroid", "_locate", "point_in_polygon", "_interior_point",
-               "_in_triangle", "orient", "_ccw", "loop_area",
-               "vertices_enclosed", "standard_structure", "cilia_parity",
-               "_wedge_contains"],
+               "face_signed_area", "_find_outer_face", "orient", "_ccw",
+               "enclosed_faces", "loop_area", "vertices_enclosed",
+               "standard_structure", "cilia_parity", "_wedge_contains"],
     "connections": ["annulus_spec", "cleared_phi"],
     "theorems": ["vertex_order", "_cleared_rows"],
     "traces": ["_bond"],
@@ -158,6 +156,44 @@ def test_one_annulus_cut_builder():
         text = path.read_text()
         assert not [name for name in ("_ray_cut", "reference ray")
                     if name in text], path.name
+
+
+def test_one_enclosure_rule():
+    # a loop encloses the faces the dual graph less its edges separates
+    # from the outer face; the point-in-polygon test is gone, with no
+    # geometric path beside it
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert not [name for name in ("point_in_polygon",
+                                      "face_interior_point")
+                    if name in text], path.name
+
+
+def test_no_unused_import_or_private_definition():
+    # a deletion must not leave an orphaned helper or import behind
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names]
+        unused += [(name, b) for b in bound if b not in used]
+    assert not unused, unused
+    refs = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+    private = [(name, node.name)
+               for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    assert private
+    orphans = [p for p in private if p[1] not in refs]
+    assert not orphans, orphans
 
 
 def test_rational_rows_are_cleared_once(monkeypatch):
