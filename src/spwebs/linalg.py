@@ -5,9 +5,10 @@ Fraction, Poly, or float; @ and elementwise ops work on all three.  A
 SkewMatrix, the input of the Pfaffian, holds only its rows of nonzero
 entries, as dicts from column index to entry; its skewness is checked
 once per unordered pair of stored entries, and .a gives the dense array.
-Int and Fraction rows are checked once on ints, as the rows of B = DAD
-below (skew exactly when A is, all d_i > 0), which the elimination takes;
-a caller that builds B itself (H, from cleared connections) hands it over.
+Exact rows are checked on the rows of B = DAD below (skew exactly when A
+is, all d_i > 0), ints for int and Fraction entries and packed integer
+polynomials for Poly ones, which the elimination takes; a caller that
+builds B itself (H, from cleared connections) hands it over.
 
 Pfaffians are taken by elimination; a sum over perfect pairings is kept
 in the tests as an oracle.  For exact entries the elimination is
@@ -25,11 +26,10 @@ and Fraction; float and Poly entries together raise MixedRing.
 Exact matrices run one sparse fraction-free elimination, on Python ints
 for int and Fraction entries and on the packed polynomials of rings
 (dicts from packed monomial to int coefficient) for Poly entries.  With
-d_i the lcm of the (coefficient) denominators in row i, above the
-diagonal for Poly, and D = diag(d_i), B = DAD has integer coefficients
-and Pf(B) = Pf(A) * prod(d_i), divided out once at the end.  A packed B
-is the upper triangle mirrored by negation, and its Pfaffian is
-unpacked to a Poly once (the zero Poly for 0).
+d_i the lcm of the (coefficient) denominators in row i and D =
+diag(d_i), B = DAD has integer coefficients and Pf(B) = Pf(A) *
+prod(d_i), divided out once at the end.  A packed Pfaffian is unpacked
+to a Poly once (the zero Poly for 0).
 
 * Pivot order.  Each step takes the remaining row p with the fewest
   nonzeros and, among its columns, the row q with the fewest (minimum
@@ -217,16 +217,19 @@ class SkewMatrix:
     such a row may also hold zero entries (H of a zero weight), which the
     Pfaffian drops.  kinds is the set of entry types, zeros included,
     from which pf_eliminate picks the ring; float and Poly entries
-    together raise MixedRing.  Skewness is checked once per unordered
-    pair of stored entries, so each pair costs one addition; a float pair
-    may miss by 1e-12.  Int and Fraction pairs are checked on cleared =
-    (B, d), the int rows of B = DAD and the d_i, kept for the Pfaffian;
-    a caller may pass B and d, and then rows is built only when asked for.
+    together raise MixedRing.  Exact matrices are held as cleared = (B,
+    d, pk), the rows of B = DAD, the d_i and the packing of B's entries:
+    ints when pk is None, else integer polynomials packed by pk.  A
+    caller may pass B, d and pk itself, and then rows is built only when
+    asked for.  Skewness is checked once per unordered pair of stored
+    entries, on B when there is one: an int addition, a comparison of
+    packed coefficients, or a float addition that may miss by 1e-12.
     """
 
-    def __init__(self, a, d=None):
+    def __init__(self, a, d=None, pk=None):
         if d is not None:
-            rows, kinds, self.cleared = a, {Fraction}, (a, d)
+            rows, self.cleared = a, (a, d, pk)
+            kinds = {Fraction if pk is None else Poly}
         elif isinstance(a, list) and all(isinstance(row, dict) for row in a):
             rows, kinds = a, set()
             for row in rows:
@@ -241,15 +244,15 @@ class SkewMatrix:
         self.kinds, self.dim = kinds, len(rows)
         if d is None:
             self.rows = rows
-            self.cleared = _clear(rows) if _ring(kinds) is Fraction else None
-        check = rows if self.cleared is None else self.cleared[0]
+            self.cleared = _cleared(rows, kinds)
+        check, _, pk = self.cleared or (rows, None, None)
         for i, row in enumerate(check):
             for j, x in row.items():
                 y = check[j].get(i)
                 if y is None:
                     s = x
                 elif j >= i:
-                    s = x + y
+                    s = x + y if pk is None else y != _pk_neg(x)
                 else:
                     continue
                 if s and (not (isinstance(x, float) or isinstance(y, float))
@@ -258,9 +261,10 @@ class SkewMatrix:
 
     @functools.cached_property
     def rows(self):
-        """The entries B_ij / (d_i d_j) of a matrix given as (B, d)."""
-        b, d = self.cleared
-        return [{j: Fraction(v, di * d[j]) for j, v in row.items()}
+        """The entries B_ij / (d_i d_j) of a matrix given as (B, d, pk)."""
+        b, d, pk = self.cleared
+        entry = Fraction if pk is None else pk.unpack
+        return [{j: entry(v, di * d[j]) for j, v in row.items()}
                 for row, di in zip(b, d)]
 
     @property
@@ -304,47 +308,48 @@ def _ring(kinds):
 
 
 def _clear(rows):
-    """B = DAD of int and Fraction rows, as rows of nonzero ints, and d."""
+    """B = DAD of int and Fraction rows, as rows of nonzero ints, d, and
+    None for the packing."""
     d = [math.lcm(*[x.denominator for x in row.values()]) for row in rows]
     return [{j: v for j, x in row.items()
              if (v := x.numerator * (di // x.denominator) * d[j])}
-            for row, di in zip(rows, d)], d
+            for row, di in zip(rows, d)], d, None
+
+
+def _cleared(rows, kinds):
+    """(B, d, pk) of exact rows in the ring that kinds picks, B's entries
+    packed by pk when it is Poly; None for float rows."""
+    ring = _ring(kinds)
+    if ring is not Poly:
+        return None if ring is float else _clear(rows)
+    pk = _Packing.of([x for row in rows for x in row.values()],
+                     max(len(rows) - 2, 1))
+    d = [math.lcm(*map(_denominator, row.values())) for row in rows]
+    return [{j: v for j, x in row.items() if (v := pk.pack(x, di * d[j]))}
+            for row, di in zip(rows, d)], d, pk
 
 
 def _pf_rows(rows, kinds):
     """Pfaffian of skew rows of entries (dicts, zeros allowed) in the ring
     that kinds picks."""
-    ring = _ring(kinds)
-    n = len(rows)
-    if n % 2:
-        return ring()
-    if ring is float:
-        return _pf_float(_dense(rows))
-    if ring is Poly:
-        upper = [{j: x for j, x in row.items() if j > i and x}
-                 for i, row in enumerate(rows)]
-        pk = _Packing.of([x for row in upper for x in row.values()],
-                         max(n - 2, 1))
-        d = [math.lcm(*map(_denominator, row.values())) for row in upper]
-        b = [{} for _ in rows]
-        for i, row in enumerate(upper):
-            for j, x in row.items():
-                b[i][j] = pk.pack(x, d[i] * d[j])
-                b[j][i] = _pk_neg(b[i][j])
-        one = {0: 1}
-        pf = _pf_sparse(b, {}, one,
-                        lambda g: None if g == one else pk.divisor(g),
-                        _pk_lift, _pk_cross, _pk_neg)
-        return pk.unpack(pf, math.prod(d))
-    return _pf_cleared(*_clear(rows))
+    cleared = _cleared(rows, kinds)
+    if cleared is not None:
+        return _pf_cleared(*cleared)
+    return 0.0 if len(rows) % 2 else _pf_float(_dense(rows))
 
 
-def _pf_cleared(b, d):
-    """Pfaffian of A from the int rows of B = DAD and the d_i."""
-    if len(b) % 2:
-        return Fraction(0)
-    return Fraction(_pf_sparse(list(b), 0, 1, int, _lift, _cross,
-                               operator.neg), math.prod(d))
+def _pf_cleared(b, d, pk):
+    """Pfaffian of A from the rows of B = DAD, the d_i and the packing pk
+    of B's entries (None for ints)."""
+    if pk is None:
+        pf = 0 if len(b) % 2 else _pf_sparse(list(b), 0, 1, int, _lift,
+                                             _cross, operator.neg)
+        return Fraction(pf, math.prod(d))
+    one = {0: 1}
+    pf = {} if len(b) % 2 else _pf_sparse(
+        list(b), {}, one, lambda g: None if g == one else pk.divisor(g),
+        _pk_lift, _pk_cross, _pk_neg)
+    return pk.unpack(pf, math.prod(d))
 
 
 def _pf_float(rows):

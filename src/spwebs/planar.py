@@ -221,33 +221,19 @@ class PlanarGraph:
         return canon
 
     def _check_euler(self):
-        """Each connected component must be a sphere embedding on its own;
-        a graph file may hold several components."""
-        root = {v: v for v in self.vertices}
-
-        def find(a):
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            return a
-
-        for e in self.edges.values():
-            root[find(e.u)] = find(e.v)
-        nv = {}
-        ne = {}
-        nf = {}
-        for v in self.vertices:
-            nv[find(v)] = nv.get(find(v), 0) + 1
-        for e in self.edges.values():
-            ne[find(e.u)] = ne.get(find(e.u), 0) + 1
-        for cyc in self.faces:
-            c = find(self.dart_tail(cyc[0]))
-            nf[c] = nf.get(c, 0) + 1
-        for c, k in ne.items():
-            if nv[c] - k + nf[c] != 2:
-                raise NonPlanarEmbedding(
-                    "Euler check failed on a component: V-E+F = %d-%d+%d != 2"
-                    % (nv[c], k, nf[c]))
+        """The edges must form one connected graph.  Each component traces
+        its own faces, outer one included, and a straight-line embedding
+        gives V - E + F = 2 on each, so over the vertices with edges V - E
+        + F is 2 times the number of components.  A vertex with no edges
+        lies on no face and is left out."""
+        if not self.edges:
+            return
+        nv = len({v for e in self.edges.values() for v in (e.u, e.v)})
+        if nv - len(self.edges) + len(self.faces) != 2:
+            raise NonPlanarEmbedding(
+                "the edges form more than one connected graph: "
+                "V-E+F = %d-%d+%d != 2" % (nv, len(self.edges),
+                                           len(self.faces)))
 
     def face_signed_area(self, idx):
         """Twice the signed area of face idx in the int coordinates ipos,

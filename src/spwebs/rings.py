@@ -286,6 +286,15 @@ class _Packing:
                     for m, c in x.terms.items()}
         return {0: x.numerator * (scale // x.denominator)} if x else {}
 
+    def primitive(self, x):
+        """x (Poly, int or Fraction) as its content c, a Fraction, and x / c
+        packed, an integer polynomial with coprime coefficients; 0 gives
+        c = 0 and {}."""
+        den = _denominator(x)
+        f = self.pack(x, den)
+        g = math.gcd(*f.values())
+        return Fraction(g, den), {m: c // g for m, c in f.items()}
+
     def unpack(self, f, den=1):
         """The Poly of packed f divided by den."""
         return Poly({self.mono(key): Fraction(c, den) for key, c in f.items()})

@@ -28,7 +28,7 @@ from .errors import (BadFaceLength, DimensionMismatch, DivByZero,
 from .linalg import (SkewMatrix, mat, mat_equal, scalar_is_zero,
                      symplectic_inverse)
 from .planar import standard_structure
-from .rings import Poly, exact_div_scalar
+from .rings import Poly, _Packing, exact_div_scalar
 from .traces import trace_contraction
 from .webs import (
     decompose_2multiweb,
@@ -78,28 +78,49 @@ class HMatrix(SkewMatrix):
     Vertices are laid out in (y, x, id) order with the 2n colors of a
     vertex contiguous.  Edges are straight, so no two share a block.
 
-    With int and Fraction weights and an exact connection, the int rows
+    With int, Fraction and Poly weights and an exact connection, the rows
     of B = DAD and the d_i come straight from the cleared edge matrices
     (_cleared_rows), and H's own entries are built only when asked for.
-    Otherwise the entries where an edge matrix is nonzero are stored as
-    rows of dicts (zeros under a zero weight, which keep its ring).
+    A Poly weight enters as its content c_e, which _cleared_rows takes as
+    the weight, times its primitive integer polynomial P_e, by which the
+    block's ints are then multiplied, packed as the Pfaffian takes them.
+    Otherwise (a float weight or a float edge matrix) the entries where
+    an edge matrix is nonzero are stored as rows of dicts (zeros under a
+    zero weight, which keep its ring).
     """
 
     def __init__(self, g, conn, w=None):
         weights = weight_map(g, w)
         pos = {vid: i for i, vid in enumerate(vertex_order(g))}
         n, b = conn.n, 2 * conn.n
+        dim = b * len(pos)
         # block (hi, lo) is w J m, m the matrix from lo to hi, since
         # J phi(hi -> lo) = m^T J = -(J m)^T.  Row i < n of J m is row
         # i + n of m, and row i + n is minus row i.
         blocks = [(b * pos[max(e.u, e.v)], b * pos[min(e.u, e.v)],
                    weights[e.id], e.id) for e in g.edges.values()]
-        exact = [(rh, rl, wt, conn.cleared[eid]) for rh, rl, wt, eid in blocks
-                 if isinstance(wt, (int, Fraction)) and conn.cleared[eid]]
-        if len(exact) == len(blocks):
-            super().__init__(*_cleared_rows(exact, n, b * len(pos)))
+        if all(isinstance(wt, (int, Fraction, Poly)) and conn.cleared[eid]
+               for _, _, wt, eid in blocks):
+            pk, content = None, weights
+            if any(isinstance(wt, Poly) for wt in weights.values()):
+                pk = _Packing.of(weights.values(), max(dim - 2, 1))
+                parts = {eid: pk.primitive(wt) for eid, wt in weights.items()}
+                content = {eid: c for eid, (c, _) in parts.items()}
+            rows, d = _cleared_rows([(rh, rl, content[eid], conn.cleared[eid])
+                                     for rh, rl, _, eid in blocks], n, dim)
+            if pk is not None:
+                # every int of a block times the P_e of its edge
+                poly = {}
+                for rh, rl, _, eid in blocks:
+                    poly[rh // b, rl // b] = poly[rl // b, rh // b] = \
+                        parts[eid][1]
+                rows = [{c: {m: v * x
+                             for m, x in poly[r // b, c // b].items()}
+                         for c, v in row.items()}
+                        for r, row in enumerate(rows)]
+            super().__init__(rows, d, pk)
             return
-        rows = [{} for _ in range(b * len(pos))]
+        rows = [{} for _ in range(dim)]
         for rh, rl, wt, eid in blocks:
             m = conn.matrices[eid].tolist()
             # a float entry times the float of the weight is its product

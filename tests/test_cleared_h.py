@@ -17,6 +17,7 @@ from spwebs.connections import (Connection, gauge_transform,
 from spwebs.errors import NotSymplectic
 from spwebs.planar import flip_edge_orientation, save_graph, standard_structure
 from spwebs.rand import random_connection, random_planar_graph
+from spwebs.rings import Poly
 from spwebs.traces import trace_coloring, trace_contraction
 from spwebs.webs import enumerate_multiwebs
 
@@ -76,6 +77,54 @@ def test_cleared_h_matches_fraction_assembly(n):
                 assert np.asarray(h).tolist() == linalg._dense(ref)
                 assert h.pfaffian() == linalg.pf_eliminate(
                     linalg.SkewMatrix(ref))
+
+
+def _poly_weight_sets(g, rnd):
+    eids = sorted(g.edges)
+    sym = th.symbolic_weights(g)
+    # contents other than 1: Fraction coefficients, and a sum whose
+    # integer coefficients share a factor
+    scaled = {e: Fraction(rnd.choice([-3, 3, 5]), rnd.randint(1, 4)) * x
+              for e, x in sym.items()}
+    scaled[eids[-1]] = 6 * sym[eids[-1]] * sym[eids[0]] - 4
+    zero = dict(sym)
+    zero[eids[0]] = Poly.const(0)
+    mixed = dict(sym)
+    for e, wt in zip(eids[::2], [2, Fraction(-1, 3), 0] * len(eids)):
+        mixed[e] = wt
+    return [sym, scaled, zero, mixed]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_packed_poly_h_matches_poly_assembly(n):
+    # H with Poly weights is packed at assembly; its entries and its
+    # Pfaffian match those of the rows formed one Poly entry at a time,
+    # whose Pfaffian the dense Poly path takes
+    rnd = random.Random(66 + n)
+    graphs = [triangle(), c4_ring(), k4_2by3(), grid(2, 3),
+              random_planar_graph(rnd, 5)]
+    if n == 1:
+        graphs.append(cube_ring())
+    for g in graphs:
+        for conn in _connections(g, n, rnd):
+            for w in _poly_weight_sets(g, rnd):
+                ref = reference_rows(g, conn, w)
+                h = th.HMatrix(g, conn, w)
+                assert h.kinds == {Poly} and h.cleared[2] is not None
+                assert np.asarray(h).tolist() == linalg._dense(ref)
+                pf = h.pfaffian()
+                assert isinstance(pf, Poly)
+                assert pf == linalg.pf_eliminate(linalg.SkewMatrix(ref))
+
+
+def test_symbolic_h_pfaffian_builds_no_poly_entry():
+    rnd = random.Random(67)
+    for g, n in ((grid(3, 4), 1), (grid(2, 3), 2)):
+        kc = kasteleyn_connection(g, n)
+        conn = gauge_transform(g, kc, random_gauges(g, rnd, n))
+        h = th.HMatrix(g, conn, th.symbolic_weights(g))
+        assert h.pfaffian()
+        assert "rows" not in vars(h)
 
 
 def test_float_h_keeps_the_bits_of_fraction_weights():

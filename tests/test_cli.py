@@ -194,6 +194,29 @@ def test_crossing_edges_exit_two(capsys, tmp_path):
     runs += [([verb, "--graph", cube, "--inner", outer],
               "inner face must be a bounded face")
              for verb in ("annulus-parity", "annulus-ck")]
+    # two disjoint triangles: a graph file holds one connected graph, so
+    # every verb that reads a graph rejects it before it runs
+    two = tmp_path / "two.json"
+    corners = [(0, 0), (4, 1), (1, 5), (10, 0), (14, 1), (11, 5)]
+    two.write_text(json.dumps({
+        "vertices": [{"id": i, "x": str(x), "y": str(y)}
+                     for i, (x, y) in enumerate(corners)],
+        "edges": [{"id": 3 * t + k, "u": 3 * t + k, "v": 3 * t + (k + 1) % 3}
+                  for t in (0, 1) for k in range(3)]}))
+    web = str(DATA / "golden_web.json")
+    runs += [([verb, "--graph", str(two)] + extra,
+              "the edges form more than one connected graph: "
+              "V-E+F = 6-6+4 != 2")
+             for verb, extra in (("multiwebs", []), ("dimers", []),
+                                 ("trace", ["--n", "1", "--web", web]),
+                                 ("pfaffian", []), ("verify-main", []),
+                                 ("kasteleyn", []),
+                                 ("spin-corr", ["--f1", "0", "--f2", "1"]),
+                                 ("annulus-parity", ["--inner", "0"]),
+                                 ("annulus-ck", ["--inner", "0"]))]
+    assert {argv[0] for argv, _ in runs} == {
+        verb for verb, (_, _, flags) in cli.VERBS.items()
+        if "graph" in flags.split()}
     for argv, message in runs:
         code = cli.main(argv)
         captured = capsys.readouterr()

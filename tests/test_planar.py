@@ -178,6 +178,22 @@ def test_enclosure_needs_a_simple_loop():
     assert euler_area_check(g, Loop(g, [(0, 0), (1, 0), (2, 0)])) == (1, 3, 0)
 
 
+def test_edges_must_form_one_connected_graph():
+    # a triangle inside a square is two components until an edge joins
+    # them; a vertex with no edges (test_enclosure_needs_a_simple_loop)
+    # is allowed
+    vs = [Vertex(i, x, y) for i, (x, y) in enumerate(
+        [(0, 0), (12, 1), (11, 13), (-1, 12), (3, 3), (8, 4), (5, 9)])]
+    es = ([Edge(i, i, (i + 1) % 4) for i in range(4)]
+          + [Edge(4 + i, 4 + i, 4 + (i + 1) % 3) for i in range(3)])
+    with pytest.raises(NonPlanarEmbedding,
+                       match=r"more than one connected graph: "
+                             r"V-E\+F = 7-7\+4 != 2"):
+        PlanarGraph(vs, es)
+    g = PlanarGraph(vs, es + [Edge(7, 0, 4)])
+    assert len(g.faces) == 3 and len(g.bounded_faces()) == 2
+
+
 def test_structure_covers_all_darts():
     g = k4_2by3()
     s = standard_structure(g)
