@@ -3,10 +3,10 @@
 A connection assigns to every edge a matrix in Sp(2n) for the edge's
 canonical direction (low vertex id to high); the reverse direction is the
 symplectic inverse -J M^T J.  Loop monodromy multiplies matrices right to
-left along the traversal.  Each exact edge matrix M is cleared once,
-when the connection is built, to the integer rows of dM (each shared
-j_power array once): H and the trace bonds are built from those
-integers, and only the oracle engines read the matrices themselves.
+left along the traversal.  Each exact edge matrix M is cleared once to
+the integer rows of dM (each shared j_power array once); a file's entries
+go straight to those ints, and M itself is built only when read.  H and
+the trace bonds are built from the ints; only oracle engines read M.
 
 Included constructions: the identity connection, the Kasteleyn connection
 (powers of J solved face by face over a dual spanning tree so every bounded
@@ -19,12 +19,15 @@ j_power.
 
 import functools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     InvalidCut,
+    MalformedInput,
     NonCommuting,
     NotSymplectic,
     NotUnitary,
@@ -44,7 +47,7 @@ from .linalg import (
     symplectic_rows,
 )
 from .planar import Loop
-from .rings import format_scalar, parse_scalar
+from .rings import _pair, format_scalar, parse_scalar
 
 
 class Connection:
@@ -52,27 +55,38 @@ class Connection:
     and cleared[eid] = (N, d) for M of int and Fraction entries: the int
     rows of N = dM, d the lcm of the denominators (None for Poly and float
     entries).  Each distinct matrix object is cleared, and checked to be
-    symplectic on those rows, once."""
+    symplectic on those rows, once; M given as (N, d) is built on read."""
 
     def __init__(self, g, n, matrices, check=True):
         self.n = n
-        self.matrices, self.cleared = {}, {}
+        self._given, self.cleared = {}, {}
         done = {}
         for eid in g.edges:
-            m = np.asarray(matrices[eid], dtype=object)
-            if m.shape != (2 * n, 2 * n):
-                raise DimensionMismatch(
-                    "edge %d matrix has shape %r, expected %dx%d"
-                    % (eid, m.shape, 2 * n, 2 * n))
+            if eid not in matrices:
+                raise DimensionMismatch("edge %d has no matrix" % eid)
+            m = matrices[eid]
             if id(m) not in done:
-                rows, d = clear_denominators(m.tolist())
+                lazy = type(m) is tuple
+                a = m if lazy else np.asarray(m, dtype=object)
+                shape = (len(m[0]), *sorted({len(r) for r in m[0]})) \
+                    if lazy else a.shape
+                if shape != (2 * n, 2 * n):
+                    raise DimensionMismatch(
+                        "edge %d matrix has shape %r, expected %dx%d"
+                        % (eid, shape, 2 * n, 2 * n))
+                rows, d = m if lazy else clear_denominators(a.tolist())
                 if check and not symplectic_rows(rows, d):
                     raise NotSymplectic("edge %d matrix is not symplectic"
                                         % eid)
-                exact = all(type(x) is int for row in rows for x in row)
-                done[id(m)] = (rows, d) if exact else None
-            self.matrices[eid] = m
-            self.cleared[eid] = done[id(m)]
+                exact = lazy or all(type(x) is int for r in rows for x in r)
+                done[id(m)] = a, (rows, d) if exact else None
+            self._given[eid], self.cleared[eid] = done[id(m)]
+
+    @functools.cached_property
+    def matrices(self):
+        """Edge id -> M, with entries N / d for M given as (N, d)."""
+        return {eid: mat([[Fraction(x, m[1]) for x in row] for row in m[0]])
+                if type(m) is tuple else m for eid, m in self._given.items()}
 
     def phi(self, g, eid, tail):
         """Parallel transport along edge eid leaving the given vertex."""
@@ -314,13 +328,25 @@ def connection_to_dict(g, conn):
 
 
 def connection_from_dict(g, data):
+    """A connection file lists every edge of g once, at rank n >= 1.  An
+    exact matrix is cleared straight from the (p, q) of its entries."""
     n = json_field(data, "n", int)
+    if n < 1:
+        raise MalformedInput("connection rank n is %d, not at least 1" % n)
     mats = {}
     for entry in json_field(data, "edges", list):
         eid = json_field(entry, "id", int)
-        rows = [[parse_scalar(x) for x in json_check(row, list, "matrix row")]
+        if eid not in g.edges or eid in mats:
+            raise MalformedInput("edge %d is %s" % (eid, "listed twice" if
+                                 eid in mats else "not in the graph"))
+        rows = [json_check(row, list, "matrix row")
                 for row in json_field(entry, "matrix", list)]
-        mats[eid] = mat(rows)
+        pairs = [[_pair(x) for x in row] for row in rows]
+        if any(None in row for row in pairs):
+            mats[eid] = mat([[parse_scalar(x) for x in row] for row in rows])
+        else:
+            d = math.lcm(*[q for row in pairs for _, q in row])
+            mats[eid] = [[p * (d // q) for p, q in row] for row in pairs], d
     return Connection(g, n, mats)
 
 

@@ -3,7 +3,8 @@
 A graph is stored as a combinatorial map: each edge has two darts
 (edge id, end) and every vertex carries a ccw cyclic list of outgoing
 darts, derived from the vertex positions by exact angular sort.  Faces
-are the orbits of the left-hand tracing rule, checked against Euler's
+are the orbits of the left-hand tracing rule, walked on a map from each
+dart to its predecessor around its tail, and checked against Euler's
 formula.  Straight edges may meet only at a shared endpoint.
 
 Vertex coordinates are rational, but every geometric predicate (angular
@@ -107,10 +108,8 @@ class PlanarGraph:
         self._check_crossings()
         self.faces = self._trace_faces()
         self._check_euler()
-        self.face_of_dart = {}
-        for idx, cyc in enumerate(self.faces):
-            for d in cyc:
-                self.face_of_dart[d] = idx
+        self.face_of_dart = {d: idx for idx, cyc in enumerate(self.faces)
+                             for d in cyc}
         self._outer = self._find_outer_face()
 
     # -- construction helpers -------------------------------------------
@@ -141,15 +140,13 @@ class PlanarGraph:
             pts[p] = vid
         out = {v: [] for v in self.vertices}
         for e in self.edges.values():
-            out[e.u].append((e.id, 0))
-            out[e.v].append((e.id, 1))
+            (ux, uy), (vx, vy) = self.ipos[e.u], self.ipos[e.v]
+            out[e.u].append(((e.id, 0), (vx - ux, vy - uy)))
+            out[e.v].append(((e.id, 1), (ux - vx, uy - vy)))
         for v, darts in out.items():
             # darts in id order, so the sort is deterministic and a shared
             # direction names the lower edge id first
-            keyed = []
-            for d in sorted(darts):
-                vec = self.dart_vector(d)
-                keyed.append((_angular_class(vec), vec, d))
+            keyed = [(_angular_class(vec), vec, d) for d, vec in sorted(darts)]
             keyed.sort(key=functools.cmp_to_key(_ccw))
             for k1, k2 in zip(keyed, keyed[1:]):
                 if not _ccw(k1, k2):
@@ -188,37 +185,23 @@ class PlanarGraph:
                 raise NonPlanarEmbedding("edges %d and %d cross"
                                          % tuple(sorted((e.id, f.id))))
 
-    def rotation_prev(self, d):
-        """Next dart cw around the tail of d."""
-        lst = self.rotation[self.dart_tail(d)]
-        i = lst.index(d)
-        return lst[(i - 1) % len(lst)]
-
     def _trace_faces(self):
-        unused = set()
-        for lst in self.rotation.values():
-            unused.update(lst)
-        faces = []
-        while unused:
-            start = min(unused)
-            cyc = []
-            d = start
-            while True:
-                cyc.append(d)
-                unused.discard(d)
-                # the face keeps its interior on the left: continue with the
-                # dart one notch clockwise from the reversal
-                d = self.rotation_prev(self.dart_reverse(d))
-                if d == start:
-                    break
-            faces.append(cyc)
-        # canonical order: rotate each cycle to start at its minimal dart
-        canon = []
-        for cyc in faces:
-            i = cyc.index(min(cyc))
-            canon.append(cyc[i:] + cyc[:i])
-        canon.sort()
-        return canon
+        """Faces as dart cycles, interior on the left: d is followed by
+        prev[reversal of d], the dart before it ccw around d's head.  Sorted
+        darts make each face start at its least dart, in sorted order."""
+        prev = {}
+        for ds in self.rotation.values():
+            prev.update(zip(ds, ds[-1:] + ds[:-1]))
+        faces, seen = [], set()
+        for start in sorted(prev):
+            if start not in seen:
+                cyc, d = [start], prev[start[0], 1 - start[1]]
+                while d != start:
+                    cyc.append(d)
+                    d = prev[d[0], 1 - d[1]]
+                seen.update(cyc)
+                faces.append(cyc)
+        return faces
 
     def _check_euler(self):
         """The edges must form one connected graph.  Each component traces
@@ -238,20 +221,15 @@ class PlanarGraph:
     def face_signed_area(self, idx):
         """Twice the signed area of face idx in the int coordinates ipos,
         so D² times twice the true area: positive for a ccw boundary."""
-        total = 0
-        for d in self.faces[idx]:
-            total += cross(self.ipos[self.dart_tail(d)],
-                           self.ipos[self.dart_head(d)])
-        return total
+        pts = [self.ipos[v] for v in self.face_vertices(idx)]
+        return sum(map(cross, pts, pts[1:] + pts[:1]))
 
     def _find_outer_face(self):
         if len(self.faces) == 1:
             return 0
-        areas = [self.face_signed_area(i) for i in range(len(self.faces))]
-        neg = [i for i, a in enumerate(areas) if a < 0]
-        if len(neg) != 1:
-            return None
-        return neg[0]
+        neg = [i for i in range(len(self.faces))
+               if self.face_signed_area(i) < 0]
+        return neg[0] if len(neg) == 1 else None
 
     @property
     def outer_face(self):
@@ -477,16 +455,22 @@ def graph_to_dict(g):
 
 
 def graph_from_dict(data):
-    vertices = [Vertex(json_field(v, "id", int),
-                       parse_scalar(json_field(v, "x"), False),
-                       parse_scalar(json_field(v, "y"), False))
-                for v in json_field(data, "vertices", list)]
-    edges = []
+    """A graph file's graph; json_field runs only on a failed shape test."""
+    vertices, edges = [], []
+    for v in json_field(data, "vertices", list):
+        if type(v) is not dict or type(v.get("id")) is not int or \
+                "x" not in v or "y" not in v:
+            for key, kind in (("id", int), ("x", object), ("y", object)):
+                json_field(v, key, kind)
+        vertices.append(Vertex(v["id"], parse_scalar(v["x"], False),
+                               parse_scalar(v["y"], False)))
     for e in json_field(data, "edges", list):
-        eid = json_field(e, "id", int)
+        if type(e) is not dict or not \
+                type(e.get("id")) is type(e.get("u")) is type(e.get("v")) is int:
+            for key in ("id", "u", "v"):
+                json_field(e, key, int)
         w = parse_scalar(e["weight"]) if "weight" in e else None
-        edges.append(Edge(eid, json_field(e, "u", int), json_field(e, "v", int),
-                          weight=w))
+        edges.append(Edge(e["id"], e["u"], e["v"], weight=w))
     return PlanarGraph(vertices, edges)
 
 

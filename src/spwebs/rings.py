@@ -386,27 +386,38 @@ def _pk_div(f, div):
     return q
 
 
+def _pair(x):
+    """(p, q) in lowest terms, q > 0, of an int, a Fraction or a string,
+    or None for a finite float or a string that Fraction(str) rejects.
+    "[+-]d" and "[+-]d/d", d decimal digits, take int() of each side and
+    any other string Fraction(str), so each parses or fails as there."""
+    if type(x) is str:
+        num, sep, den = x.partition("/")
+        try:
+            if (num.isdecimal() or num[:1] in "+-" and num[1:].isdecimal()) \
+                    and (not sep or den.isdecimal()):
+                p, q = int(num), int(den) if sep else 1
+                g = math.gcd(p, q)
+                return (p // g, q // g) if q else None
+            x = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return None
+    elif isinstance(x, float) and math.isfinite(x):
+        return None
+    elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise MalformedInput("cannot parse scalar %r" % (x,))
+    return x.numerator, x.denominator
+
+
 def parse_scalar(text, symbols_as_vars=True):
-    """Parse "p/q", integer strings, or a bare symbol name.  "[+-]d" and
-    "[+-]d/d", d decimal digits, take int() of each side, and any other
-    string Fraction(str), so every string parses or fails as there."""
-    if isinstance(text, bool) or not isinstance(text, (int, Fraction, float, str)):
-        raise MalformedInput("cannot parse scalar %r" % (text,))
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
+    """Parse "p/q", integer strings, or a bare symbol name: a Fraction for
+    what _pair takes, a finite float as it is, else a Poly variable."""
+    pq = _pair(text)
+    if pq is not None:
+        return Fraction(*pq)
     if isinstance(text, float):
-        if not math.isfinite(text):
-            raise MalformedInput("cannot parse scalar %r" % (text,))
         return text
     text = text.strip()
-    num, sep, den = text.partition("/")
-    try:
-        if (num[1:] if num[:1] in "+-" else num).isdecimal() and \
-                (not sep or den.isdecimal()):
-            return Fraction(int(num), int(den)) if sep else Fraction(int(num))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
     if symbols_as_vars and text.replace("_", "").isalnum() and not text[0].isdigit():
         return Poly.var(text)
     raise ValueError("cannot parse scalar %r" % text)

@@ -6,6 +6,8 @@ graph builders are used only by tests, so they live here and not in
 the package.
 """
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from spwebs import Edge, Loop, PlanarGraph, Vertex
 from spwebs.errors import SpwebsError, UnknownVariable
 from spwebs.linalg import (all_pairings, clear_denominators, mat, minors,
                            perm_sign)
+from spwebs.planar import _angular_class, _ccw, cross
 from spwebs.rand import (_convex_vertices, _fan_diagonals, random_fraction,
                          random_sp)
 from spwebs.rings import Poly
@@ -216,3 +219,86 @@ def exterior_power_trace(a, k):
     rows, d = clear_denominators(a.tolist())
     total = sum(t.get(s, 0) for s, t in minors(rows, k).items())
     return total * Fraction(1, d ** k)
+
+
+# -- the load paths that the integer ones replaced, kept as oracles ----------
+
+
+def reference_rotation(g):
+    """The ccw dart lists of g as the rotation was built before: each
+    dart's vector from dart_vector, darts in id order, then a ccw sort."""
+    out = {v: [] for v in g.vertices}
+    for e in g.edges.values():
+        out[e.u].append((e.id, 0))
+        out[e.v].append((e.id, 1))
+    for v, darts in out.items():
+        keyed = [(_angular_class(g.dart_vector(d)), g.dart_vector(d), d)
+                 for d in sorted(darts)]
+        keyed.sort(key=functools.cmp_to_key(_ccw))
+        out[v] = [k[2] for k in keyed]
+    return out
+
+
+def reference_faces(g):
+    """(faces, face_of_dart, outer face) of g by the walk that the face
+    tracing replaced: the dart before each one found with list.index in
+    its tail's rotation, each face started at min(unused), rotated to
+    start at its least dart and sorted, and every face area summed over
+    the darts' tails and heads."""
+    def rotation_prev(d):
+        lst = g.rotation[g.dart_tail(d)]
+        return lst[(lst.index(d) - 1) % len(lst)]
+
+    unused = {d for lst in g.rotation.values() for d in lst}
+    faces = []
+    while unused:
+        start = d = min(unused)
+        cyc = []
+        while True:
+            cyc.append(d)
+            unused.discard(d)
+            d = rotation_prev(g.dart_reverse(d))
+            if d == start:
+                break
+        i = cyc.index(min(cyc))
+        faces.append(cyc[i:] + cyc[:i])
+    faces.sort()
+    areas = [sum(cross(g.ipos[g.dart_tail(d)], g.ipos[g.dart_head(d)])
+                 for d in cyc) for cyc in faces]
+    neg = [i for i, a in enumerate(areas) if a < 0]
+    outer = 0 if len(faces) == 1 else neg[0] if len(neg) == 1 else None
+    return faces, {d: i for i, cyc in enumerate(faces) for d in cyc}, outer
+
+
+def reference_ipos(data):
+    """PlanarGraph.ipos of a graph file, from a Fraction per coordinate."""
+    pos = {v["id"]: (Fraction(v["x"]), Fraction(v["y"]))
+           for v in data["vertices"]}
+    scale = math.lcm(*[c.denominator for p in pos.values() for c in p])
+    return {vid: (int(x * scale), int(y * scale))
+            for vid, (x, y) in pos.items()}
+
+
+def _fraction_scalar(x):
+    """A connection file entry as the Fraction parse read it: a float as
+    it is, a bare name as a Poly variable, anything else Fraction(x)."""
+    if isinstance(x, float):
+        return x
+    try:
+        return Fraction(x)
+    except ValueError:
+        return Poly.var(x.strip())
+
+
+def reference_connection(data):
+    """Edge id -> (matrix, cleared) of a connection file by the Fraction
+    parse that the integer one replaced: an object array of one scalar
+    per entry, cleared with clear_denominators (None unless exact)."""
+    out = {}
+    for entry in data["edges"]:
+        m = mat([[_fraction_scalar(x) for x in row]
+                 for row in entry["matrix"]])
+        rows, d = clear_denominators(m.tolist())
+        exact = all(type(x) is int for row in rows for x in row)
+        out[entry["id"]] = m, (rows, d) if exact else None
+    return out

@@ -397,6 +397,40 @@ def test_verify_main_float_ring_uses_library_tolerance(capsys, tmp_path):
     assert out.splitlines()[1] == "OK"
 
 
+def test_connection_file_lists_every_edge_once_at_rank_one_or_more(
+        capsys, tmp_path):
+    # each of these used to run: a missing edge exited 2 with the bare
+    # "error: 3" of a KeyError, and the other three exited 0 (the last
+    # matrix of a repeated edge won, an unknown id was ignored, and rank 0
+    # printed a Pfaffian of 1)
+    c4 = str(DATA / "c4.json")
+    ident = [["1", "0"], ["0", "1"]]
+    full = [{"id": eid, "matrix": ident} for eid in range(4)]
+    cases = [
+        ({"n": 1, "edges": full[:3]}, "error: edge 3 has no matrix"),
+        ({"n": 1, "edges": full + [{"id": 0, "matrix": [["2", "0"],
+                                                         ["0", "1/2"]]}]},
+         "error: edge 0 is listed twice"),
+        ({"n": 1, "edges": full + [{"id": 9, "matrix": ident}]},
+         "error: edge 9 is not in the graph"),
+        ({"n": 0, "edges": [{"id": eid, "matrix": []} for eid in range(4)]},
+         "error: connection rank n is 0, not at least 1"),
+        ({"n": -1, "edges": full}, "error: connection rank n is -1, not"
+         " at least 1")]
+    path = tmp_path / "conn.json"
+    for doc, message in cases:
+        path.write_text(json.dumps(doc))
+        for verb in (["pfaffian"], ["verify-main"]):
+            code = cli.main(verb + ["--graph", c4, "--conn", str(path)])
+            out, err = capsys.readouterr()
+            assert (code, out, err.splitlines()) == (2, "", [message]), doc
+    # in any order, every edge once is fine: under the identity
+    # connection the two matchings of the 4-cycle cancel
+    path.write_text(json.dumps({"n": 1, "edges": full[::-1]}))
+    assert run(capsys, ["pfaffian", "--graph", c4, "--conn", str(path)]) \
+        == (0, "0\n")
+
+
 FILLERS = [0, -3, 2.5, float("inf"), "x", "", None, True, [], {}, [1, 2],
            {"k": 1}]
 

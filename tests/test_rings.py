@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import is_exact, substitute
-from spwebs.rings import (Poly, exact_div_scalar, format_scalar,
+from spwebs.errors import MalformedInput
+from spwebs.rings import (Poly, _pair, exact_div_scalar, format_scalar,
                           parse_monomial, parse_scalar)
 
 A, B, C = Poly.var("a"), Poly.var("b"), Poly.var("c")
@@ -124,18 +125,36 @@ def test_parse_unknown_strictness():
 @pytest.mark.parametrize("text", [
     "+3", " 3 ", "-0", "07", "\u0663", "1.5", "1e3", "1_0", "1_000/3",
     "-2/4", "3/-4", "3/ 4", " -7 / 2", "1/0",
-    "\u00b2", "0x10", "+-3", "", "+", "/", "3/", "/4"])
+    "\u00b2", "0x10", "+-3", "", "+", "/", "3/", "/4",
+    "+3/6", " 7 ", "1_000", "0.5", "\u0663/\u0664", "-0/5", "0/0", "6/-4"])
 def test_parse_scalar_agrees_with_fraction(text):
     # the int() fast path takes only [+-]digits[/digits]; every other
-    # string must parse, or fail, exactly as Fraction(str) does
+    # string must parse, or fail, exactly as Fraction(str) does, and the
+    # (p, q) path that the loaders clear from agrees, in lowest terms
     try:
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ValueError):
             parse_scalar(text, False)
+        assert _pair(text) is None
     else:
         got = parse_scalar(text, False)
         assert type(got) is Fraction and got == want
+        pq = _pair(text)
+        assert pq == (want.numerator, want.denominator)
+        assert all(type(x) is int for x in pq)
+
+
+def test_pair_of_json_values():
+    # JSON numbers and the library's own scalars; a finite float has no
+    # pair, and any other value is malformed input
+    assert _pair(-6) == (-6, 1) and _pair(Fraction(-6, 4)) == (-3, 2)
+    assert _pair(0.5) is None and _pair("x") is None
+    for bad in (True, None, [1], {"a": 1}, float("inf"), float("nan")):
+        with pytest.raises(MalformedInput):
+            _pair(bad)
+        with pytest.raises(MalformedInput):
+            parse_scalar(bad)
 
 
 def test_is_exact():

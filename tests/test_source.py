@@ -90,15 +90,19 @@ def test_float_linear_algebra_only_in_the_ck_fit():
     assert found == {"theorems.extract_Ck"}, found
 
 
-# every planar predicate runs on the int coordinates PlanarGraph.ipos,
-# and exact H and the trace bonds on the int rows that Connection clears;
-# a Fraction or a true division inside one would bring back the slow path
+# every planar predicate and the face tracing run on the int coordinates
+# PlanarGraph.ipos and on darts, a connection file is cleared straight to
+# int rows and checked symplectic on them, and exact H and the trace bonds
+# are built from those rows; a Fraction or a true division inside one
+# would bring back the slow path
 INT_PREDICATES = {
     "planar": ["_rotation_from_positions", "_check_crossings", "dart_vector",
-               "face_signed_area", "_find_outer_face", "orient", "_ccw",
-               "enclosed_faces", "loop_area", "vertices_enclosed",
-               "standard_structure", "cilia_parity", "_wedge_contains"],
-    "connections": ["annulus_spec", "cleared_phi"],
+               "_trace_faces", "face_signed_area", "_find_outer_face",
+               "orient", "_ccw", "enclosed_faces", "loop_area",
+               "vertices_enclosed", "standard_structure", "cilia_parity",
+               "_wedge_contains"],
+    "connections": ["annulus_spec", "cleared_phi", "connection_from_dict"],
+    "linalg": ["symplectic_rows"],
     "theorems": ["vertex_order", "_cleared_rows"],
     "traces": ["_bond"],
 }
@@ -167,6 +171,19 @@ def test_one_enclosure_rule():
         assert not [name for name in ("point_in_polygon",
                                       "face_interior_point")
                     if name in text], path.name
+
+
+def test_one_face_walk_and_no_identity_in_the_symplectic_check():
+    # faces are walked on the precomputed previous-dart map, with no
+    # list.index walk beside it, and the symplectic check compares the
+    # upper triangle of (DM)^T J (DM) with no identity matrix built
+    for path in sorted(SRC.glob("*.py")):
+        assert "rotation_prev" not in path.read_text(), path.name
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    fn = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "symplectic_rows")
+    assert not [n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and n.id in ("eye", "mat_equal")]
 
 
 def test_no_unused_import_or_private_definition():
