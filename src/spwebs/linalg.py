@@ -99,14 +99,10 @@ def mat(rows):
     return a
 
 
-def eye(n, one=None):
-    if one is None:
-        one = Fraction(1)
-    zero = one - one
-    a = np.empty((n, n), dtype=object)
-    a[:, :] = zero
+def eye(n):
+    a = zeros(n)
     for i in range(n):
-        a[i, i] = one
+        a[i, i] = Fraction(1)
     return a
 
 

@@ -273,8 +273,6 @@ class PlanarGraph:
         if f1 == f2:
             return []
         prev = self.dual_tree(f1)[0]
-        if f2 not in prev:
-            raise NonPlanarEmbedding("dual graph is disconnected")
         path = []
         cur = f2
         while prev[cur] is not None:

@@ -40,11 +40,6 @@ def _mono_deg(m):
     return sum(e for _, e in m)
 
 
-def _grlex_key(mono, varlist):
-    exps = dict(mono)
-    return (_mono_deg(mono), tuple(exps.get(v, 0) for v in varlist))
-
-
 def _mono_str(mono):
     if not mono:
         return "1"
@@ -104,10 +99,6 @@ class Poly:
 
     def degree(self):
         return max((_mono_deg(m) for m in self.terms), default=0)
-
-    def _sorted_monos(self):
-        varlist = sorted(self.variables())
-        return sorted(self.terms, key=lambda m: _grlex_key(m, varlist), reverse=True)
 
     def coefficient(self, mono):
         """Coefficient of the given monomial; raises UnknownVariable for
@@ -186,10 +177,6 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
@@ -216,7 +203,8 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for m in self._sorted_monos():
+        key = _Packing(self.variables(), self.degree()).key
+        for m in sorted(self.terms, key=key, reverse=True):
             c = self.terms[m]
             mono = _mono_str(m)
             if mono == "1":

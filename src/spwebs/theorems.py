@@ -24,7 +24,7 @@ from .connections import (Connection, exponent_sum, j_connection, j_power,
                           spin_flips, unitary_embed)
 from .errors import (BadFaceLength, DimensionMismatch, DivByZero,
                      IdentityViolated, IllConditioned, NonCommuting,
-                     OutOfRange, SelfCheckFailed, WrongRank)
+                     OutOfRange, SelfCheckFailed)
 from .linalg import (SkewMatrix, mat, mat_equal, scalar_is_zero,
                      symplectic_inverse)
 from .planar import standard_structure
@@ -170,15 +170,12 @@ def _cleared_rows(blocks, n, dim):
     return rows, d
 
 
-def sum_traces(g, conn, w=None, n=None):
-    """Weighted sum of Tr(m) over all n-multiwebs of g."""
-    rank = conn.n if n is None else n
-    if rank != conn.n:
-        raise WrongRank("connection has rank %d, asked for %d" % (conn.n, rank))
+def sum_traces(g, conn, w=None):
+    """Weighted sum of Tr(m) over all multiwebs of g of the rank of conn."""
     wmap = weight_map(g, w)
     s = standard_structure(g)
     total = 0
-    for m in enumerate_multiwebs(g, rank):
+    for m in enumerate_multiwebs(g, conn.n):
         total = total + trace_contraction(g, conn, m, s) * web_weight(m, wmap)
     return total
 
@@ -200,10 +197,10 @@ def identity_sign(pf, ts):
     raise IdentityViolated("Pf(H) = %s but trace sum = %s" % (pf, ts))
 
 
-def verify_main(g, conn, w=None, n=None):
+def verify_main(g, conn, w=None):
     """Check Pf(H) = +/- sum of weighted traces and return the sign."""
     pf = HMatrix(g, conn, w).pfaffian()
-    return identity_sign(pf, sum_traces(g, conn, w, n))
+    return identity_sign(pf, sum_traces(g, conn, w))
 
 
 def dimer_partition(g, w=None):

@@ -9,7 +9,6 @@ overcount of the coloring sum over the split web, where an edge of
 multiplicity k becomes k parallel copies (see traces).
 """
 
-import itertools
 import json
 from math import factorial
 
@@ -62,48 +61,53 @@ def check_multiweb(g, m):
     return m
 
 
-def _enumerate_regular(g, target, cap):
-    """All maps edge -> 0..cap with every vertex degree equal to target."""
-    eids = sorted(g.edges)
+def _enumerate_regular(g, target, caps):
+    """All maps edge -> 0..caps[edge] with every vertex degree equal to
+    target, in lexicographic order over the sorted edge ids."""
+    edges = [(eid, g.edges[eid].u, g.edges[eid].v, caps[eid])
+             for eid in sorted(g.edges)]
     need = {v: target for v in g.vertices}
-    remaining = {v: len(g.incident_edges(v)) for v in g.vertices}
+    # room[v]: the caps summed over v's edges not yet assigned
+    room = {v: 0 for v in g.vertices}
+    for _, u, v, cap in edges:
+        room[u] += cap
+        room[v] += cap
     out = []
     mult = {}
 
     def rec(i):
-        if i == len(eids):
+        if i == len(edges):
             out.append(dict(mult))
             return
-        e = g.edges[eids[i]]
-        u, v = e.u, e.v
-        lo = max(0, need[u] - cap * (remaining[u] - 1),
-                 need[v] - cap * (remaining[v] - 1))
+        eid, u, v, cap = edges[i]
+        room[u] -= cap
+        room[v] -= cap
+        lo = max(0, need[u] - room[u], need[v] - room[v])
         hi = min(cap, need[u], need[v])
-        remaining[u] -= 1
-        remaining[v] -= 1
         for k in range(lo, hi + 1):
             need[u] -= k
             need[v] -= k
-            mult[eids[i]] = k
+            mult[eid] = k
             rec(i + 1)
-            del mult[eids[i]]
+            del mult[eid]
             need[u] += k
             need[v] += k
-        remaining[u] += 1
-        remaining[v] += 1
+        room[u] += cap
+        room[v] += cap
 
     rec(0)
     return out
 
 
 def enumerate_multiwebs(g, n):
-    return [Multiweb(n, m) for m in _enumerate_regular(g, 2 * n, 2 * n)]
+    caps = dict.fromkeys(g.edges, 2 * n)
+    return [Multiweb(n, m) for m in _enumerate_regular(g, 2 * n, caps)]
 
 
 def enumerate_dimers(g):
     """Perfect matchings, as rank-1/2 multiplicity maps edge -> 0/1."""
     return [{e: k for e, k in m.items() if k}
-            for m in _enumerate_regular(g, 1, 1)]
+            for m in _enumerate_regular(g, 1, dict.fromkeys(g.edges, 1))]
 
 
 def superpose(g, dimers):
@@ -166,37 +170,15 @@ def decompositions_into_2webs(g, m):
     decomposition.
     """
     check_multiweb(g, m)
-    n = m.n
-    eids = sorted(g.edges)
-    need = [{v: 2 for v in g.vertices} for _ in range(n)]
-    vectors = {}
-    for k in range(2 * n + 1):
-        vectors[k] = [v for v in itertools.product(range(3), repeat=n)
-                      if sum(v) == k]
-    out = []
-    parts = [{} for _ in range(n)]
-
-    def rec(i):
-        if i == len(eids):
-            out.append(tuple(Multiweb(1, dict(p)) for p in parts))
-            return
-        e = g.edges[eids[i]]
-        for vec in vectors[m[e.id]]:
-            if any(vec[c] > need[c][e.u] or vec[c] > need[c][e.v]
-                   for c in range(n)):
-                continue
-            for c in range(n):
-                need[c][e.u] -= vec[c]
-                need[c][e.v] -= vec[c]
-                parts[c][e.id] = vec[c]
-            rec(i + 1)
-            for c in range(n):
-                need[c][e.u] += vec[c]
-                need[c][e.v] += vec[c]
-                del parts[c][e.id]
-
-    rec(0)
-    return out
+    # (parts so far, what is left of m); after n parts nothing is left,
+    # since the last part is 2-regular under caps the 2-regular rest sets
+    splits = [((), {eid: m[eid] for eid in g.edges})]
+    for _ in range(m.n):
+        splits = [(parts + (p,), {e: k - p[e] for e, k in rest.items()})
+                  for parts, rest in splits
+                  for p in _enumerate_regular(
+                      g, 2, {e: min(2, k) for e, k in rest.items()})]
+    return [tuple(Multiweb(1, p) for p in parts) for parts, _ in splits]
 
 
 # -- serialization -------------------------------------------------------

@@ -7,6 +7,7 @@ the package.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from spwebs.planar import _angular_class, _ccw, cross
 from spwebs.rand import (_convex_vertices, _fan_diagonals, random_fraction,
                          random_sp)
 from spwebs.rings import Poly
+from spwebs.webs import Multiweb
 
 
 def k4_2by3():
@@ -302,3 +304,92 @@ def reference_connection(data):
         exact = all(type(x) is int for row in rows for x in row)
         out[entry["id"]] = m, (rows, d) if exact else None
     return out
+
+
+# -- the searches and the print order that the package replaced, as oracles --
+
+
+def reference_regular(g, target, cap):
+    """All maps edge -> 0..cap with every vertex degree equal to target,
+    by the search that took one cap for all edges and bounded each
+    vertex's need by cap times its unassigned edges."""
+    eids = sorted(g.edges)
+    need = {v: target for v in g.vertices}
+    remaining = {v: len(g.incident_edges(v)) for v in g.vertices}
+    out = []
+    mult = {}
+
+    def rec(i):
+        if i == len(eids):
+            out.append(dict(mult))
+            return
+        e = g.edges[eids[i]]
+        u, v = e.u, e.v
+        lo = max(0, need[u] - cap * (remaining[u] - 1),
+                 need[v] - cap * (remaining[v] - 1))
+        hi = min(cap, need[u], need[v])
+        remaining[u] -= 1
+        remaining[v] -= 1
+        for k in range(lo, hi + 1):
+            need[u] -= k
+            need[v] -= k
+            mult[eids[i]] = k
+            rec(i + 1)
+            del mult[eids[i]]
+            need[u] += k
+            need[v] += k
+        remaining[u] += 1
+        remaining[v] += 1
+
+    rec(0)
+    return out
+
+
+def reference_2web_splits(g, m):
+    """The ordered splittings of multiweb m into m.n 2-multiwebs, by the
+    search that gave each edge, in id order, every vector of part
+    multiplicities 0..2 summing to m there."""
+    n = m.n
+    eids = sorted(g.edges)
+    need = [{v: 2 for v in g.vertices} for _ in range(n)]
+    vectors = {}
+    for k in range(2 * n + 1):
+        vectors[k] = [v for v in itertools.product(range(3), repeat=n)
+                      if sum(v) == k]
+    out = []
+    parts = [{} for _ in range(n)]
+
+    def rec(i):
+        if i == len(eids):
+            out.append(tuple(Multiweb(1, dict(p)) for p in parts))
+            return
+        e = g.edges[eids[i]]
+        for vec in vectors[m[e.id]]:
+            if any(vec[c] > need[c][e.u] or vec[c] > need[c][e.v]
+                   for c in range(n)):
+                continue
+            for c in range(n):
+                need[c][e.u] -= vec[c]
+                need[c][e.v] -= vec[c]
+                parts[c][e.id] = vec[c]
+            rec(i + 1)
+            for c in range(n):
+                need[c][e.u] += vec[c]
+                need[c][e.v] += vec[c]
+                del parts[c][e.id]
+
+    rec(0)
+    return out
+
+
+def reference_grlex(p):
+    """The monomials of Poly p, highest first, in graded lexicographic
+    order as a tuple key: total degree, then the exponents of the
+    alphabetically sorted variables."""
+    varlist = sorted(p.variables())
+
+    def key(mono):
+        exps = dict(mono)
+        return (sum(exps.values()), tuple(exps.get(v, 0) for v in varlist))
+
+    return sorted(p.terms, key=key, reverse=True)

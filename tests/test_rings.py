@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import is_exact, substitute
-from spwebs.errors import MalformedInput
+from helpers import is_exact, reference_grlex, substitute
+from spwebs.errors import MalformedInput, MixedRing
 from spwebs.rings import (Poly, _pair, exact_div_scalar, format_scalar,
                           parse_monomial, parse_scalar)
 
@@ -30,6 +30,44 @@ def test_ring_axioms_random():
         assert (p + q) * r == p * r + q * r
         assert p - p == Poly.const(0)
         assert (p * q) * r == p * (q * r)
+
+
+def test_print_order_is_the_tuple_grlex_order():
+    # the packed key orders monomials as the (degree, exponents) tuple
+    # did; each term printed alone and joined in that order must give str
+    rnd = random.Random(23)
+    names = ["a", "b", "c", "e1", "e10", "e2", "x_1"]
+
+    def reference_str(p):
+        out = []
+        for m in reference_grlex(p):
+            t = str(Poly({m: p.terms[m]}))
+            out.append(t if not out else
+                       "- " + t[1:] if t[0] == "-" else "+ " + t)
+        return " ".join(out) or "0"
+
+    for _ in range(20000):
+        terms = {}
+        for _ in range(rnd.randint(0, 6)):
+            mono = tuple(sorted((v, rnd.randint(1, 4)) for v in
+                                rnd.sample(names, rnd.randint(0, 3))))
+            terms[mono] = Fraction(rnd.randint(-5, 5), rnd.randint(1, 3))
+        p = Poly(terms)
+        assert str(p) == reference_str(p)
+
+
+def test_ne_is_the_negation_of_eq():
+    p = A + 1
+    assert p != 2 and not (Poly.const(2) != 2)
+    assert p != Fraction(1, 2) and not (Poly.const(Fraction(1, 2))
+                                        != Fraction(1, 2))
+    assert p != A and not (p != A + 1)
+    assert 2 != p and not (2 != Poly.const(2))
+    assert p != "a + 1"
+    with pytest.raises(MixedRing):
+        p != 1.5
+    with pytest.raises(MixedRing):
+        1.5 != p
 
 
 def test_binomial_square():

@@ -162,6 +162,22 @@ def test_one_annulus_cut_builder():
                     if name in text], path.name
 
 
+def test_one_multiplicity_search():
+    # multiwebs, dimers and the parts of a 2-web splitting all come from
+    # the per-edge-cap search in _enumerate_regular, with no second
+    # backtracking search or product table beside it
+    for path in sorted(SRC.glob("*.py")):
+        assert "itertools.product" not in path.read_text(), path.name
+    tree = ast.parse((SRC / "webs.py").read_text())
+    searches = [(outer.name, fn.name)
+                for outer in tree.body if isinstance(outer, ast.FunctionDef)
+                for fn in ast.walk(outer) if isinstance(fn, ast.FunctionDef)
+                and any(isinstance(c, ast.Call)
+                        and isinstance(c.func, ast.Name)
+                        and c.func.id == fn.name for c in ast.walk(fn))]
+    assert searches == [("_enumerate_regular", "rec")]
+
+
 def test_one_enclosure_rule():
     # a loop encloses the faces the dual graph less its edges separates
     # from the outer face; the point-in-polygon test is gone, with no

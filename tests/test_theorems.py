@@ -14,7 +14,7 @@ from spwebs.connections import (annulus_spec, edgewise_product,
                                 face_spin_connection, flat_annulus_connection,
                                 kasteleyn_connection)
 from spwebs.errors import (BadFaceLength, DimensionMismatch, DivByZero,
-                           IllConditioned, OutOfRange, WrongRank)
+                           IllConditioned, OutOfRange)
 from spwebs.linalg import eye, is_symplectic, mat, mat_equal, symplectic_J
 from spwebs.planar import (flip_edge_orientation, load_graph,
                            standard_structure)
@@ -63,12 +63,6 @@ def test_verify_main_random_connection():
     rnd = random.Random(41)
     g = c4_ring()
     assert th.verify_main(g, random_connection(g, rnd, 1)) in (1, -1)
-
-
-def test_verify_main_rejects_rank_mismatch():
-    g = c4_ring()
-    with pytest.raises(WrongRank):
-        th.verify_main(g, kasteleyn_connection(g, 1), n=2)
 
 
 def test_h_blocks_are_weighted_j_phi():

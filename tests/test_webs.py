@@ -1,7 +1,13 @@
+import random
+from pathlib import Path
+
 import pytest
 
-from helpers import c4_ring, grid, k4_2by3, triangle
+from helpers import (c4_ring, cube_ring, grid, k4_2by3, reference_2web_splits,
+                     reference_regular, triangle)
 from spwebs.errors import MalformedWeb
+from spwebs.planar import load_graph
+from spwebs.rand import random_planar_graph
 from spwebs.webs import (Multiweb, check_multiweb, decompose_2multiweb,
                          decompositions_into_2webs, enumerate_dimers,
                          enumerate_multiwebs, load_multiweb,
@@ -9,6 +15,14 @@ from spwebs.webs import (Multiweb, check_multiweb, decompose_2multiweb,
                          superpose)
 
 GOLDEN = Multiweb(2, {0: 2, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1})
+
+
+def _search_graphs():
+    rnd = random.Random(5)
+    cube = load_graph(Path(__file__).parent / "data" / "cube.json")
+    return ([k4_2by3(), c4_ring(), cube_ring(), grid(3, 3), grid(2, 4), cube]
+            + [random_planar_graph(rnd, rnd.randint(3, 6))
+               for _ in range(30)])
 
 
 def test_dimers_k4():
@@ -71,6 +85,28 @@ def test_decompose_doubled_edges():
 
 def test_golden_web_has_four_decompositions():
     assert len(decompositions_into_2webs(k4_2by3(), GOLDEN)) == 4
+
+
+def test_per_edge_caps_keep_the_one_cap_lists_and_order():
+    # test_c09 draws a multiweb with rnd.choice, so the order matters too
+    for g in _search_graphs():
+        assert enumerate_dimers(g) == [{e: k for e, k in m.items() if k}
+                                       for m in reference_regular(g, 1, 1)]
+        for n in (1, 2):
+            assert enumerate_multiwebs(g, n) == [
+                Multiweb(n, m) for m in reference_regular(g, 2 * n, 2 * n)]
+
+
+def test_2web_splits_match_the_vector_search():
+    count = 0
+    for g in _search_graphs():
+        for n in (1, 2):
+            for m in enumerate_multiwebs(g, n):
+                got = decompositions_into_2webs(g, m)
+                assert len(set(got)) == len(got)
+                assert set(got) == set(reference_2web_splits(g, m))
+                count += len(got)
+    assert count > 1000
 
 
 def test_multiweb_round_trip(tmp_path):
