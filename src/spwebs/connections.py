@@ -55,9 +55,10 @@ class Connection:
     and cleared[eid] = (N, d) for M of int and Fraction entries: the int
     rows of N = dM, d the lcm of the denominators (None for Poly and float
     entries).  Each distinct matrix object is cleared, and checked to be
-    symplectic on those rows, once; M given as (N, d) is built on read."""
+    symplectic on those rows (floats to 1e-12), once; M given as (N, d) is
+    built on read."""
 
-    def __init__(self, g, n, matrices, check=True):
+    def __init__(self, g, n, matrices):
         self.n = n
         self._given, self.cleared = {}, {}
         done = {}
@@ -75,7 +76,7 @@ class Connection:
                         "edge %d matrix has shape %r, expected %dx%d"
                         % (eid, shape, 2 * n, 2 * n))
                 rows, d = m if lazy else clear_denominators(a.tolist())
-                if check and not symplectic_rows(rows, d):
+                if not symplectic_rows(rows, d):
                     raise NotSymplectic("edge %d matrix is not symplectic"
                                         % eid)
                 exact = lazy or all(type(x) is int for r in rows for x in r)
@@ -115,7 +116,7 @@ def _leaves_low_end(g, eid, tail):
 
 def identity_connection(g, n=1):
     i = eye(2 * n)
-    return Connection(g, n, {eid: i for eid in g.edges}, check=False)
+    return Connection(g, n, {eid: i for eid in g.edges})
 
 
 def monodromy(g, conn, loop):
@@ -137,7 +138,7 @@ def gauge_transform(g, conn, gauges):
         gt = np.asarray(gauges.get(t, ident), dtype=object)
         gh = np.asarray(gauges.get(h, ident), dtype=object)
         mats[eid] = gh @ conn.matrices[eid] @ symplectic_inverse(gt)
-    return Connection(g, conn.n, mats, check=False)
+    return Connection(g, conn.n, mats)
 
 
 def edgewise_product(g, c1, c2):
@@ -151,7 +152,7 @@ def edgewise_product(g, c1, c2):
         if not mat_equal(ab, ba, tol=1e-9):
             raise NonCommuting("matrices on edge %d do not commute" % eid)
         mats[eid] = ab
-    return Connection(g, c1.n, mats, check=False)
+    return Connection(g, c1.n, mats)
 
 
 def unitary_embed(re_m, im_m):
@@ -188,7 +189,7 @@ def j_power(n, k):
 def j_connection(g, n, expo):
     """The connection with matrix J^expo[e] on every edge e."""
     mats = {eid: j_power(n, k % 4) for eid, k in expo.items()}
-    return Connection(g, n, mats, check=False)
+    return Connection(g, n, mats)
 
 
 def face_loop(g, fidx):
@@ -196,15 +197,14 @@ def face_loop(g, fidx):
 
 
 def _dart_is_canonical(g, d):
-    e = g.edges[d[0]]
-    return g.dart_tail(d) == min(e.u, e.v)
+    return _leaves_low_end(g, d[0], g.dart_tail(d))
 
 
 def exponent_sum(g, darts, expo):
     """k with monodromy M^k along the darts when each edge e carries the
-    power M^expo[e] in its canonical direction."""
-    return sum(expo[d[0]] if _dart_is_canonical(g, d) else -expo[d[0]]
-               for d in darts)
+    power M^expo[e] in its canonical direction, and M^0 if expo has no e."""
+    return sum(k if _dart_is_canonical(g, d) else -k
+               for d in darts if (k := expo.get(d[0])))
 
 
 def check_kasteleyn_exponents(g, expo):
@@ -248,12 +248,7 @@ class AnnulusSpec:
         self.cut = list(cut)
 
     def winding(self, g, loop):
-        signs = dict(self.cut)
-        total = 0
-        for d in loop.darts:
-            if d[0] in signs:
-                total += signs[d[0]] if _dart_is_canonical(g, d) else -signs[d[0]]
-        return total
+        return exponent_sum(g, loop.darts, dict(self.cut))
 
 
 def annulus_spec(g, inner_face):
@@ -274,20 +269,17 @@ def annulus_spec(g, inner_face):
     return spec
 
 
-def flat_annulus_connection(g, spec, m, n=1, tol=1e-12):
+def flat_annulus_connection(g, spec, m):
     """Identity off the cut; M^(crossing sign) on cut edges, so every loop
-    has monodromy M^winding."""
+    has monodromy M^winding.  The rank n is read from the 2n x 2n M."""
     m = np.asarray(m, dtype=object)
+    n = len(m) // 2
     if m.shape != (2 * n, 2 * n):
-        raise DimensionMismatch("monodromy matrix has the wrong size")
-    if not is_symplectic(m, tol=tol):
-        raise NotSymplectic("monodromy matrix is not symplectic")
-    ident = eye(2 * n)
-    minv = symplectic_inverse(m)
-    mats = {eid: ident for eid in g.edges}
-    for eid, s in spec.cut:
-        mats[eid] = m if s == 1 else minv
-    return Connection(g, n, mats, check=False)
+        raise DimensionMismatch("monodromy matrix has shape %r" % (m.shape,))
+    flat = {1: m, -1: symplectic_inverse(m)}
+    mats = dict.fromkeys(g.edges, eye(2 * n))
+    mats.update((eid, flat[s]) for eid, s in spec.cut)
+    return Connection(g, n, mats)
 
 
 def spin_flips(g, marked_faces):
@@ -299,9 +291,9 @@ def spin_flips(g, marked_faces):
     flips = set()
     for f1, f2 in zip(marked[::2], marked[1::2]):
         flips ^= set(g.dual_path(f1, f2))  # a tree path repeats no edge
+    ones = dict.fromkeys(flips, 1)
     for f in g.bounded_faces():
-        crossed = sum(d[0] in flips for d in g.faces[f])
-        if (crossed - marked.count(f)) % 2:
+        if (exponent_sum(g, g.faces[f], ones) - marked.count(f)) % 2:
             raise SelfCheckFailed("spin monodromy wrong on face %d" % f)
     return flips
 

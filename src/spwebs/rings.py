@@ -9,7 +9,7 @@ Python floats, used only for the numeric experiments; Poly arithmetic
 with a float raises MixedRing, since no ring here holds both.
 
 Division and the Poly Pfaffian of linalg work on a private packed
-form: a dict from packed monomial to coefficient, where a
+form: a dict from packed monomial to int coefficient, where a
 monomial over a fixed variable list is one int of w-bit fields, the total
 degree in the top field and then one field per variable in alphabetical
 order.  Int order is then graded lexicographic order, and a monomial
@@ -189,15 +189,17 @@ class Poly:
         if other is None or other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         # every monomial that arises (the divisor's, the remainder's and
-        # the quotient's) has total degree at most that of one operand
+        # the quotient's) has total degree at most that of one operand;
+        # by Gauss's lemma other's primitive integer part divides self's
+        # over the integers whenever other divides self
         pk = _Packing(self.variables() | other.variables(),
                       max(self.degree(), other.degree()))
-        f, div = pk.terms(self), pk.divisor(pk.terms(other))
+        (cf, f), (cg, g) = pk.primitive(self), pk.primitive(other)
         try:
-            q = _pk_div(f, div)
+            q = _pk_div(f, pk.divisor(g))
         except SelfCheckFailed:
             raise ValueError("polynomial division is not exact") from None
-        return pk.unpack(q)
+        return pk.unpack(q) * (cf / cg)
 
     def __str__(self):
         if not self.terms:
@@ -262,10 +264,6 @@ class _Packing:
                 out.append((v, e))
         return tuple(out)
 
-    def terms(self, p):
-        """A Poly's terms, packed, with its Fraction coefficients."""
-        return {self.key(m): c for m, c in p.terms.items()}
-
     def pack(self, x, scale):
         """x (Poly, int or Fraction) times scale, whose coefficients must
         then be integers, packed with int coefficients."""
@@ -327,18 +325,15 @@ def _pk_div(f, div):
     """Exact quotient of packed f by a divisor prepared by
     _Packing.divisor; raises SelfCheckFailed when f has a total degree
     that reaches the guard bit (no exponent is larger), a monomial does
-    not divide or an int coefficient leaves a remainder."""
+    not divide or a coefficient leaves a remainder."""
     lm, lc, rest, guard = div
     if f and max(f) >> (guard.bit_length() - 1):
         raise SelfCheckFailed("packed degree overflows its field")
-    ints = type(lc) is int
 
     def quotient_term(m, c):
         d = m - lm
         if d < 0 or d & guard:
             raise SelfCheckFailed("monomial division is not exact")
-        if not ints:
-            return d, c / lc
         qc, r = divmod(c, lc)
         if r:
             raise SelfCheckFailed("coefficient division is not exact")

@@ -23,10 +23,9 @@ from .connections import (Connection, exponent_sum, j_connection, j_power,
                           kasteleyn_connection, kasteleyn_exponents,
                           spin_flips, unitary_embed)
 from .errors import (BadFaceLength, DimensionMismatch, DivByZero,
-                     IdentityViolated, IllConditioned, NonCommuting,
-                     OutOfRange, SelfCheckFailed)
-from .linalg import (SkewMatrix, mat, mat_equal, scalar_is_zero,
-                     symplectic_inverse)
+                     IdentityViolated, IllConditioned, OutOfRange,
+                     SelfCheckFailed)
+from .linalg import SkewMatrix, block_transpose, j_times, mat, scalar_is_zero
 from .planar import standard_structure
 from .rings import Poly, _Packing, exact_div_scalar
 from .traces import trace_contraction
@@ -95,8 +94,7 @@ class HMatrix(SkewMatrix):
         n, b = conn.n, 2 * conn.n
         dim = b * len(pos)
         # block (hi, lo) is w J m, m the matrix from lo to hi, since
-        # J phi(hi -> lo) = m^T J = -(J m)^T.  Row i < n of J m is row
-        # i + n of m, and row i + n is minus row i.
+        # J phi(hi -> lo) = m^T J = -(J m)^T
         blocks = [(b * pos[max(e.u, e.v)], b * pos[min(e.u, e.v)],
                    weights[e.id], e.id) for e in g.edges.values()]
         if all(isinstance(wt, (int, Fraction, Poly)) and conn.cleared[eid]
@@ -126,11 +124,10 @@ class HMatrix(SkewMatrix):
             # a float entry times the float of the weight is its product
             # with the weight, in fewer steps
             wf = float(wt) if isinstance(wt, (int, Fraction)) else wt
-            for i, row in enumerate(m[n:] + m[:n]):
+            for i, row in enumerate(j_times(m)):
                 for c, x in enumerate(row, rl):
                     if x:
                         val = x * (wf if isinstance(x, float) else wt)
-                        val = val if i < n else -val
                         rows[rh + i][c] = val
                         rows[c][rh + i] = -val
         super().__init__(rows)
@@ -346,16 +343,18 @@ def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0, w=None):
     connection, at the theta that kills odd-doubled loops."""
     v = solve_theta(alpha, eps)
     theta = 0.5 * math.acos(max(-1.0, min(1.0, v)))
-    r = u2_matrix(theta, alpha, beta, eps)
-    flat = {1: r, -1: symplectic_inverse(r)}
-    mats = {eid: j_power(2, k) for eid, k in kasteleyn_exponents(g).items()}
-    # the flat factor is I off the cut, so only cut edges are multiplied
+    r = u2_matrix(theta, alpha, beta, eps).tolist()
+    flat = {1: r, -1: block_transpose(r)}
+    expo = kasteleyn_exponents(g)
+    mats = {eid: j_power(2, k) for eid, k in expo.items()}
+    # the flat factor is I off the cut; on a cut edge J^k R^s is k row
+    # swaps of R^s, and unitary_embed has checked that R commutes with J
     for eid, s in spec.cut:
-        ab, ba = mats[eid] @ flat[s], flat[s] @ mats[eid]
-        if not mat_equal(ab, ba, tol=1e-9):
-            raise NonCommuting("matrices on edge %d do not commute" % eid)
-        mats[eid] = ab
-    return float(HMatrix(g, Connection(g, 2, mats, check=False), w).pfaffian())
+        rows = flat[s]
+        for _ in range(expo[eid]):
+            rows = j_times(rows)
+        mats[eid] = rows
+    return float(HMatrix(g, Connection(g, 2, mats), w).pfaffian())
 
 
 def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0, w=None):

@@ -73,6 +73,8 @@ def _enumerate_regular(g, target, caps):
         room[u] += cap
         room[v] += cap
     out = []
+    if any(room[v] < target for v in g.vertices):
+        return out
     mult = {}
 
     def rec(i):

@@ -224,7 +224,7 @@ def test_c11_u2_loop_weights_match_raw_matrices():
         g = cycle_graph(pts)
         mats = dict(kasteleyn_connection(g, 2).matrices)
         mats[0] = mats[0] @ r4
-        conn = Connection(g, 2, mats, check=False)
+        conn = Connection(g, 2, mats)
         m = Multiweb(2, {i: 2 for i in range(ell)})
         tr = float(trace_contraction(g, conn, m, standard_structure(g)))
         want = edl if (ell - 2) % 2 == 0 else odl

@@ -136,8 +136,7 @@ def test_float_h_keeps_the_bits_of_fraction_weights():
     flat = {eid: th.u2_matrix(0.4, 0.3, 0.2, 0.7) for eid, _ in spec.cut}
     kc = kasteleyn_connection(g, 2)
     conn = Connection(g, 2, {e: flat[e] @ kc.matrices[e] if e in flat
-                             else kc.matrices[e] for e in g.edges},
-                      check=False)
+                             else kc.matrices[e] for e in g.edges})
     assert all(conn.cleared[e] is None for e in flat)
     for w in _weight_sets(g, rnd)[1:]:
         assert np.asarray(th.HMatrix(g, conn, w)).tolist() == \

@@ -79,6 +79,21 @@ def test_multiwebs_and_dimers_counts(capsys):
     assert code == 0 and out.splitlines()[-1] == "count 3"
 
 
+def test_vertex_with_no_edges_has_no_webs(capsys, tmp_path):
+    # c4.json plus a vertex with no edges: no web reaches its degree, so
+    # the web counts are 0 like Pf(H), and the identity holds as 0 = 0
+    doc = json.loads((DATA / "c4.json").read_text())
+    doc["vertices"].append({"id": 4, "x": "20", "y": "3"})
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps(doc))
+    graph = ["--graph", str(path)]
+    assert run(capsys, ["multiwebs", "--n", "1"] + graph) == (0, "count 0\n")
+    assert run(capsys, ["dimers"] + graph) == (0, "count 0\n")
+    assert run(capsys, ["pfaffian"] + graph) == (0, "0\n")
+    code, out = run(capsys, ["verify-main"] + graph)
+    assert code == 0 and out.splitlines() == ["sign +1", "OK"]
+
+
 def test_trace_verb(capsys):
     code, out = run(capsys, ["trace", "--graph", G24, "--n", "2", "--web",
                              str(DATA / "golden_web.json")])

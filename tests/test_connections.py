@@ -16,10 +16,12 @@ from spwebs.connections import (Connection, annulus_spec,
                                 kasteleyn_connection, kasteleyn_exponents,
                                 load_connection, monodromy, save_connection,
                                 spin_flips, unitary_embed)
-from spwebs.errors import (NonCommuting, NotSymplectic, NotUnitary,
-                           SelfCheckFailed)
-from spwebs.linalg import eye, is_symplectic, mat, mat_equal, symplectic_J
+from spwebs.errors import (DimensionMismatch, NonCommuting, NotSymplectic,
+                           NotUnitary, SelfCheckFailed)
+from spwebs.linalg import (eye, is_symplectic, mat, mat_equal,
+                           symplectic_inverse, symplectic_J)
 from spwebs.rand import random_connection, random_planar_graph
+from spwebs.theorems import u2_matrix
 
 
 def test_identity_monodromy():
@@ -222,6 +224,23 @@ def test_flat_annulus_connection():
         loop = face_loop(g, f)
         want = twist if spec.winding(g, loop) == 1 else eye(2)
         assert mat_equal(monodromy(g, conn, loop), want)
+    # the rank is read from the twist: a rank-2 U(2) twist on c4 gives
+    # monodromy R^winding on every face, the outer one included
+    g = c4_ring()
+    spec = annulus_spec(g, 0)
+    r = u2_matrix(0.4, 0.3, 0.2, 0.7)
+    conn = flat_annulus_connection(g, spec, r)
+    assert conn.n == 2
+    powers = {1: r, 0: eye(4), -1: symplectic_inverse(r)}
+    for f in range(len(g.faces)):
+        loop = face_loop(g, f)
+        assert mat_equal(monodromy(g, conn, loop),
+                         powers[spec.winding(g, loop)], tol=1e-12)
+    with pytest.raises(DimensionMismatch):
+        flat_annulus_connection(g, spec, eye(3))
+    # the twist is checked symplectic like every connection matrix
+    with pytest.raises(NotSymplectic):
+        flat_annulus_connection(g, spec, 2 * eye(4))
 
 
 def test_rotation_matrix_checks_circle():

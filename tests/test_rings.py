@@ -106,6 +106,14 @@ def test_exact_div():
     with pytest.raises(ValueError):
         A.exact_div(C)
     assert Poly.const(0).exact_div(A + C) == 0
+    # the primitive integer parts are divided and the contents rescale:
+    # A + 1 = (2A + 1) / 2 + 1/2, so the int leading coefficient 2 must
+    # not divide 1, and (2A + 2) / (3A + 3) is the constant 2/3
+    with pytest.raises(ValueError):
+        (A + 1).exact_div(2 * A + 1)
+    with pytest.raises(ValueError):
+        (Fraction(1, 2) * A + 1).exact_div(A + Fraction(1, 3))
+    assert (2 * A + 2).exact_div(3 * A + 3) == Fraction(2, 3)
     # seeded products: (p * q) / q == p
     rnd = random.Random(7)
 
@@ -123,6 +131,8 @@ def test_exact_div():
         if q.is_zero():
             continue
         assert (p * q).exact_div(q) == p
+        if not p.is_zero():
+            assert (p * q).exact_div(p) == q
         if q.degree():
             # q divides p * q + 1 only if q divides 1
             with pytest.raises(ValueError):

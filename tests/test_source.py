@@ -259,3 +259,38 @@ def test_rational_rows_are_cleared_once(monkeypatch):
     for w in (th.symbolic_weights(g), dict.fromkeys(g.edges, 1.5)):
         assert th.HMatrix(g, kc, w).pfaffian()
     assert calls == []
+
+
+def _function(module, qualname):
+    """The FunctionDef of module.qualname, a function or a method."""
+    node = ast.parse((SRC / (module + ".py")).read_text())
+    for part in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == part)
+    return node
+
+
+def test_every_connection_is_checked_and_j_acts_by_row_swaps():
+    # Connection checks every distinct matrix, with no switch to skip it
+    init = _function("connections", "Connection.__init__")
+    assert [a.arg for a in init.args.args] == ["self", "g", "n", "matrices"]
+    assert not init.args.kwonlyargs
+    for path in sorted(SRC.glob("*.py")):
+        assert not [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(n, ast.keyword) and n.arg == "check"], \
+            path.name
+    # the annulus twist J^k R^s is k row swaps of R^s: no matmul, and no
+    # commutation check beside the one in unitary_embed
+    fn = _function("theorems", "annulus_partition")
+    assert not [n.lineno for n in ast.walk(fn)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                or isinstance(n, ast.Name) and n.id in ("mat_equal",
+                                                        "NonCommuting")]
+    # one signed dart sum serves the Kasteleyn exponents, the annulus
+    # winding and the spin check
+    for module, name in (("connections", "AnnulusSpec.winding"),
+                         ("connections", "spin_flips")):
+        assert "exponent_sum" in {
+            n.func.id for n in ast.walk(_function(module, name))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}, name
