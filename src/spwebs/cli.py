@@ -42,8 +42,8 @@ def _graph(args):
 
 def _face(g, f):
     if not 0 <= f < len(g.faces):
-        raise SpwebsError("no face %d: the graph has faces 0..%d"
-                          % (f, len(g.faces) - 1))
+        raise SpwebsError("no face %d: the graph has %s" % (
+            f, "faces 0..%d" % (len(g.faces) - 1) if g.faces else "no faces"))
     return f
 
 

@@ -40,6 +40,7 @@ from .linalg import (
     clear_denominators,
     eye,
     is_symplectic,
+    j_times,
     mat,
     mat_equal,
     symplectic_J,
@@ -171,9 +172,11 @@ def unitary_embed(re_m, im_m):
     top = np.concatenate([re_m, im_m], axis=1)
     bot = np.concatenate([-im_m, re_m], axis=1)
     out = np.concatenate([top, bot], axis=0)
-    j = symplectic_J(n)
+    # a row (a, b) of R times J is (-b, a)
+    rows = out.tolist()
     if not (is_symplectic(out, tol=1e-9)
-            and mat_equal(out @ j, j @ out, tol=1e-9)):
+            and mat_equal(j_times(rows), [[-x for x in r[n:]] + r[:n]
+                                          for r in rows], tol=1e-9)):
         raise SelfCheckFailed("realified unitary is not a symplectic"
                               " matrix commuting with J")
     return out

@@ -110,7 +110,8 @@ class PlanarGraph:
         self._check_euler()
         self.face_of_dart = {d: idx for idx, cyc in enumerate(self.faces)
                              for d in cyc}
-        self._outer = self._find_outer_face()
+        # None when there are no edges, and so no faces
+        self.outer_face = self._find_outer_face()
 
     # -- construction helpers -------------------------------------------
 
@@ -231,12 +232,6 @@ class PlanarGraph:
                if self.face_signed_area(i) < 0]
         return neg[0] if len(neg) == 1 else None
 
-    @property
-    def outer_face(self):
-        if self._outer is None:
-            raise NonPlanarEmbedding("outer face is not known for this graph")
-        return self._outer
-
     def bounded_faces(self):
         return [i for i in range(len(self.faces)) if i != self.outer_face]
 
@@ -324,6 +319,12 @@ def standard_structure(g):
         # so the cilium gap is before the first entry
         order[v] = list(darts)
     return Structure(order, orient)
+
+
+def vertex_order(g):
+    """Vertex ids sorted by (y, x, id): the block layout of H and the sweep
+    that contracts a trace network."""
+    return sorted(g.ipos, key=lambda v: (g.ipos[v][1], g.ipos[v][0], v))
 
 
 def advance_cilium(s, v):

@@ -26,7 +26,7 @@ from .errors import (BadFaceLength, DimensionMismatch, DivByZero,
                      IdentityViolated, IllConditioned, OutOfRange,
                      SelfCheckFailed)
 from .linalg import SkewMatrix, block_transpose, j_times, mat, scalar_is_zero
-from .planar import standard_structure
+from .planar import standard_structure, vertex_order
 from .rings import Poly, _Packing, exact_div_scalar
 from .traces import trace_contraction
 from .webs import (
@@ -38,11 +38,6 @@ from .webs import (
 )
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def vertex_order(g):
-    """Vertex ids sorted by (y, x, id); fixes the block layout of H."""
-    return sorted(g.ipos, key=lambda v: (g.ipos[v][1], g.ipos[v][0], v))
 
 
 def weight_map(g, w=None):

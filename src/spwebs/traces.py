@@ -48,7 +48,7 @@ from .connections import monodromy
 from .errors import DimensionMismatch, NotBipartite, SelfCheckFailed, WrongRank
 from .linalg import (all_pairings, clear_denominators, det, j_times, minors,
                      perm_sign, symplectic_J)
-from .planar import Structure, standard_structure
+from .planar import Structure, standard_structure, vertex_order
 from .rings import exact_div_scalar
 from .webs import check_multiweb, decompose_2multiweb
 
@@ -157,9 +157,11 @@ def _bond(rows, d, k, symplectic):
 
 
 def _trace_network(g, conn, m, s, symplectic=True):
-    """Contract the vertex tensors of m along its edge bonds, greedily
-    taking the edge whose contraction leaves the fewest open legs.  The
-    bond matrix is J phi_vu, or phi_vu alone when symplectic is False."""
+    """Contract the vertex tensors of m along its edge bonds in one sweep:
+    an edge is contracted when the sweep over vertex_order reaches its
+    later end, ties going to the earlier end, so the open legs stay near
+    a front that moves up the embedding.  The bond matrix is J phi_vu,
+    or phi_vu alone when symplectic is False."""
     _check_web(g, m, conn.n)
     n = conn.n
     clusters = {}
@@ -171,18 +173,10 @@ def _trace_network(g, conn, m, s, symplectic=True):
         for d in legs:
             owner[d] = v
     scalar = scale = 1
-
-    def cost(eid):
-        d = s.orient[eid]
-        c1, c2 = owner[d], owner[g.dart_reverse(d)]
-        if c1 == c2:
-            return len(clusters[c1][0]) - 2
-        return len(clusters[c1][0]) + len(clusters[c2][0]) - 2
-
-    pending = sorted(m.mult)
-    while pending:
-        eid = min(pending, key=lambda e: (cost(e), e))
-        pending.remove(eid)
+    rank = {v: i for i, v in enumerate(vertex_order(g))}
+    sweep = sorted((sorted((rank[e.u], rank[e.v]), reverse=True), e.id)
+                   for e in map(g.edges.get, m.mult))
+    for _, eid in sweep:
         d = s.orient[eid]
         rd = g.dart_reverse(d)
         bond, bond_scale = _bond(*conn.cleared_phi(g, eid, g.dart_head(d)),

@@ -73,6 +73,16 @@ def grid(rows, cols):
     return PlanarGraph(vs, es)
 
 
+def shuffled_ids(g, rnd):
+    """g with its vertex ids permuted at random; the positions and edge
+    ids stay, so only the order of the ids changes."""
+    ids = sorted(g.vertices)
+    new = dict(zip(ids, rnd.sample(ids, len(ids))))
+    return PlanarGraph(
+        [Vertex(new[v.id], v.x, v.y) for v in g.vertices.values()],
+        [Edge(e.id, new[e.u], new[e.v], e.weight) for e in g.edges.values()])
+
+
 def cycle_graph(points):
     n = len(points)
     return PlanarGraph(

@@ -94,6 +94,26 @@ def test_vertex_with_no_edges_has_no_webs(capsys, tmp_path):
     assert code == 0 and out.splitlines() == ["sign +1", "OK"]
 
 
+def test_graph_with_no_faces(capsys, tmp_path):
+    # with no edges there are no faces, so kasteleyn has no exponents to
+    # solve and agrees with pfaffian, and a face flag names no face
+    for vertices, pf in (([], "1\n"),
+                         ([{"id": 0, "x": "0", "y": "0"},
+                           {"id": 1, "x": "1", "y": "2"}], "0\n")):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": []}))
+        graph = ["--graph", str(path)]
+        assert run(capsys, ["pfaffian"] + graph) == (0, pf)
+        assert run(capsys, ["kasteleyn"] + graph) == (0, pf)
+        assert run(capsys, ["kasteleyn", "--n", "2"] + graph) == (0, pf)
+        for argv in (["spin-corr", "--f1", "0", "--f2", "0"],
+                     ["annulus-parity", "--inner", "0"],
+                     ["annulus-ck", "--inner", "0"]):
+            assert cli.main(argv + graph) == 2
+            assert capsys.readouterr().err == \
+                "error: no face 0: the graph has no faces\n"
+
+
 def test_trace_verb(capsys):
     code, out = run(capsys, ["trace", "--graph", G24, "--n", "2", "--web",
                              str(DATA / "golden_web.json")])

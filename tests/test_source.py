@@ -100,10 +100,10 @@ INT_PREDICATES = {
                "_trace_faces", "face_signed_area", "_find_outer_face",
                "orient", "_ccw", "enclosed_faces", "loop_area",
                "vertices_enclosed", "standard_structure", "cilia_parity",
-               "_wedge_contains"],
+               "_wedge_contains", "vertex_order"],
     "connections": ["annulus_spec", "cleared_phi", "connection_from_dict"],
     "linalg": ["symplectic_rows"],
-    "theorems": ["vertex_order", "_cleared_rows"],
+    "theorems": ["_cleared_rows"],
     "traces": ["_bond"],
 }
 
@@ -287,6 +287,14 @@ def test_every_connection_is_checked_and_j_acts_by_row_swaps():
                 if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
                 or isinstance(n, ast.Name) and n.id in ("mat_equal",
                                                         "NonCommuting")]
+    # unitary_embed checks RJ = JR as row swaps, with no product with J
+    fn = _function("connections", "unitary_embed")
+    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    assert "j_times" in names and not names & {"symplectic_J", "j_power"}
+    assert not [n.lineno for n in ast.walk(fn)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                and "j" in {x.id for x in (n.left, n.right)
+                            if isinstance(x, ast.Name)}]
     # one signed dart sum serves the Kasteleyn exponents, the annulus
     # winding and the spin check
     for module, name in (("connections", "AnnulusSpec.winding"),
@@ -294,3 +302,14 @@ def test_every_connection_is_checked_and_j_acts_by_row_swaps():
         assert "exponent_sum" in {
             n.func.id for n in ast.walk(_function(module, name))
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}, name
+
+
+def test_trace_network_sweeps_in_a_fixed_order():
+    # the edges are contracted in one vertex_order sweep: no nested cost
+    # function and no min scan over the pending edges
+    fn = _function("traces", "_trace_network")
+    assert not [n.lineno for n in ast.walk(fn) if n is not fn
+                and isinstance(n, (ast.FunctionDef, ast.Lambda))]
+    calls = {n.func.id for n in ast.walk(fn)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "vertex_order" in calls and "min" not in calls

@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import c4_ring, grid, k4_2by3, random_vector, triangle
+from helpers import (c4_ring, grid, k4_2by3, random_vector, shuffled_ids,
+                     triangle)
 from spwebs.connections import identity_connection, kasteleyn_connection
 from spwebs.errors import NotBipartite, WrongRank
 from spwebs.linalg import det
 from spwebs.planar import (advance_cilium, flip_edge_orientation, load_graph,
-                           standard_structure)
-from spwebs.rand import random_connection, random_fraction
+                           standard_structure, vertex_order)
+from spwebs.rand import random_connection, random_fraction, random_planar_graph
 from spwebs.rings import Poly
 from spwebs.theorems import sum_traces
 from spwebs.traces import (bipartite_parts, bipartite_structure,
@@ -64,6 +65,26 @@ def test_trace_engines_agree_rank2():
     assert t is _vertex_tensor(4, (1, 2)) and len(t) == 12
     with pytest.raises(TypeError):
         t[(1, 6)] = 0
+
+
+def test_sweep_matches_coloring_on_shuffled_ids():
+    # the contraction sweeps the vertices in vertex_order; shuffled ids
+    # pull that order away from the id order the coloring sum runs in
+    rnd = random.Random(34)
+    cases = [(grid(2, 3), 1), (grid(3, 3), 1), (c4_ring(), 2), (grid(2, 2), 2)]
+    cases += [(random_planar_graph(rnd, rnd.randint(4, 7)), 1)
+              for _ in range(6)]
+    cases += [(random_planar_graph(rnd, 4), 2) for _ in range(2)]
+    moved = 0
+    for g, n in cases:
+        h = shuffled_ids(g, rnd)
+        moved += vertex_order(h) != sorted(h.vertices)
+        conn = random_connection(h, rnd, n)
+        s = standard_structure(h)
+        for m in enumerate_multiwebs(h, n):
+            assert trace_contraction(h, conn, m, s) == \
+                trace_coloring(h, conn, m, s)
+    assert moved >= len(cases) - 2
 
 
 def test_rank2_trace_sum_on_2by3_is_pinned():
