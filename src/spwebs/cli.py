@@ -289,12 +289,13 @@ def main(argv=None):
             text = format_scalar(result)
             result = text, {key: text}
         human, payload = result
-        print(json.dumps(payload, sort_keys=True) if args.json else human)
+        print(json.dumps(payload, sort_keys=True, allow_nan=False)
+              if args.json else human)
         return 0
     except IdentityViolated as exc:
         print("IDENTITY VIOLATED: %s" % exc)
         return 1
-    except (SpwebsError, OSError, ValueError, KeyError) as exc:
+    except (SpwebsError, OSError, ValueError, KeyError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -74,7 +74,8 @@ class IdentityViolated(SpwebsError):
 
 
 class OutOfRange(SpwebsError, Warning):
-    """Doubles as a warning category: reported, caller decides."""
+    """A value outside its range: warned for cos(2 theta) outside [-1, 1],
+    raised for a float result outside the double range."""
 
 
 class BadFaceLength(SpwebsError, Warning):

@@ -85,7 +85,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, MixedRing, NotSkew, SelfCheckFailed
+from .errors import (DimensionMismatch, MixedRing, NotSkew, OutOfRange,
+                     SelfCheckFailed)
 from .rings import Poly, _denominator, _Packing, _pk_neg, _pk_quot
 
 
@@ -375,6 +376,8 @@ def _pf_float(rows):
                 for t in range(n):
                     m[t][i] -= c * m[t][k + 1]
         result *= p
+    if not math.isfinite(result):
+        raise OutOfRange("float Pfaffian %r: out of the double range" % result)
     return sign * result
 
 

@@ -323,8 +323,17 @@ def standard_structure(g):
 
 def vertex_order(g):
     """Vertex ids sorted by (y, x, id): the block layout of H and the sweep
-    that contracts a trace network."""
+    of edge_sweep."""
     return sorted(g.ipos, key=lambda v: (g.ipos[v][1], g.ipos[v][0], v))
+
+
+def edge_sweep(g, eids):
+    """The edge ids eids in the order the vertex_order sweep reaches them:
+    by the later end, then the earlier end, then the id."""
+    rank = {v: i for i, v in enumerate(vertex_order(g))}
+    return [eid for *_, eid in sorted(
+        (max(rank[e.u], rank[e.v]), min(rank[e.u], rank[e.v]), e.id)
+        for e in map(g.edges.get, eids))]
 
 
 def advance_cilium(s, v):

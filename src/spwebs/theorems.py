@@ -181,7 +181,11 @@ def _close(a, b):
 
 def identity_sign(pf, ts):
     """The sign s with Pf(H) = s * trace sum, comparing floats to a
-    relative 1e-9; raises IdentityViolated when neither sign fits."""
+    relative 1e-9; raises IdentityViolated when neither sign fits, and
+    OutOfRange when a float operand is not finite."""
+    if any(isinstance(x, float) and not math.isfinite(x) for x in (pf, ts)):
+        raise OutOfRange("Pf(H) = %r and trace sum = %r: a float is out of"
+                         " the double range" % (pf, ts))
     if _close(pf, ts):
         return 1
     if _close(pf, -ts):

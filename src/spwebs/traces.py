@@ -48,7 +48,7 @@ from .connections import monodromy
 from .errors import DimensionMismatch, NotBipartite, SelfCheckFailed, WrongRank
 from .linalg import (all_pairings, clear_denominators, det, j_times, minors,
                      perm_sign, symplectic_J)
-from .planar import Structure, standard_structure, vertex_order
+from .planar import Structure, edge_sweep, standard_structure
 from .rings import exact_div_scalar
 from .webs import check_multiweb, decompose_2multiweb
 
@@ -157,11 +157,11 @@ def _bond(rows, d, k, symplectic):
 
 
 def _trace_network(g, conn, m, s, symplectic=True):
-    """Contract the vertex tensors of m along its edge bonds in one sweep:
-    an edge is contracted when the sweep over vertex_order reaches its
-    later end, ties going to the earlier end, so the open legs stay near
-    a front that moves up the embedding.  The bond matrix is J phi_vu,
-    or phi_vu alone when symplectic is False."""
+    """Contract the vertex tensors of m along its edge bonds in edge_sweep
+    order: an edge is contracted when the sweep over vertex_order reaches
+    its later end, so the open legs stay near a front that moves up the
+    embedding.  The bond matrix is J phi_vu, or phi_vu alone when
+    symplectic is False."""
     _check_web(g, m, conn.n)
     n = conn.n
     clusters = {}
@@ -173,10 +173,7 @@ def _trace_network(g, conn, m, s, symplectic=True):
         for d in legs:
             owner[d] = v
     scalar = scale = 1
-    rank = {v: i for i, v in enumerate(vertex_order(g))}
-    sweep = sorted((sorted((rank[e.u], rank[e.v]), reverse=True), e.id)
-                   for e in map(g.edges.get, m.mult))
-    for _, eid in sweep:
+    for eid in edge_sweep(g, m.mult):
         d = s.orient[eid]
         rd = g.dart_reverse(d)
         bond, bond_scale = _bond(*conn.cleared_phi(g, eid, g.dart_head(d)),
@@ -234,7 +231,7 @@ def trace_sp2_loops(g, conn, m, structure=None):
         raise WrongRank("loop-decomposition trace needs rank 1")
     s = structure if structure is not None else standard_structure(g)
     dec = decompose_2multiweb(g, m)
-    total = 1 if dec.c1 % 2 == 0 else -1
+    total = 1 if len(dec.doubled) % 2 == 0 else -1
     for loop in dec.loops:
         mono = monodromy(g, conn, loop)
         d = 0

@@ -13,7 +13,7 @@ import json
 from math import factorial
 
 from .errors import MalformedWeb, json_check, json_field
-from .planar import Loop
+from .planar import Loop, edge_sweep
 
 
 class Multiweb:
@@ -63,41 +63,37 @@ def check_multiweb(g, m):
 
 def _enumerate_regular(g, target, caps):
     """All maps edge -> 0..caps[edge] with every vertex degree equal to
-    target, in lexicographic order over the sorted edge ids."""
+    target, in lexicographic order over the sorted edge ids.  Edges are
+    assigned in edge_sweep order, and the last edge at a vertex takes
+    exactly what that vertex still needs."""
     edges = [(eid, g.edges[eid].u, g.edges[eid].v, caps[eid])
-             for eid in sorted(g.edges)]
-    need = {v: target for v in g.vertices}
-    # room[v]: the caps summed over v's edges not yet assigned
-    room = {v: 0 for v in g.vertices}
-    for _, u, v, cap in edges:
-        room[u] += cap
-        room[v] += cap
+             for eid in edge_sweep(g, g.edges)]
+    last = {}
+    for i, (_, u, v, _) in enumerate(edges):
+        last[u] = last[v] = i
     out = []
-    if any(room[v] < target for v in g.vertices):
+    if len(last) < len(g.vertices):
         return out
-    mult = {}
+    need = {v: target for v in g.vertices}
+    mult = dict.fromkeys(g.edges, 0)
 
     def rec(i):
         if i == len(edges):
             out.append(dict(mult))
             return
         eid, u, v, cap = edges[i]
-        room[u] -= cap
-        room[v] -= cap
-        lo = max(0, need[u] - room[u], need[v] - room[v])
-        hi = min(cap, need[u], need[v])
-        for k in range(lo, hi + 1):
+        lo = max(need[u] if last[u] == i else 0,
+                 need[v] if last[v] == i else 0)
+        for k in range(lo, min(cap, need[u], need[v]) + 1):
             need[u] -= k
             need[v] -= k
             mult[eid] = k
             rec(i + 1)
-            del mult[eid]
             need[u] += k
             need[v] += k
-        room[u] += cap
-        room[v] += cap
 
     rec(0)
+    out.sort(key=lambda m: sorted(m.items()))
     return out
 
 
@@ -129,10 +125,6 @@ class LoopDecomposition:
     def __init__(self, loops, doubled):
         self.loops = loops
         self.doubled = list(doubled)
-
-    @property
-    def c1(self):
-        return len(self.doubled)
 
 
 def decompose_2multiweb(g, m):

@@ -83,6 +83,15 @@ def shuffled_ids(g, rnd):
         [Edge(e.id, new[e.u], new[e.v], e.weight) for e in g.edges.values()])
 
 
+def shuffled_edge_ids(g, rnd):
+    """g with its edge ids permuted at random."""
+    ids = sorted(g.edges)
+    new = dict(zip(ids, rnd.sample(ids, len(ids))))
+    return PlanarGraph(
+        list(g.vertices.values()),
+        [Edge(new[e.id], e.u, e.v, e.weight) for e in g.edges.values()])
+
+
 def cycle_graph(points):
     n = len(points)
     return PlanarGraph(

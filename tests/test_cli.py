@@ -114,6 +114,24 @@ def test_graph_with_no_faces(capsys, tmp_path):
                 "error: no face 0: the graph has no faces\n"
 
 
+def test_floats_out_of_the_double_range_exit_2(capsys, tmp_path):
+    # one weight past the double range, or every weight so large that the
+    # float Pfaffian or the float trace sum overflows
+    doc = json.loads((DATA / "c4.json").read_text())
+    for weights in (["1e400", "1", "1", "1"], ["1e200"] * 4):
+        for e, w in zip(doc["edges"], weights):
+            e["weight"] = w
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["verify-main", "--ring", "float"],
+                     ["kasteleyn", "--ring", "float", "--json"],
+                     ["annulus-ck", "--inner", "0", "--json"]):
+            assert cli.main(argv + ["--graph", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1
+
+
 def test_trace_verb(capsys):
     code, out = run(capsys, ["trace", "--graph", G24, "--n", "2", "--web",
                              str(DATA / "golden_web.json")])

@@ -305,11 +305,19 @@ def test_every_connection_is_checked_and_j_acts_by_row_swaps():
 
 
 def test_trace_network_sweeps_in_a_fixed_order():
-    # the edges are contracted in one vertex_order sweep: no nested cost
-    # function and no min scan over the pending edges
+    # the trace network and the multiplicity search both take their edges
+    # from planar.edge_sweep, and neither sorts g.edges itself
+    calls = {}
+    for module, name in (("traces", "_trace_network"),
+                         ("webs", "_enumerate_regular")):
+        calls[name] = [n for n in ast.walk(_function(module, name))
+                       if isinstance(n, ast.Call)
+                       and isinstance(n.func, ast.Name)]
+        assert "edge_sweep" in {n.func.id for n in calls[name]}, name
+        assert not [n.lineno for n in calls[name] if n.func.id == "sorted"
+                    and "g.edges" in ast.unparse(n)], name
+    # no nested cost function and no min scan over the pending edges
     fn = _function("traces", "_trace_network")
     assert not [n.lineno for n in ast.walk(fn) if n is not fn
                 and isinstance(n, (ast.FunctionDef, ast.Lambda))]
-    calls = {n.func.id for n in ast.walk(fn)
-             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-    assert "vertex_order" in calls and "min" not in calls
+    assert "min" not in {n.func.id for n in calls["_trace_network"]}

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from helpers import (c4_ring, cube_ring, grid, k4_2by3, reference_2web_splits,
-                     reference_regular, triangle)
+                     reference_regular, shuffled_edge_ids, shuffled_ids,
+                     triangle)
 from spwebs.errors import MalformedWeb
 from spwebs.planar import load_graph
 from spwebs.rand import random_planar_graph
@@ -18,9 +19,13 @@ GOLDEN = Multiweb(2, {0: 2, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1})
 
 
 def _search_graphs():
-    rnd = random.Random(5)
+    # the copies with shuffled vertex and edge ids pair the same sweeps
+    # with other edge-id orders, which the lists are sorted by
+    rnd, shuffle = random.Random(5), random.Random(6)
     cube = load_graph(Path(__file__).parent / "data" / "cube.json")
-    return ([k4_2by3(), c4_ring(), cube_ring(), grid(3, 3), grid(2, 4), cube]
+    fixed = [k4_2by3(), c4_ring(), cube_ring(), grid(3, 3), grid(2, 4), cube]
+    return (fixed + [shuffled_edge_ids(shuffled_ids(g, shuffle), shuffle)
+                     for g in fixed]
             + [random_planar_graph(rnd, rnd.randint(3, 6))
                for _ in range(30)])
 
@@ -95,6 +100,14 @@ def test_per_edge_caps_keep_the_one_cap_lists_and_order():
         for n in (1, 2):
             assert enumerate_multiwebs(g, n) == [
                 Multiweb(n, m) for m in reference_regular(g, 2 * n, 2 * n)]
+
+
+def test_search_does_not_blow_up_on_wide_grids():
+    # grid ids number the horizontal edges before the vertical ones, so
+    # in id order a vertex closed only at its last vertical edge and the
+    # dead branches grew exponentially with the width: these took minutes
+    assert len(enumerate_dimers(grid(6, 6))) == 6728
+    assert enumerate_multiwebs(grid(5, 5), 1) == []
 
 
 def test_2web_splits_match_the_vector_search():
