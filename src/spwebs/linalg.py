@@ -31,10 +31,12 @@ diag(d_i), B = DAD has integer coefficients and Pf(B) = Pf(A) *
 prod(d_i), divided out once at the end.  A packed Pfaffian is unpacked
 to a Poly once (the zero Poly for 0).
 
-* Pivot order.  Each step takes the remaining row p with the fewest
-  nonzeros and, among its columns, the row q with the fewest (minimum
-  degree: George, SIAM J. Numer. Anal. 10, 1973; Lipton, Rose & Tarjan,
-  SIAM J. Numer. Anal. 16, 1979).  With ip the position of p among the
+* Pivot order.  Each step takes the remaining row p of least size and,
+  among its columns, the row q of least size: the number of nonzeros of
+  an int row (minimum degree: George, SIAM J. Numer. Anal. 10, 1973;
+  Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979), and the number
+  of terms in a packed row, which prices a polynomial step (Markowitz,
+  Management Sci. 3, 1957).  With ip the position of p among the
   remaining indices and iq that of q once p is gone, ip + iq adjacent
   transpositions move the pair to the front, so the sign flips when
   ip + iq is odd.  Pf(B) is the sign times the last pivot.
@@ -344,12 +346,12 @@ def _pf_cleared(b, d, pk):
     of B's entries (None for ints)."""
     if pk is None:
         pf = 0 if len(b) % 2 else _pf_sparse(list(b), 0, 1, int, _lift,
-                                             _cross, operator.neg)
+                                             _cross, operator.neg, len)
         return Fraction(pf, math.prod(d))
     one = {0: 1}
     pf = {} if len(b) % 2 else _pf_sparse(
         list(b), {}, one, lambda g: None if g == one else pk.divisor(g),
-        _pk_lift, _pk_cross, _pk_neg)
+        _pk_lift, _pk_cross, _pk_neg, lambda r: sum(map(len, r.values())))
     return pk.unpack(pf, math.prod(d))
 
 
@@ -441,14 +443,14 @@ def _pk_cross(pv, o, x, y2, x2, y, prev):
     return _pk_quot(((pv, o), (x2, y)), ((x, y2),), prev)
 
 
-def _pf_sparse(b, zero, one, prepare, lift, cross, neg):
-    """Pfaffian of a skew matrix given as rows of nonzero entries, by the
-    sparse elimination of the module docstring, on ints or packed
-    polynomials: zero and one are the ring's, prepare(P) readies a pivot
-    as a divisor, lift(v, now, then) = v now / then and cross(P, o, x,
-    y2, x2, y, prev) = (P o - x y2 + x2 y) / prev, divisors prepared,
-    and neg negates.  The rows of b are replaced as it runs."""
-    deg = [len(row) for row in b]
+def _pf_sparse(b, zero, one, prepare, lift, cross, neg, size):
+    """Pfaffian of skew rows b of nonzero entries, by the elimination of
+    the module docstring on ints or packed polynomials: zero and one are
+    the ring's, prepare(P) readies a pivot as a divisor, lift(v, now,
+    then) = v now / then, cross(P, o, x, y2, x2, y, prev) = (P o - x y2
+    + x2 y) / prev, divisors prepared, neg negates and size(row) ranks
+    rows as pivots.  The rows of b are replaced as it runs."""
+    deg = [size(row) for row in b]
     stage = [0] * len(b)
     piv, divs = [one], [prepare(one)]
     alive = list(range(len(b)))
@@ -512,7 +514,7 @@ def _pf_sparse(b, zero, one, prepare, lift, cross, neg):
                     ni[j] = v
                     new[c][i] = neg(v)
         for i, row in zip(touched, new):
-            b[i], deg[i], stage[i] = row, len(row), s
+            b[i], deg[i], stage[i] = row, size(row), s
     return one
 
 

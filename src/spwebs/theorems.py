@@ -59,7 +59,10 @@ def symbolic_weights(g):
 def web_weight(m, wmap):
     total = 1
     for eid, k in sorted(m.mult.items()):
-        total = total * wmap[eid] ** k
+        try:
+            total = total * wmap[eid] ** k
+        except OverflowError:
+            raise OutOfRange("edge %r: weight ** %d overflows" % (eid, k))
     return total
 
 
@@ -201,13 +204,8 @@ def verify_main(g, conn, w=None):
 
 def dimer_partition(g, w=None):
     wmap = weight_map(g, w)
-    total = 0
-    for d in enumerate_dimers(g):
-        t = 1
-        for eid in sorted(d):
-            t = t * wmap[eid]
-        total = total + t
-    return total
+    return sum(math.prod(wmap[eid] for eid in sorted(d))
+               for d in enumerate_dimers(g))
 
 
 def verify_kasteleyn(g, w=None, n=1):

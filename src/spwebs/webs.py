@@ -93,7 +93,8 @@ def _enumerate_regular(g, target, caps):
             need[v] += k
 
     rec(0)
-    out.sort(key=lambda m: sorted(m.items()))
+    ids = sorted(mult)
+    out.sort(key=lambda m: [m[e] for e in ids])
     return out
 
 

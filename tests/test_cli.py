@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -130,6 +131,11 @@ def test_floats_out_of_the_double_range_exit_2(capsys, tmp_path):
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ")
             assert err.count("\n") == 1
+            if weights[0] == "1e200" and argv[0] == "verify-main":
+                # the float power w_e ** k of a web weight overflows: the
+                # line names the edge and the power
+                ids = "|".join(str(e["id"]) for e in doc["edges"])
+                assert re.search(r"edge (%s): weight \*\* [2-9]" % ids, err)
 
 
 def test_trace_verb(capsys):

@@ -377,7 +377,7 @@ def test_poly_pfaffian_field_width(monkeypatch):
                         _stage_spy(linalg._pf_sparse, gaps))
     pf = pf_eliminate(c)
     assert pf.degree() == 40
-    # minimum-degree order leaves some row at its stage over 3 pivots
+    # the pivot order leaves some row at its stage over 3 pivots
     assert max(gaps) >= 3
     for point in ({"u": 2, "v": -1, "w": 3}, {"u": 1, "v": 5, "w": -2}):
         at = np.vectorize(lambda x: substitute(x, point)
@@ -396,7 +396,7 @@ def _stage_spy(sparse, gaps):
     """linalg._pf_sparse, wrapped to append to gaps, for every lift, the
     number of pivots over which it brings a row forward."""
 
-    def spy(b, zero, one, prepare, lift, cross, neg):
+    def spy(b, zero, one, prepare, lift, cross, neg, size):
         pivots = []
 
         def prep(g):
@@ -410,7 +410,7 @@ def _stage_spy(sparse, gaps):
         def cr(*args):
             return cross(*args[:-1], args[-1][1])
 
-        return sparse(b, zero, one, prep, lf, cr, neg)
+        return sparse(b, zero, one, prep, lf, cr, neg, size)
 
     return spy
 

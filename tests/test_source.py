@@ -135,11 +135,12 @@ def test_one_pfaffian_elimination_for_every_exact_ring(monkeypatch):
         assert not [name for name in ("_pf_poly", "_pf_pivot", "_swap_rc")
                     if name in text], path.name
     # int, Fraction and Poly matrices all reach the one sparse loop
-    seen = []
+    seen, sizes = [], []
     sparse = linalg._pf_sparse
 
     def spy(b, *ops):
         seen.append(ops[0])
+        sizes.append(ops[-1])
         return sparse(b, *ops)
 
     monkeypatch.setattr(linalg, "_pf_sparse", spy)
@@ -151,6 +152,9 @@ def test_one_pfaffian_elimination_for_every_exact_ring(monkeypatch):
         assert linalg.det(linalg.mat(a)) == pf * pf
     # the zero of each ring: int 0 for the int rows, {} for packed ones
     assert seen == [0, 0, 0, 0, {}, {}]
+    # int rows rank pivots by their number of entries, packed rows by
+    # their number of terms, through the same loop
+    assert sizes[:4] == [len] * 4 and len not in sizes[4:]
 
 
 def test_one_annulus_cut_builder():

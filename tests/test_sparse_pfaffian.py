@@ -1,5 +1,6 @@
 """The sparse Pfaffian elimination against a dense loop on ints, on int,
-Fraction and Poly matrices, and the sparse storage of skew matrices."""
+Fraction and Poly matrices, its pivot order on packed rows, and the
+sparse storage of skew matrices."""
 
 import importlib.util
 import math
@@ -11,12 +12,14 @@ import numpy as np
 import pytest
 
 from helpers import grid, pf_combinatorial, random_gauges, substitute
+from spwebs import linalg
 from spwebs import theorems as th
 from spwebs.connections import gauge_transform, kasteleyn_connection
 from spwebs.errors import MixedRing, NotSkew, SelfCheckFailed
 from spwebs.linalg import (SkewMatrix, _cross, _lift, _pk_cross, _pk_lift, det,
                            mat, pf_eliminate)
 from spwebs.rings import Poly, _Packing
+from spwebs.webs import enumerate_dimers
 
 
 def dense_pf(a):
@@ -176,6 +179,49 @@ def test_symbolic_h_pfaffian_matches_dense_loop_at_integer_points():
                         else x, otypes=[object])(h.a)
                     assert substitute(pf, point) == dense_pf(at)
     assert max(dims) == 48
+
+
+def test_packed_pivots_are_ranked_by_term_count(monkeypatch):
+    # row 0 has the fewest entries, two, but 12 terms; rows 1 to 5 have
+    # three or four entries, and those of rows 3 to 5 have one term each.
+    # The first pivot comes from row 3, and not from row 0's 6-term
+    # entries, which least degree would pick.
+    x, y, z = (Poly.var(v) for v in "xyz")
+    many = [x + y + z + x * y + y * z + x * z,
+            x * x + y * y + z * z + 2 * x + 3 * y + 5]
+    assert [len(p.terms) for p in many] == [6, 6]
+    entries = {(0, 1): many[0], (0, 2): many[1], (1, 2): x, (1, 3): y,
+               (1, 5): z, (2, 4): x * y, (3, 4): y * z, (3, 5): 2 * x,
+               (4, 5): -z}
+    a = np.full((6, 6), 0, dtype=object)
+    for (i, j), v in entries.items():
+        a[i, j], a[j, i] = v, -v
+    pivots = []
+    sparse = linalg._pf_sparse
+
+    def spy(b, zero, one, prepare, *ops):
+        def prep(g):
+            pivots.append(g)
+            return prepare(g)
+        return sparse(b, zero, one, prep, *ops)
+
+    monkeypatch.setattr(linalg, "_pf_sparse", spy)
+    assert pf_eliminate(a) == pf_combinatorial(a)
+    # pivots[0] is the ring's one, pivots[1] the first pivot, b[3][4]
+    assert [len(p) for p in pivots[:2]] == [1, 1]
+
+
+def test_symbolic_kasteleyn_grids_with_many_terms():
+    # Pf(H) = +-Z(w)^(2n) with one variable per edge, Z(w) the sum of the
+    # weight monomials of the dimer covers; least-degree pivots took about
+    # 4 minutes on the symbolic 4x4 grid at rank 2, and up to 0.4 s here
+    for rows, cols, n in ((2, 6, 2), (3, 4, 2), (4, 4, 1)):
+        g = grid(rows, cols)
+        w = th.symbolic_weights(g)
+        z = sum((math.prod(w[e] for e in m) for m in enumerate_dimers(g)),
+                Poly.const(0))
+        pf = th.HMatrix(g, kasteleyn_connection(g, n), w).pfaffian()
+        assert pf in (z ** (2 * n), -z ** (2 * n))
 
 
 def test_kasteleyn_pfaffian_size_guard():
