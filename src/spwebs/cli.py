@@ -64,8 +64,7 @@ def _weights(g, ring, weights=None):
         return th.symbolic_weights(g)
     wmap = th.weight_map(g)
     if ring == "float":
-        # 1.0 * w is float(w), and raises MixedRing for a symbolic weight
-        return {eid: 1.0 * w for eid, w in wmap.items()}
+        return {eid: th.float_weight(eid, w) for eid, w in wmap.items()}
     return wmap
 
 

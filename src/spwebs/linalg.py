@@ -18,8 +18,12 @@ the Dress-Wenzel identity
     Pf(Sab)Pf(Scd) - Pf(Sac)Pf(Sbd) + Pf(Sad)Pf(Sbc) = Pf(S)Pf(Sabcd)
 
 makes each division exact, so polynomial matrices never leave the
-polynomial ring.  Float matrices use ordinary skew elimination with
-magnitude pivoting.  The set of entry types, zeros included, picks the
+polynomial ring.  Float matrices use skew elimination with magnitude
+pivoting in natural order (Bunch, Math. Comp. 38, 1982), where step k
+updates the rows and columns past k + 1 only at the nonzero columns of
+row k + 1 and rows of column k + 1: on an exactly skew input the rest
+is never read again or would lose c * 0, so the result is the dense
+loop's, bit for bit.  The set of entry types, zeros included, picks the
 ring: float if any entry is a float, else Poly if any is a Poly, else int
 and Fraction; float and Poly entries together raise MixedRing.
 
@@ -338,7 +342,7 @@ def _pf_rows(rows, kinds):
     cleared = _cleared(rows, kinds)
     if cleared is not None:
         return _pf_cleared(*cleared)
-    return 0.0 if len(rows) % 2 else _pf_float(_dense(rows))
+    return 0.0 if len(rows) % 2 else _pf_float(rows)
 
 
 def _pf_cleared(b, d, pk):
@@ -357,26 +361,31 @@ def _pf_cleared(b, d, pk):
 
 def _pf_float(rows):
     n = len(rows)
-    m = [[float(x) for x in row] for row in rows]
-    sign = 1.0
-    result = 1.0
+    m = [[0.0] * n for _ in rows]
+    for mi, row in zip(m, rows):
+        for j, x in row.items():
+            mi[j] = float(x)
+    sign = result = 1.0
     for k in range(0, n, 2):
-        j = max(range(k + 1, n), key=lambda t: abs(m[k][t]))
-        if m[k][j] == 0.0:
+        mk = m[k]
+        a = list(map(abs, mk[k + 1:]))
+        j = k + 1 + a.index(max(a))
+        if mk[j] == 0.0:
             return 0.0
         if j != k + 1:
             m[j], m[k + 1] = m[k + 1], m[j]
-            for row in m:
+            for row in m[k:]:
                 row[j], row[k + 1] = row[k + 1], row[j]
             sign = -sign
-        p = m[k][k + 1]
-        for i in range(k + 2, n):
-            c = m[k][i] / p
-            if c:
-                for t in range(n):
-                    m[i][t] -= c * m[k + 1][t]
-                for t in range(n):
-                    m[t][i] -= c * m[t][k + 1]
+        p, r, below, live = mk[k + 1], m[k + 1], m[k + 2:], range(k + 2, n)
+        rs = [(t, r[t]) for t in itertools.compress(live, r[k + 2:])]
+        cs = [(row, row[k + 1]) for row in below if row[k + 1]]
+        for i, mi in itertools.compress(zip(live, below), mk[k + 2:]):
+            if c := mk[i] / p:
+                for t, y in rs:
+                    mi[t] -= c * y
+                for row, y in cs:
+                    row[i] -= c * y
         result *= p
     if not math.isfinite(result):
         raise OutOfRange("float Pfaffian %r: out of the double range" % result)

@@ -56,6 +56,14 @@ def symbolic_weights(g):
     return out
 
 
+def float_weight(eid, w):
+    """The float of edge eid's weight w; MixedRing for a Poly weight."""
+    try:
+        return float(w) if isinstance(w, (int, Fraction)) else 1.0 * w
+    except OverflowError:
+        raise OutOfRange("edge %r: weight is out of the double range" % eid)
+
+
 def web_weight(m, wmap):
     total = 1
     for eid, k in sorted(m.mult.items()):
@@ -118,11 +126,9 @@ class HMatrix(SkewMatrix):
             return
         rows = [{} for _ in range(dim)]
         for rh, rl, wt, eid in blocks:
-            m = conn.matrices[eid].tolist()
-            # a float entry times the float of the weight is its product
-            # with the weight, in fewer steps
-            wf = float(wt) if isinstance(wt, (int, Fraction)) else wt
-            for i, row in enumerate(j_times(m)):
+            # x * float(w) is x * w for a float entry x, in fewer steps
+            wf = wt if isinstance(wt, Poly) else float_weight(eid, wt)
+            for i, row in enumerate(j_times(conn.matrices[eid].tolist())):
                 for c, x in enumerate(row, rl):
                     if x:
                         val = x * (wf if isinstance(x, float) else wt)
@@ -343,9 +349,10 @@ def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0, w=None):
     r = u2_matrix(theta, alpha, beta, eps).tolist()
     flat = {1: r, -1: block_transpose(r)}
     expo = kasteleyn_exponents(g)
-    mats = {eid: j_power(2, k) for eid, k in expo.items()}
-    # the flat factor is I off the cut; on a cut edge J^k R^s is k row
-    # swaps of R^s, and unitary_embed has checked that R commutes with J
+    # shared float J-powers off the cut, where the flat factor is I; on a
+    # cut edge J^k R^s is k row swaps of R^s, unitary_embed checked RJ = JR
+    fj = [j_power(2, k).astype(float).tolist() for k in range(4)]
+    mats = {eid: fj[k] for eid, k in expo.items()}
     for eid, s in spec.cut:
         rows = flat[s]
         for _ in range(expo[eid]):

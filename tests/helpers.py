@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from spwebs import Edge, Loop, PlanarGraph, Vertex
-from spwebs.errors import SpwebsError, UnknownVariable
+from spwebs.errors import OutOfRange, SpwebsError, UnknownVariable
 from spwebs.linalg import (all_pairings, clear_denominators, mat, minors,
                            perm_sign)
 from spwebs.planar import _angular_class, _ccw, cross
@@ -230,6 +230,38 @@ def pf_combinatorial(a):
             term = term * a[i, j]
         total = term if total is None else total + term
     return total
+
+
+def reference_pf_float(rows):
+    """Pfaffian of dense float rows by the dense skew elimination that
+    linalg._pf_float restricts to the entries a later pivot reads: in
+    natural order, the first largest |m[k][t]| as pivot, and every row
+    and column updated at every step."""
+    n = len(rows)
+    m = [[float(x) for x in row] for row in rows]
+    sign = 1.0
+    result = 1.0
+    for k in range(0, n, 2):
+        j = max(range(k + 1, n), key=lambda t: abs(m[k][t]))
+        if m[k][j] == 0.0:
+            return 0.0
+        if j != k + 1:
+            m[j], m[k + 1] = m[k + 1], m[j]
+            for row in m:
+                row[j], row[k + 1] = row[k + 1], row[j]
+            sign = -sign
+        p = m[k][k + 1]
+        for i in range(k + 2, n):
+            c = m[k][i] / p
+            if c:
+                for t in range(n):
+                    m[i][t] -= c * m[k + 1][t]
+                for t in range(n):
+                    m[t][i] -= c * m[t][k + 1]
+        result *= p
+    if not math.isfinite(result):
+        raise OutOfRange("float Pfaffian %r: out of the double range" % result)
+    return sign * result
 
 
 def exterior_power_trace(a, k):

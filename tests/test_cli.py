@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import grid
+from helpers import grid, inner_face
 from spwebs import cli
 from spwebs import theorems as th
 from spwebs.connections import (annulus_spec, connection_to_dict,
@@ -131,7 +131,11 @@ def test_floats_out_of_the_double_range_exit_2(capsys, tmp_path):
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ")
             assert err.count("\n") == 1
-            if weights[0] == "1e200" and argv[0] == "verify-main":
+            if weights[0] == "1e400":
+                # the weight itself has no float: the line names its edge
+                assert err == "error: edge %d: weight is out of the double" \
+                              " range\n" % doc["edges"][0]["id"]
+            elif argv[0] == "verify-main":
                 # the float power w_e ** k of a web weight overflows: the
                 # line names the edge and the power
                 ids = "|".join(str(e["id"]) for e in doc["edges"])
@@ -191,6 +195,49 @@ def test_annulus_ck_default_samples_fit_every_face_of_a_grid(capsys,
         total = sum(c * 6.0 ** k for k, c in enumerate(payload["C"]))
         assert math.isclose(total, z4, rel_tol=1e-9), f
         assert payload["residual"] <= 1e-6 * z4, f
+
+
+ANNULUS_CK_GRIDS = {
+    (4, 4, (1, 1)): '{"C": [23831418672.000053, 372982032.00000685, '
+                    '1292831.9999912893, 3.1343254189857184e-06, '
+                    '-4.209358788529774e-07], "residual": 2.6702880859375e-05}',
+    (5, 5, (2, 2)): '{"C": [0.0, 0.0, 0.0, 0.0, 0.0], "residual": 0.0}',
+    (5, 5, (0, 3)): '{"C": [0.0, 0.0, 0.0], "residual": 0.0}',
+    (5, 6, (2, 2)): '{"C": [1.1147629347232694e+19, 2.665347181561465e+18, '
+                    '1613442449325606.5, -748.6042710310033, '
+                    '57.988825685043594], "residual": 23552.0}',
+    (5, 6, (0, 3)): '{"C": [8.104176900833379e+18, 3.1822699106573046e+18, '
+                    '1225.5604397772183], "residual": 29184.0}',
+}
+
+
+def test_annulus_ck_stdout_on_bench_sized_grids(capsys, tmp_path,
+                                                monkeypatch):
+    # the bench's weighted grids (weight 2 on every third edge id), where
+    # H has dimension 64 and more; the 5x5 grid has no dimer cover.  Each
+    # sample H is all floats: the J-powers off the cut are float arrays
+    built = []
+
+    class Spy(th.HMatrix):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.kinds)
+
+    monkeypatch.setattr(th, "HMatrix", Spy)
+    for (rows, cols, (i, j)), want in ANNULUS_CK_GRIDS.items():
+        g = grid(rows, cols)
+        for e in g.edges.values():
+            e.weight = 2 if e.id % 3 == 0 else 1
+        path = str(tmp_path / "g.json")
+        save_graph(g, path)
+        f = inner_face(g, [j * cols + i, j * cols + i + 1,
+                           (j + 1) * cols + i, (j + 1) * cols + i + 1])
+        built.clear()
+        code, out = run(capsys, ["annulus-ck", "--graph", path, "--inner",
+                                 str(f), "--json"])
+        assert (code, out) == (0, want + "\n"), (rows, cols, f)
+        assert len(built) == 2 * len(annulus_spec(g, f).cut) + 2
+        assert all(kinds == {float} for kinds in built)
 
 
 def test_det_vertex_matches_wedge_norm(capsys, tmp_path):

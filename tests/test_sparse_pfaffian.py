@@ -1,8 +1,11 @@
 """The sparse Pfaffian elimination against a dense loop on ints, on int,
-Fraction and Poly matrices, its pivot order on packed rows, and the
-sparse storage of skew matrices."""
+Fraction and Poly matrices, its pivot order on packed rows, the float
+elimination against the dense float loop, bit for bit, and the sparse
+storage of skew matrices."""
 
+import contextlib
 import importlib.util
+import io
 import math
 import random
 from fractions import Fraction
@@ -11,13 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import grid, pf_combinatorial, random_gauges, substitute
+from helpers import (grid, inner_face, pf_combinatorial, random_gauges,
+                     reference_pf_float, substitute)
+from spwebs import cli
 from spwebs import linalg
 from spwebs import theorems as th
 from spwebs.connections import gauge_transform, kasteleyn_connection
 from spwebs.errors import MixedRing, NotSkew, SelfCheckFailed
 from spwebs.linalg import (SkewMatrix, _cross, _lift, _pk_cross, _pk_lift, det,
                            mat, pf_eliminate)
+from spwebs.planar import save_graph
 from spwebs.rings import Poly, _Packing
 from spwebs.webs import enumerate_dimers
 
@@ -148,6 +154,90 @@ def test_sparse_pfaffian_of_grid_h_matches_dense_loop():
         assert pf == dense_pf(h.a)
         assert pf != 0
         assert h.pfaffian() == pf
+
+
+def _float_skews(seed=59):
+    """Seeded exactly skew float rows of every even dimension 2..64 at
+    densities 5-100%: uniform entries, and integer-valued ones from +-1
+    and +-2, whose rows tie in |entry| so that the first largest is the
+    pivot; a quarter of them with one zero row and column."""
+    rnd = random.Random(seed)
+    for dim in range(2, 66, 2):
+        for density in (0.05, 0.2, 0.5, 1.0):
+            for value in (lambda: rnd.uniform(-1.0, 1.0),
+                          lambda: float(rnd.choice((-2, -1, 1, 2)))):
+                rows = [{} for _ in range(dim)]
+                for i in range(dim):
+                    for j in range(i + 1, dim):
+                        if rnd.random() < density:
+                            rows[i][j] = x = value()
+                            rows[j][i] = -x
+                if rnd.random() < 0.25:
+                    r = rnd.randrange(dim)
+                    rows[r] = {}
+                    for row in rows:
+                        row.pop(r, None)
+                yield rows
+
+
+def _same_float_pfaffian(rows):
+    """Pf of float rows by linalg._pf_float, asserted equal to that of the
+    dense loop of helpers.reference_pf_float, bit for bit."""
+    pf = linalg._pf_float(rows)
+    assert pf == reference_pf_float(linalg._dense(rows))
+    return pf
+
+
+def test_float_pfaffian_matches_dense_loop_bit_for_bit(monkeypatch,
+                                                       tmp_path):
+    zeros = ties = 0
+    for rows in _float_skews():
+        pf = _same_float_pfaffian(rows)
+        assert SkewMatrix(rows).pfaffian() == pf
+        zeros += pf == 0.0
+        first = [abs(x) for x in rows[0].values()]
+        ties += first.count(max(first, default=1.0)) > 1
+    assert zeros >= 40 and ties >= 60
+    # the sample H of annulus-ck on the centre square of the bench's
+    # weighted 4x4 grid, and the interleaved matrices of float det
+    seen = []
+    pf_float = linalg._pf_float
+    monkeypatch.setattr(linalg, "_pf_float",
+                        lambda rows: seen.append(rows) or pf_float(rows))
+    g = grid(4, 4)
+    for e in g.edges.values():
+        e.weight = 2 if e.id % 3 == 0 else 1
+    path = str(tmp_path / "g.json")
+    save_graph(g, path)
+    f = inner_face(g, [5, 6, 9, 10])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["annulus-ck", "--graph", path, "--inner", str(f),
+                         "--json"]) == 0
+    assert [len(rows) for rows in seen] == [64] * 6
+    rnd = random.Random(61)
+    for size in range(1, 13):
+        for density in (0.3, 1.0):
+            a = mat([[rnd.choice((rnd.uniform(-1.0, 1.0), 2.0,
+                                  Fraction(rnd.randint(-3, 3), 2)))
+                      if rnd.random() < density else 0.0
+                      for _ in range(size)] for _ in range(size)])
+            det(a)
+    assert len(seen) == 6 + 24
+    monkeypatch.undo()
+    for rows in seen:
+        _same_float_pfaffian(rows)
+    # rows skew only to SkewMatrix's 1e-12, diagonal included, agree to a
+    # relative 1e-9
+    for dim in (2, 4, 8, 12, 16, 24):
+        for _ in range(5):
+            rows = [{i: rnd.uniform(-4e-13, 4e-13)} for i in range(dim)]
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    rows[i][j] = x = rnd.uniform(-1.0, 1.0)
+                    rows[j][i] = -x + rnd.uniform(-4e-13, 4e-13)
+            assert math.isclose(SkewMatrix(rows).pfaffian(),
+                                reference_pf_float(linalg._dense(rows)),
+                                rel_tol=1e-9)
 
 
 def test_symbolic_h_pfaffian_matches_dense_loop_at_integer_points():
