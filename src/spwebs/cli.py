@@ -18,8 +18,6 @@ import math
 import random
 import sys
 
-import numpy as np
-
 from . import theorems as th
 from .connections import (annulus_spec, identity_connection,
                           kasteleyn_connection, load_connection)
@@ -79,7 +77,7 @@ def _load_rows(path):
 def _vectors(args):
     """The 2n vectors of the --vectors file."""
     n = args.n or 1
-    vs = [np.array(row, dtype=object) for row in _load_rows(args.vectors)]
+    vs = _load_rows(args.vectors)
     if len(vs) != 2 * n:
         raise SpwebsError("expected %d vectors, file has %d"
                           % (2 * n, len(vs)))
@@ -257,8 +255,8 @@ VERBS = {
                    "n vectors"),
     "wedge-norm": (lambda args: wedge_norm(_vectors(args)), "det",
                    "n vectors"),
-    "qdet": (lambda args: qdet(np.array(_load_rows(args.matrix), dtype=object),
-                               parse_scalar(args.q)), "qdet", "matrix q"),
+    "qdet": (lambda args: qdet(_load_rows(args.matrix), parse_scalar(args.q)),
+             "qdet", "matrix q"),
     "isotopy-check": (cmd_isotopy_check, None, "seed count"),
 }
 

@@ -4,7 +4,7 @@ A connection assigns to every edge a matrix in Sp(2n) for the edge's
 canonical direction (low vertex id to high); the reverse direction is the
 symplectic inverse -J M^T J.  Loop monodromy multiplies matrices right to
 left along the traversal.  Each exact edge matrix M is cleared once to
-the integer rows of dM (each shared j_power array once); a file's entries
+the integer rows of dM (each shared j_power matrix once); a file's entries
 go straight to those ints, and M itself is built only when read.  H and
 the trace bonds are built from the ints; only oracle engines read M.
 
@@ -21,8 +21,6 @@ import functools
 import json
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -43,8 +41,7 @@ from .linalg import (
     j_times,
     mat,
     mat_equal,
-    symplectic_J,
-    symplectic_inverse,
+    matmul,
     symplectic_rows,
 )
 from .planar import Loop
@@ -69,14 +66,13 @@ class Connection:
             m = matrices[eid]
             if id(m) not in done:
                 lazy = type(m) is tuple
-                a = m if lazy else np.asarray(m, dtype=object)
-                shape = (len(m[0]), *sorted({len(r) for r in m[0]})) \
-                    if lazy else a.shape
+                a = m if lazy else mat(m)
+                rows, d = m if lazy else clear_denominators(a)
+                shape = (len(rows), *sorted({len(r) for r in rows}))
                 if shape != (2 * n, 2 * n):
                     raise DimensionMismatch(
                         "edge %d matrix has shape %r, expected %dx%d"
                         % (eid, shape, 2 * n, 2 * n))
-                rows, d = m if lazy else clear_denominators(a.tolist())
                 if not symplectic_rows(rows, d):
                     raise NotSymplectic("edge %d matrix is not symplectic"
                                         % eid)
@@ -87,19 +83,19 @@ class Connection:
     @functools.cached_property
     def matrices(self):
         """Edge id -> M, with entries N / d for M given as (N, d)."""
-        return {eid: mat([[Fraction(x, m[1]) for x in row] for row in m[0]])
+        return {eid: [[Fraction(x, m[1]) for x in row] for row in m[0]]
                 if type(m) is tuple else m for eid, m in self._given.items()}
 
     def phi(self, g, eid, tail):
         """Parallel transport along edge eid leaving the given vertex."""
         m = self.matrices[eid]
-        return m if _leaves_low_end(g, eid, tail) else symplectic_inverse(m)
+        return m if _leaves_low_end(g, eid, tail) else block_transpose(m)
 
     def cleared_phi(self, g, eid, tail):
         """(rows, d) with rows the rows of d phi(g, eid, tail): from cleared
         for an exact matrix, else the rows of phi and d = 1."""
         if self.cleared[eid] is None:
-            return self.phi(g, eid, tail).tolist(), 1
+            return self.phi(g, eid, tail), 1
         rows, d = self.cleared[eid]
         return (rows if _leaves_low_end(g, eid, tail)
                 else block_transpose(rows)), d
@@ -123,22 +119,23 @@ def identity_connection(g, n=1):
 def monodromy(g, conn, loop):
     m = eye(2 * conn.n)
     for d in loop.darts:
-        m = conn.phi(g, d[0], g.dart_tail(d)) @ m
+        m = matmul(conn.phi(g, d[0], g.dart_tail(d)), m)
     return m
 
 
 def gauge_transform(g, conn, gauges):
     """New connection with phi_uv replaced by g_v phi_uv g_u^-1."""
+    gauges = {vid: mat(gm) for vid, gm in gauges.items()}
     for vid, gm in gauges.items():
-        if not is_symplectic(np.asarray(gm, dtype=object)):
+        if not is_symplectic(gm):
             raise NotSymplectic("gauge at vertex %d is not symplectic" % vid)
     ident = eye(2 * conn.n)
     mats = {}
     for eid, e in g.edges.items():
-        t, h = min(e.u, e.v), max(e.u, e.v)
-        gt = np.asarray(gauges.get(t, ident), dtype=object)
-        gh = np.asarray(gauges.get(h, ident), dtype=object)
-        mats[eid] = gh @ conn.matrices[eid] @ symplectic_inverse(gt)
+        gt = gauges.get(min(e.u, e.v), ident)
+        gh = gauges.get(max(e.u, e.v), ident)
+        mats[eid] = matmul(matmul(gh, conn.matrices[eid]),
+                           block_transpose(gt))
     return Connection(g, conn.n, mats)
 
 
@@ -149,7 +146,7 @@ def edgewise_product(g, c1, c2):
     mats = {}
     for eid in g.edges:
         a, b = c1.matrices[eid], c2.matrices[eid]
-        ab, ba = a @ b, b @ a
+        ab, ba = matmul(a, b), matmul(b, a)
         if not mat_equal(ab, ba, tol=1e-9):
             raise NonCommuting("matrices on edge %d do not commute" % eid)
         mats[eid] = ab
@@ -158,35 +155,39 @@ def edgewise_product(g, c1, c2):
 
 def unitary_embed(re_m, im_m):
     """Realify M = Re + i Im in U(n) as a 2n x 2n symplectic matrix."""
-    re_m = np.asarray(re_m, dtype=object)
-    im_m = np.asarray(im_m, dtype=object)
-    if re_m.shape != im_m.shape or re_m.shape[0] != re_m.shape[1]:
+    re_m, im_m = mat(re_m), mat(im_m)
+    n = len(re_m)
+    if len(im_m) != n or any(len(r) != n for r in re_m + im_m):
         raise DimensionMismatch("real and imaginary parts must be square")
-    n = re_m.shape[0]
-    ident = eye(n)
-    zero = ident - ident
-    if not mat_equal(re_m.T @ re_m + im_m.T @ im_m, ident, tol=1e-12):
+    re_t, im_t = list(zip(*re_m)), list(zip(*im_m))
+    # M*M = I: Re^T Re + Im^T Im = I and Re^T Im - Im^T Re = 0
+    herm = [[x + y for x, y in zip(r, s)]
+            for r, s in zip(matmul(re_t, re_m), matmul(im_t, im_m))]
+    skew = [[x - y for x, y in zip(r, s)]
+            for r, s in zip(matmul(re_t, im_m), matmul(im_t, re_m))]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    if not (mat_equal(herm, ident, tol=1e-12)
+            and mat_equal(skew, [[0] * n] * n, tol=1e-12)):
         raise NotUnitary("M*M != I")
-    if not mat_equal(re_m.T @ im_m - im_m.T @ re_m, zero, tol=1e-12):
-        raise NotUnitary("M*M != I")
-    top = np.concatenate([re_m, im_m], axis=1)
-    bot = np.concatenate([-im_m, re_m], axis=1)
-    out = np.concatenate([top, bot], axis=0)
+    rows = ([r + i for r, i in zip(re_m, im_m)]
+            + [[-x for x in i] + r for r, i in zip(re_m, im_m)])
     # a row (a, b) of R times J is (-b, a)
-    rows = out.tolist()
-    if not (is_symplectic(out, tol=1e-9)
+    if not (is_symplectic(rows, tol=1e-9)
             and mat_equal(j_times(rows), [[-x for x in r[n:]] + r[:n]
                                           for r in rows], tol=1e-9)):
         raise SelfCheckFailed("realified unitary is not a symplectic"
                               " matrix commuting with J")
-    return out
+    return rows
 
 
 @functools.cache
 def j_power(n, k):
-    """J^k, one shared array per (n, k): callers must not write to it."""
-    j = symplectic_J(n)
-    return (eye(2 * n), j, -eye(2 * n), -j)[k % 4]
+    """J^k as k row swaps of I, one shared matrix per (n, k): callers
+    must not write to it."""
+    rows = eye(2 * n)
+    for _ in range(k % 4):
+        rows = j_times(rows)
+    return rows
 
 
 def j_connection(g, n, expo):
@@ -275,11 +276,12 @@ def annulus_spec(g, inner_face):
 def flat_annulus_connection(g, spec, m):
     """Identity off the cut; M^(crossing sign) on cut edges, so every loop
     has monodromy M^winding.  The rank n is read from the 2n x 2n M."""
-    m = np.asarray(m, dtype=object)
+    m = mat(m)
     n = len(m) // 2
-    if m.shape != (2 * n, 2 * n):
-        raise DimensionMismatch("monodromy matrix has shape %r" % (m.shape,))
-    flat = {1: m, -1: symplectic_inverse(m)}
+    if not m or len(m) % 2 or len(m[0]) != len(m):
+        raise DimensionMismatch("monodromy matrix has shape %r"
+                                % ((len(m), len(m[0]) if m else 0),))
+    flat = {1: m, -1: block_transpose(m)}
     mats = dict.fromkeys(g.edges, eye(2 * n))
     mats.update((eid, flat[s]) for eid, s in spec.cut)
     return Connection(g, n, mats)
@@ -317,7 +319,7 @@ def connection_to_dict(g, conn):
         m = conn.matrices[eid]
         edges.append({
             "id": eid,
-            "matrix": [[format_scalar(x) for x in row] for row in m.tolist()],
+            "matrix": [[format_scalar(x) for x in row] for row in m],
         })
     return {"n": conn.n, "edges": edges}
 
@@ -338,7 +340,7 @@ def connection_from_dict(g, data):
                 for row in json_field(entry, "matrix", list)]
         pairs = [[_pair(x) for x in row] for row in rows]
         if any(None in row for row in pairs):
-            mats[eid] = mat([[parse_scalar(x) for x in row] for row in rows])
+            mats[eid] = [[parse_scalar(x) for x in row] for row in rows]
         else:
             d = math.lcm(*[q for row in pairs for _, q in row])
             mats[eid] = [[p * (d // q) for p, q in row] for row in pairs], d

@@ -1,10 +1,11 @@
 """Matrices over exact rings, the symplectic form, and Pfaffians.
 
-Matrices are numpy arrays with dtype=object so the entries can be
-Fraction, Poly, or float; @ and elementwise ops work on all three.  A
+A matrix is a list of row lists and a vector a plain list; the entries
+may be int, Fraction, Poly or float.  mat takes outside input, numpy
+arrays included, to that form, and matmul multiplies two matrices.  A
 SkewMatrix, the input of the Pfaffian, holds only its rows of nonzero
 entries, as dicts from column index to entry; its skewness is checked
-once per unordered pair of stored entries, and .a gives the dense array.
+once per unordered pair of stored entries, and .a gives the dense rows.
 Exact rows are checked on the rows of B = DAD below (skew exactly when A
 is, all d_i > 0), ints for int and Fraction entries and packed integer
 polynomials for Poly ones, which the elimination takes; a caller that
@@ -89,34 +90,33 @@ import operator
 from bisect import bisect_left
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (DimensionMismatch, MixedRing, NotSkew, OutOfRange,
                      SelfCheckFailed)
 from .rings import Poly, _denominator, _Packing, _pk_neg, _pk_quot
 
 
 def mat(rows):
-    a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        if len(row) != a.shape[1]:
-            raise DimensionMismatch("ragged rows")
-        for j, x in enumerate(row):
-            a[i, j] = x
-    return a
+    """Rows, a numpy array's included, as a list of row lists.  A numpy
+    scalar entry becomes the Python int or float it holds: int64 products
+    would wrap where Python ints stay exact."""
+    rows = [[x.item() if hasattr(x, "item") else x for x in r] for r in rows]
+    if len({len(r) for r in rows}) > 1:
+        raise DimensionMismatch("ragged rows")
+    return rows
 
 
 def eye(n):
-    a = zeros(n)
-    for i in range(n):
-        a[i, i] = Fraction(1)
-    return a
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def zeros(n, m=None):
-    a = np.empty((n, n if m is None else m), dtype=object)
-    a[:, :] = Fraction(0)
-    return a
+def matmul(a, b):
+    """The product of two matrices.  Each entry is summed from its first
+    product, as numpy's object @ sums it, so that -0.0 * 1.0 stays -0.0."""
+    if any(len(row) != len(b) for row in a):
+        raise DimensionMismatch("matrix product of mismatched shapes")
+    cols = list(zip(*b))
+    return [[functools.reduce(operator.add, map(operator.mul, row, col))
+             for col in cols] for row in a]
 
 
 def scalar_is_zero(x):
@@ -126,11 +126,10 @@ def scalar_is_zero(x):
 
 
 def mat_equal(a, b, tol=0.0):
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    if a.shape != b.shape:
+    a, b = mat(a), mat(b)
+    if list(map(len, a)) != list(map(len, b)):
         return False
-    for x, y in zip(a.flat, b.flat):
+    for x, y in zip(itertools.chain(*a), itertools.chain(*b)):
         if isinstance(x, float) or isinstance(y, float):
             if abs(x - y) > tol:
                 return False
@@ -143,11 +142,7 @@ def mat_equal(a, b, tol=0.0):
 
 def symplectic_J(n):
     """The 2n x 2n form [[0, I], [-I, 0]]."""
-    a = zeros(2 * n)
-    for i in range(n):
-        a[i, n + i] = Fraction(1)
-        a[n + i, i] = Fraction(-1)
-    return a
+    return j_times(eye(2 * n))
 
 
 def j_times(rows):
@@ -159,10 +154,10 @@ def j_times(rows):
 
 def is_symplectic(m, tol=1e-12):
     """M^T J M = J, checked as D^2 J on cleared ints for exact entries."""
-    m = np.asarray(m, dtype=object)
-    if m.shape[0] != m.shape[1] or m.shape[0] % 2:
+    m = mat(m)
+    if len(m) % 2 or any(len(r) != len(m) for r in m):
         return False
-    return symplectic_rows(*clear_denominators(m.tolist()), tol=tol)
+    return symplectic_rows(*clear_denominators(m), tol=tol)
 
 
 def symplectic_rows(rows, d, tol=1e-12):
@@ -187,11 +182,6 @@ def block_transpose(rows):
     cols = list(zip(*rows))
     return ([list(c[n:]) + [-x for x in c[:n]] for c in cols[n:]]
             + [[-x for x in c[n:]] + list(c[:n]) for c in cols[:n]])
-
-
-def symplectic_inverse(m):
-    """Inverse of a symplectic matrix: -J M^T J, its block_transpose."""
-    return mat(block_transpose(np.asarray(m, dtype=object).tolist()))
 
 
 def all_pairings(items):
@@ -242,10 +232,9 @@ class SkewMatrix:
             for row in rows:
                 kinds.update(map(type, row.values()))
         else:
-            a = np.asarray(a, dtype=object)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            dense = mat(a)
+            if any(len(r) != len(dense) for r in dense):
                 raise DimensionMismatch("skew matrix must be square")
-            dense = a.tolist()
             rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
             kinds = {type(x) for row in dense for x in row}
         self.kinds, self.dim = kinds, len(rows)
@@ -276,12 +265,15 @@ class SkewMatrix:
 
     @property
     def a(self):
-        """The dense matrix, with int 0 at the entries not stored."""
-        n = self.dim
-        return np.array(_dense(self.rows), dtype=object).reshape(n, n)
+        """The dense rows, with int 0 at the entries not stored."""
+        return _dense(self.rows)
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.a, dtype=dtype)
+        """The dense object array; a caller that converts has numpy loaded
+        already, so it is imported here and not with the module."""
+        import numpy as np
+        a = np.array(self.a, dtype=object).reshape(self.dim, self.dim)
+        return np.asarray(a, dtype=dtype)
 
     def pfaffian(self):
         return pf_eliminate(self)
@@ -530,10 +522,9 @@ def _pf_sparse(b, zero, one, prepare, lift, cross, neg, size):
 def det(a):
     """Determinant as the Pfaffian of the interleaved skew matrix (see
     the module docstring), whose rows are skew by construction."""
-    a = np.asarray(a, dtype=object)
-    if a.shape[0] != a.shape[1]:
+    dense = mat(a)
+    if any(len(r) != len(dense) for r in dense):
         raise DimensionMismatch("determinant of a non-square matrix")
-    dense = a.tolist()
     rows = [{} for _ in range(2 * len(dense))]
     for i, row in enumerate(dense):
         for j, x in enumerate(row):

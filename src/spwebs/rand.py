@@ -8,11 +8,9 @@ share a y coordinate and no dart points due west.
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .connections import Connection
 from .errors import DegenerateGeometry
-from .linalg import eye, mat
+from .linalg import eye, matmul
 from .planar import Edge, PlanarGraph, Vertex
 
 
@@ -54,9 +52,9 @@ def random_sp2(rnd, words=4):
     for _ in range(words):
         a = random_fraction(rnd)
         if rnd.random() < 0.5:
-            m = m @ mat([[1, a], [0, 1]])
+            m = matmul(m, [[1, a], [0, 1]])
         else:
-            m = m @ mat([[1, 0], [a, 1]])
+            m = matmul(m, [[1, 0], [a, 1]])
     return m
 
 
@@ -66,16 +64,13 @@ def random_sp4(rnd, words=3):
         kind = rnd.randrange(3)
         if kind < 2:
             p, q, r = (random_fraction(rnd) for _ in range(3))
-            s = mat([[p, q], [q, r]])
-            blk = np.block([[eye(2), s], [mat([[0, 0], [0, 0]]), eye(2)]]) \
-                if kind == 0 else \
-                np.block([[eye(2), mat([[0, 0], [0, 0]])], [s, eye(2)]])
+            # [[I, S], [0, I]] or [[I, 0], [S, I]], S = [[p, q], [q, r]]
+            blk, i, j = eye(4), 2 * kind, 2 - 2 * kind
+            blk[i][j:j + 2], blk[i + 1][j:j + 2] = [p, q], [q, r]
         else:
-            a = random_sp2(rnd, 2)
-            ait = mat([[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]])
-            blk = np.block([[a, mat([[0, 0], [0, 0]])],
-                            [mat([[0, 0], [0, 0]]), ait]])
-        m = m @ blk
+            (a, b), (c, d) = random_sp2(rnd, 2)
+            blk = [[a, b, 0, 0], [c, d, 0, 0], [0, 0, d, -c], [0, 0, -b, a]]
+        m = matmul(m, blk)
     return m
 
 

@@ -17,15 +17,13 @@ import cmath
 import warnings
 from fractions import Fraction
 
-import numpy as np
-
 from .connections import (Connection, exponent_sum, j_connection, j_power,
                           kasteleyn_connection, kasteleyn_exponents,
                           spin_flips, unitary_embed)
 from .errors import (BadFaceLength, DimensionMismatch, DivByZero,
                      IdentityViolated, IllConditioned, OutOfRange,
                      SelfCheckFailed)
-from .linalg import SkewMatrix, block_transpose, j_times, mat, scalar_is_zero
+from .linalg import SkewMatrix, block_transpose, j_times, scalar_is_zero
 from .planar import standard_structure, vertex_order
 from .rings import Poly, _Packing, exact_div_scalar
 from .traces import trace_contraction
@@ -128,7 +126,7 @@ class HMatrix(SkewMatrix):
         for rh, rl, wt, eid in blocks:
             # x * float(w) is x * w for a float entry x, in fewer steps
             wf = wt if isinstance(wt, Poly) else float_weight(eid, wt)
-            for i, row in enumerate(j_times(conn.matrices[eid].tolist())):
+            for i, row in enumerate(j_times(conn.matrices[eid])):
                 for c, x in enumerate(row, rl):
                     if x:
                         val = x * (wf if isinstance(x, float) else wt)
@@ -306,9 +304,8 @@ def u2_matrix(theta, alpha, beta, eps):
     b = cmath.exp(1j * beta) * math.sin(theta)
     c = -cmath.exp(1j * (eps - beta)) * math.sin(theta)
     d = cmath.exp(1j * (eps - alpha)) * math.cos(theta)
-    re = mat([[a.real, b.real], [c.real, d.real]])
-    im = mat([[a.imag, b.imag], [c.imag, d.imag]])
-    return unitary_embed(re, im)
+    return unitary_embed([[a.real, b.real], [c.real, d.real]],
+                         [[a.imag, b.imag], [c.imag, d.imag]])
 
 
 def u2_loop_trace(kind, alpha, eps, theta):
@@ -346,12 +343,12 @@ def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0, w=None):
     connection, at the theta that kills odd-doubled loops."""
     v = solve_theta(alpha, eps)
     theta = 0.5 * math.acos(max(-1.0, min(1.0, v)))
-    r = u2_matrix(theta, alpha, beta, eps).tolist()
+    r = u2_matrix(theta, alpha, beta, eps)
     flat = {1: r, -1: block_transpose(r)}
     expo = kasteleyn_exponents(g)
     # shared float J-powers off the cut, where the flat factor is I; on a
     # cut edge J^k R^s is k row swaps of R^s, unitary_embed checked RJ = JR
-    fj = [j_power(2, k).astype(float).tolist() for k in range(4)]
+    fj = [[list(map(float, row)) for row in j_power(2, k)] for k in range(4)]
     mats = {eid: fj[k] for eid, k in expo.items()}
     for eid, s in spec.cut:
         rows = flat[s]
@@ -367,7 +364,9 @@ def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0, w=None):
     of the cut: each cut edge carries at most 4 loop strands at rank 2
     and a winding loop uses at least 2 of them.  Least-squares over the
     samples; a Vandermonde condition number past 1e8 raises IllConditioned
-    rather than returning noise."""
+    rather than returning noise.  numpy is loaded here, for the fit only."""
+    import numpy as np
+
     k_max = 2 * len(spec.cut)
     if len(eps_samples) < k_max + 1:
         raise DimensionMismatch(

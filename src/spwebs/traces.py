@@ -42,12 +42,10 @@ import functools
 import itertools
 from types import MappingProxyType
 
-import numpy as np
-
 from .connections import monodromy
 from .errors import DimensionMismatch, NotBipartite, SelfCheckFailed, WrongRank
-from .linalg import (all_pairings, clear_denominators, det, j_times, minors,
-                     perm_sign, symplectic_J)
+from .linalg import (all_pairings, clear_denominators, det, j_times, mat,
+                     minors, perm_sign)
 from .planar import Structure, edge_sweep, standard_structure
 from .rings import exact_div_scalar
 from .webs import check_multiweb, decompose_2multiweb
@@ -97,7 +95,7 @@ def trace_coloring(g, conn, m, structure=None):
     scale = m.split_factor()
     for eid, t, st, h, sh in _split(g, m, s):
         later = t if vpos[t] > vpos[h] else h
-        rows, d = clear_denominators(j_times(conn.phi(g, eid, h).tolist()))
+        rows, d = clear_denominators(j_times(conn.phi(g, eid, h)))
         scale *= d
         ready[later].append((rows, t, h, st, sh))
     perms = list(itertools.permutations(range(n2)))
@@ -248,7 +246,7 @@ def trace_sp2_loops(g, conn, m, structure=None):
                 if x == inc:
                     break
             prev = dart
-        t = mono[0, 0] + mono[1, 1]
+        t = mono[0][0] + mono[1][1]
         total = total * (t if (len(loop.darts) + d) % 2 == 0 else -t)
     return total
 
@@ -352,14 +350,13 @@ def crossing_count(pairing):
 def det_vertex(vectors):
     """Crossing-signed pairing sum: sum over pairings alpha of
     (-1)^(K_alpha + n(n+1)/2) prod_k v_{j_k} . (J v_{i_k})."""
-    vs = [np.asarray(v, dtype=object).reshape(-1) for v in vectors]
-    if len(vs) % 2:
+    if len(vectors) % 2:
         raise DimensionMismatch("need an even number of vectors")
-    n = len(vs) // 2
-    if any(v.shape[0] != 2 * n for v in vs):
+    n = len(vectors) // 2
+    if any(len(v) != 2 * n for v in vectors):
         raise DimensionMismatch("vectors must have dimension 2n")
-    j = symplectic_J(n)
-    jv = [j @ v for v in vs]
+    vs = mat(vectors)
+    jv = [v[n:] + [-x for x in v[:n]] for v in vs]
     base = (n * (n + 1)) // 2
     total = 0
     for alpha in all_pairings(list(range(2 * n))):
@@ -374,30 +371,24 @@ def det_vertex(vectors):
 
 def wedge_norm(vectors):
     """Determinant of the matrix with the given columns."""
-    vs = [np.asarray(v, dtype=object).reshape(-1) for v in vectors]
-    d = len(vs)
-    if any(v.shape[0] != d for v in vs):
+    if any(len(v) != len(vectors) for v in vectors):
         raise DimensionMismatch("need k vectors of dimension k")
-    mat = np.empty((d, d), dtype=object)
-    for c, v in enumerate(vs):
-        for r in range(d):
-            mat[r, c] = v[r]
-    return det(mat)
+    return det(list(zip(*vectors)))
 
 
 def qdet(a, q):
     """Inversion-signed determinant: sum over permutations of
     (-q)^inv(sigma) prod a[i][sigma(i)]."""
-    a = np.asarray(a, dtype=object)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = mat(a)
+    k = len(a)
+    if any(len(r) != k for r in a):
         raise DimensionMismatch("matrix must be square")
-    k = a.shape[0]
     total = 0
     for p in itertools.permutations(range(k)):
         inv = sum(1 for x in range(k) for y in range(x + 1, k)
                   if p[x] > p[y])
         term = (-q) ** inv
         for i in range(k):
-            term = term * a[i, p[i]]
+            term = term * a[i][p[i]]
         total = total + term
     return total

@@ -351,7 +351,7 @@ def reference_connection(data):
     for entry in data["edges"]:
         m = mat([[_fraction_scalar(x) for x in row]
                  for row in entry["matrix"]])
-        rows, d = clear_denominators(m.tolist())
+        rows, d = clear_denominators(m)
         exact = all(type(x) is int for row in rows for x in row)
         out[entry["id"]] = m, (rows, d) if exact else None
     return out

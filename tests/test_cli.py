@@ -3,6 +3,8 @@ import json
 import math
 import random
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -177,15 +179,37 @@ def test_annulus_ck_verb(capsys):
     assert payload["residual"] < 1e-8
 
 
+def test_verbs_run_without_numpy(capsys):
+    # python -S leaves site-packages, and numpy with it, off the path: a
+    # matrix is a list of rows, and only the annulus-ck fit loads numpy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argvs = [["verify-main", "--graph", str(DATA / "cube.json"), "--n", "2"],
+             ["kasteleyn", "--graph", G24, "--n", "2",
+              "--weights", "symbolic"]]
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "from spwebs import cli\n"
+              "codes = [cli.main(argv) for argv in %r]\n"
+              "sys.exit(0 if codes == [0, 0] and 'numpy' not in sys.modules"
+              " else 'exit codes %%r, numpy loaded: %%s'"
+              " %% (codes, 'numpy' in sys.modules))\n" % (argvs,))
+    proc = subprocess.run([sys.executable, "-S", "-c", script, src],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(run(capsys, argv)[1] for argv in argvs)
+
+
 def test_annulus_ck_default_samples_fit_every_face_of_a_grid(capsys,
                                                              tmp_path):
     # the shortest dual cut keeps K = 2|cut| small enough for the float fit
-    # on every face of a 5x5 grid; at x = 6 the holonomy is the identity,
-    # so sum C_k 6^k is Z^4 of the plain dimer sum
-    g = grid(5, 5)
+    # on every face of a 5x6 grid; at x = 6 the holonomy is the identity,
+    # so sum C_k 6^k is Z^4 of the plain dimer sum, Z = 1183 (a 5x5 grid
+    # has no dimer cover, so there every face would fit 0 against 0)
+    g = grid(5, 6)
     path = str(tmp_path / "g.json")
     save_graph(g, path)
     z4 = float(th.dimer_partition(g)) ** 4
+    assert z4 == 1183 ** 4
     for f in g.bounded_faces():
         code, out = run(capsys, ["annulus-ck", "--graph", path, "--inner",
                                  str(f), "--json"])
@@ -215,7 +239,7 @@ def test_annulus_ck_stdout_on_bench_sized_grids(capsys, tmp_path,
                                                 monkeypatch):
     # the bench's weighted grids (weight 2 on every third edge id), where
     # H has dimension 64 and more; the 5x5 grid has no dimer cover.  Each
-    # sample H is all floats: the J-powers off the cut are float arrays
+    # sample H is all floats: the J-powers off the cut are float rows
     built = []
 
     class Spy(th.HMatrix):

@@ -9,10 +9,10 @@ from helpers import (exterior_power_trace, pf_combinatorial, random_skew,
                      substitute)
 from spwebs import linalg
 from spwebs.errors import MixedRing, NotSkew, SelfCheckFailed
-from spwebs.linalg import (SkewMatrix, all_pairings, clear_denominators, det,
-                           eye, is_symplectic, mat, mat_equal, minors,
-                           perm_sign, pf_eliminate, scalar_is_zero,
-                           symplectic_J, symplectic_inverse, zeros)
+from spwebs.linalg import (SkewMatrix, all_pairings, block_transpose,
+                           clear_denominators, det, eye, is_symplectic, mat,
+                           mat_equal, matmul, minors, perm_sign, pf_eliminate,
+                           scalar_is_zero, symplectic_J)
 from spwebs.rand import random_fraction, random_sp2, random_sp4
 from spwebs.rings import Poly
 from spwebs.traces import det_vertex, wedge_norm
@@ -21,8 +21,40 @@ from spwebs.traces import det_vertex, wedge_norm
 def test_symplectic_j():
     for n in (1, 2, 3):
         j = symplectic_J(n)
-        assert mat_equal(j @ j, -eye(2 * n))
+        assert mat_equal(matmul(j, j), [[-x for x in r] for r in eye(2 * n)])
         assert is_symplectic(j)
+
+
+def test_matmul_matches_numpy_object_matmul_bit_for_bit():
+    # each entry is summed from its first product, as numpy's object @
+    # sums it; repr tells a float -0.0 from 0.0
+    rnd = random.Random(67)
+    x = Poly.var("x")
+    entries = (lambda: rnd.randint(-3, 3),
+               lambda: Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)),
+               lambda: rnd.randint(-2, 2) * x + rnd.randint(-2, 2),
+               lambda: rnd.choice([0.0, -0.0, rnd.uniform(-2.0, 2.0)]))
+    for entry in entries:
+        for _ in range(12):
+            p, q, r = (rnd.randint(1, 6) for _ in range(3))
+            a = [[entry() for _ in range(q)] for _ in range(p)]
+            b = [[entry() for _ in range(r)] for _ in range(q)]
+            want = np.array(a, dtype=object) @ np.array(b, dtype=object)
+            assert [[(type(y), repr(y)) for y in row]
+                    for row in matmul(a, b)] == \
+                [[(type(y), repr(y)) for y in row] for row in want]
+    assert repr(matmul([[-0.0, -0.0]], [[1.0], [1.0]])[0][0]) == "-0.0"
+
+
+def test_numpy_arrays_enter_as_python_scalars():
+    # an int64 array's entries become Python ints, so det is exact where
+    # int64 products would wrap, and a float64 array's become floats
+    a = np.array([[2 ** 40, 1], [3, 2 ** 40]])
+    assert det(a) == 2 ** 80 - 3
+    assert [type(x) for r in mat(a) for x in r] == [int] * 4
+    assert [type(x) for r in mat(np.eye(2)) for x in r] == [float] * 4
+    assert mat(np.array([[Fraction(1, 2)]], dtype=object)) == \
+        [[Fraction(1, 2)]]
 
 
 def test_perm_sign():
@@ -80,9 +112,9 @@ def test_skew_matrix_rejects_non_skew():
 
 
 def test_skew_matrix_pfaffian():
-    assert SkewMatrix(np.array(symplectic_J(1).tolist(),
+    assert SkewMatrix(np.array(symplectic_J(1),
                                dtype=object)).pfaffian() == 1
-    assert SkewMatrix(np.array(symplectic_J(2).tolist(),
+    assert SkewMatrix(np.array(symplectic_J(2),
                                dtype=object)).pfaffian() == -1
 
 
@@ -101,15 +133,17 @@ def test_exterior_power_trace():
 def _check_minors(a, tol=0.0):
     """Every k-minor of the Laplace table, divided by its scale D^k,
     equals det of the submatrix."""
-    rows, d = clear_denominators(a.tolist())
-    size = a.shape[0]
+    a = mat(a)
+    rows, d = clear_denominators(a)
+    size = len(a)
     for k in range(1, size + 1):
         table = minors(rows, k)
         for rs in combinations(range(size), k):
             row = table[sum(1 << r for r in rs)]
             for cs in combinations(range(size), k):
                 got = row.get(sum(1 << c for c in cs), 0) * Fraction(1, d ** k)
-                assert mat_equal([[got]], [[det(a[np.ix_(rs, cs)])]], tol=tol)
+                sub = [[a[r][c] for c in cs] for r in rs]
+                assert mat_equal([[got]], [[det(sub)]], tol=tol)
     return rows, d
 
 
@@ -138,17 +172,21 @@ def _shear_product(rnd, n, words=4):
     [[I, 0], [S, I]] with S symmetric and rational."""
     m = eye(2 * n)
     for w in range(words):
-        s = zeros(n)
+        blk = eye(2 * n)
         for i in range(n):
             for j in range(i, n):
-                s[i, j] = s[j, i] = random_fraction(rnd, 3, 4)
-        blk = eye(2 * n)
-        if w % 2:
-            blk[:n, n:] = s
-        else:
-            blk[n:, :n] = s
-        m = m @ blk
+                x = random_fraction(rnd, 3, 4)
+                if w % 2:
+                    blk[i][n + j] = blk[j][n + i] = x
+                else:
+                    blk[n + i][j] = blk[n + j][i] = x
+        m = matmul(m, blk)
     return m
+
+
+def _gram(m, j):
+    """M^T J M."""
+    return matmul(matmul(list(zip(*m)), j), m)
 
 
 def test_exact_is_symplectic_matches_matmul_oracle():
@@ -157,15 +195,15 @@ def test_exact_is_symplectic_matches_matmul_oracle():
         j = symplectic_J(n)
         for _ in range(3):
             m = _shear_product(rnd, n)
-            assert mat_equal(m.T @ j @ m, j)
+            assert mat_equal(_gram(m, j), j)
             assert is_symplectic(m)
             # changing entry (i, c) keeps M symplectic only when row i of
             # J M is a multiple of e_c, which none of these products has
             for i in range(2 * n):
                 for c in range(2 * n):
-                    p = m.copy()
-                    p[i, c] += 1
-                    assert not mat_equal(p.T @ j @ p, j)
+                    p = [list(r) for r in m]
+                    p[i][c] += 1
+                    assert not mat_equal(_gram(p, j), j)
                     assert not is_symplectic(p)
     x = Poly.var("x")
     assert is_symplectic(mat([[1, x], [0, 1]]))
@@ -176,10 +214,10 @@ def test_symplectic_inverse():
     rnd = random.Random(5)
     for _ in range(5):
         m = random_sp2(rnd)
-        assert mat_equal(m @ symplectic_inverse(m), eye(2))
+        assert mat_equal(matmul(m, block_transpose(m)), eye(2))
         m4 = random_sp4(rnd)
         assert is_symplectic(m4)
-        assert mat_equal(m4 @ symplectic_inverse(m4), eye(4))
+        assert mat_equal(matmul(m4, block_transpose(m4)), eye(4))
     # the signed block transpose is -J M^T J for any 2n x 2n matrix
     a = Poly.var("a")
     entries = (lambda: Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)),
@@ -188,15 +226,15 @@ def test_symplectic_inverse():
     for n in (1, 2, 3):
         j = symplectic_J(n)
         for entry in entries:
-            m = np.array([[entry() for _ in range(2 * n)]
-                          for _ in range(2 * n)], dtype=object)
-            assert mat_equal(symplectic_inverse(m), -(j @ m.T @ j), tol=1e-12)
+            m = [[entry() for _ in range(2 * n)] for _ in range(2 * n)]
+            want = matmul(matmul(j, list(zip(*m))), j)
+            assert mat_equal(block_transpose(m),
+                             [[-x for x in r] for r in want], tol=1e-12)
 
 
-def test_zeros_and_scalar_is_zero():
-    z = zeros(2, 3)
-    assert z.shape == (2, 3)
-    assert all(scalar_is_zero(x) for x in z.flat)
+def test_eye_and_scalar_is_zero():
+    assert [[scalar_is_zero(x) for x in r] for r in eye(3)] == \
+        [[False, True, True], [True, False, True], [True, True, False]]
     assert scalar_is_zero(Poly.const(0))
     assert not scalar_is_zero(Fraction(1, 9))
 
@@ -324,7 +362,7 @@ def test_zero_poly_pfaffian_is_a_poly():
     # entry that comes out 0, as here with Pf = x*y - x*y + 0
     x, y = Poly.var("x"), Poly.var("y")
     a = mat([[0, x, x, 0], [-x, 0, y, y], [-x, -y, 0, y], [0, -y, -y, 0]])
-    for m in (a, a[:3, :3]):
+    for m in (a, [r[:3] for r in a[:3]]):
         pf = pf_eliminate(m)
         assert isinstance(pf, Poly) and pf.is_zero()
     values = [pf_eliminate(m) for m in _poly_skew_suite()

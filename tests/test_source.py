@@ -74,20 +74,49 @@ def _numpy_linalg(node):
     return False
 
 
+def _owners(tree):
+    """Node -> name of the innermost function around it."""
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+    return owner
+
+
 def test_float_linear_algebra_only_in_the_ck_fit():
     # exact paths must never reach float linear algebra: np.linalg is for
     # the one numeric least-squares fit of C_k
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        owner = {}
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(fn):
-                    owner[node] = fn.name
+        owner = _owners(tree)
         found |= {"%s.%s" % (path.stem, owner.get(node, "<module>"))
                   for node in ast.walk(tree) if _numpy_linalg(node)}
     assert found == {"theorems.extract_Ck"}, found
+
+
+def test_numpy_only_in_the_ck_fit_and_the_array_conversion():
+    # a matrix is a list of rows: numpy is imported only inside the C_k
+    # fit and inside SkewMatrix.__array__, never at module level, and no
+    # object-array idiom (@, .tolist, .astype) is left in the package
+    found, idioms = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "numpy" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "numpy":
+                found.add("%s.%s" % (path.stem, owner.get(node, "<module>")))
+            if isinstance(node, ast.BinOp) and \
+                    isinstance(node.op, ast.MatMult) or \
+                    isinstance(node, ast.Attribute) and \
+                    node.attr in ("tolist", "astype"):
+                idioms.append("%s:%d" % (path.name, node.lineno))
+    assert found == {"theorems.extract_Ck", "linalg.__array__"}, found
+    assert not idioms, idioms
 
 
 # every planar predicate and the face tracing run on the int coordinates
