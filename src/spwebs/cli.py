@@ -4,7 +4,8 @@ Loads graphs, connections, webs and vector files from JSON, runs the
 enumerations, traces, Pfaffians and identity checks, and prints
 canonical deterministic output: exact scalars through format_scalar,
 floats through repr, JSON with sorted keys.  Exit code 0 on success,
-1 when an identity check fails, 2 on usage errors and malformed input.
+1 when an identity check fails, 2 on usage errors, malformed input and
+a missing numpy (annulus-ck's fit).
 
 VERBS maps each verb to its handler and to exactly the flags that
 handler reads; besides those, every verb takes --json, and any other
@@ -292,7 +293,8 @@ def main(argv=None):
     except IdentityViolated as exc:
         print("IDENTITY VIOLATED: %s" % exc)
         return 1
-    except (SpwebsError, OSError, ValueError, KeyError, OverflowError) as exc:
+    except (SpwebsError, OSError, ValueError, KeyError, OverflowError,
+            ImportError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -72,15 +72,17 @@ to a Poly once (the zero Poly for 0).
   The packing is sized for max(dim - 2, 1) e, which also holds the
   entries and the Pfaffian; a dividend past it raises SelfCheckFailed.
 * A remaining row with no nonzeros makes the working matrix singular,
-  and with it B, so the Pfaffian is 0.
+  and with it B, so the Pfaffian is 0.  An odd dimension always ends
+  so: the last remaining row can only meet itself.
 
 There is no separate determinant elimination.  det A is the Pfaffian of
 the 2n x 2n skew matrix M with the rows of A at even indices and its
 columns at odd ones, M[2i][2j+1] = a_ij = -M[2j+1][2i] and every other
 entry 0: the perfect matchings of M with nonzero weight are the
 permutations of A, each with its sign, so Pf(M) = det A.  det builds
-the rows of M itself, skew by construction, and hands them to the ring
-dispatch without SkewMatrix's check.
+the rows of M itself, skew by construction, clears them once in the
+ring their entries pick, and runs the elimination of that ring, without
+SkewMatrix's check.
 """
 
 import functools
@@ -213,10 +215,11 @@ class SkewMatrix:
     a is a square matrix, or its rows as dicts from column index to entry;
     such a row may also hold zero entries (H of a zero weight), which the
     Pfaffian drops.  kinds is the set of entry types, zeros included,
-    from which pf_eliminate picks the ring; float and Poly entries
+    from which the ring is picked once, here; float and Poly entries
     together raise MixedRing.  Exact matrices are held as cleared = (B,
     d, pk), the rows of B = DAD, the d_i and the packing of B's entries:
-    ints when pk is None, else integer polynomials packed by pk.  A
+    ints when pk is None, else integer polynomials packed by pk; float
+    ones have cleared None, and pf_eliminate follows cleared.  A
     caller may pass B, d and pk itself, and then rows is built only when
     asked for.  Skewness is checked once per unordered pair of stored
     entries, on B when there is one: an int addition, a comparison of
@@ -295,7 +298,7 @@ def pf_eliminate(a):
         a = SkewMatrix(a)
     if a.cleared is not None:
         return _pf_cleared(*a.cleared)
-    return _pf_rows(a.rows, a.kinds)
+    return 0.0 if a.dim % 2 else _pf_float(a.rows)
 
 
 def _ring(kinds):
@@ -328,24 +331,14 @@ def _cleared(rows, kinds):
             for row, di in zip(rows, d)], d, pk
 
 
-def _pf_rows(rows, kinds):
-    """Pfaffian of skew rows of entries (dicts, zeros allowed) in the ring
-    that kinds picks."""
-    cleared = _cleared(rows, kinds)
-    if cleared is not None:
-        return _pf_cleared(*cleared)
-    return 0.0 if len(rows) % 2 else _pf_float(rows)
-
-
 def _pf_cleared(b, d, pk):
     """Pfaffian of A from the rows of B = DAD, the d_i and the packing pk
     of B's entries (None for ints)."""
     if pk is None:
-        pf = 0 if len(b) % 2 else _pf_sparse(list(b), 0, 1, int, _lift,
-                                             _cross, operator.neg, len)
+        pf = _pf_sparse(list(b), 0, 1, int, _lift, _cross, operator.neg, len)
         return Fraction(pf, math.prod(d))
     one = {0: 1}
-    pf = {} if len(b) % 2 else _pf_sparse(
+    pf = _pf_sparse(
         list(b), {}, one, lambda g: None if g == one else pk.divisor(g),
         _pk_lift, _pk_cross, _pk_neg, lambda r: sum(map(len, r.values())))
     return pk.unpack(pf, math.prod(d))
@@ -530,4 +523,5 @@ def det(a):
         for j, x in enumerate(row):
             rows[2 * i][2 * j + 1] = x
             rows[2 * j + 1][2 * i] = -x
-    return _pf_rows(rows, {type(x) for row in dense for x in row})
+    cleared = _cleared(rows, {type(x) for row in dense for x in row})
+    return _pf_float(rows) if cleared is None else _pf_cleared(*cleared)

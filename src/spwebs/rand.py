@@ -33,13 +33,13 @@ def _fan_diagonals(rnd, lo, hi, out):
     _fan_diagonals(rnd, k, hi, out)
 
 
-def random_planar_graph(rnd, nv, keep=0.6):
-    """Convex polygon plus a random subset of triangulation diagonals."""
+def random_planar_graph(rnd, nv):
+    """Convex polygon plus random triangulation diagonals, each kept at 0.6."""
     verts = _convex_vertices(rnd, nv)
     pairs = [(i, (i + 1) % nv) for i in range(nv)]
     diags = []
     _fan_diagonals(rnd, 0, nv - 1, diags)
-    pairs += [d for d in diags if rnd.random() < keep]
+    pairs += [d for d in diags if rnd.random() < 0.6]
     return PlanarGraph(verts, [Edge(i, u, v) for i, (u, v) in enumerate(pairs)])
 
 
@@ -74,11 +74,12 @@ def random_sp4(rnd, words=3):
     return m
 
 
-def random_sp(rnd, n, words=4):
+def random_sp(rnd, n):
+    """A product of 4 random symplectic generators of rank n."""
     if n == 1:
-        return random_sp2(rnd, words)
+        return random_sp2(rnd, 4)
     if n == 2:
-        return random_sp4(rnd, words)
+        return random_sp4(rnd, 4)
     raise ValueError("no generator for rank %d" % n)
 
 
@@ -86,13 +87,12 @@ def random_connection(g, rnd, n=1):
     return Connection(g, n, {eid: random_sp(rnd, n) for eid in g.edges})
 
 
-def random_polygon(rnd, npts=8, span=9):
+def random_polygon(rnd):
     """Simple lattice polygon with no horizontal steps, as int points:
-    random points sorted by angle around their centroid, one point per
-    direction."""
+    8 random points of [-9, 9]^2 sorted by angle around their centroid,
+    one point per direction."""
     for _ in range(500):
-        pts = {(rnd.randint(-span, span), rnd.randint(-span, span))
-               for _ in range(npts)}
+        pts = {(rnd.randint(-9, 9), rnd.randint(-9, 9)) for _ in range(8)}
         if len(pts) < 3:
             continue
         cx = sum(p[0] for p in pts) / len(pts)

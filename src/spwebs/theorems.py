@@ -85,8 +85,8 @@ class HMatrix(SkewMatrix):
     of B = DAD and the d_i come straight from the cleared edge matrices
     (_cleared_rows), and H's own entries are built only when asked for.
     A Poly weight enters as its content c_e, which _cleared_rows takes as
-    the weight, times its primitive integer polynomial P_e, by which the
-    block's ints are then multiplied, packed as the Pfaffian takes them.
+    the weight, and its primitive integer polynomial P_e, by which it
+    multiplies the block's ints, packed as the Pfaffian takes them.
     Otherwise (a float weight or a float edge matrix) the entries where
     an edge matrix is nonzero are stored as rows of dicts (zeros under a
     zero weight, which keep its ring).
@@ -103,23 +103,12 @@ class HMatrix(SkewMatrix):
                    weights[e.id], e.id) for e in g.edges.values()]
         if all(isinstance(wt, (int, Fraction, Poly)) and conn.cleared[eid]
                for _, _, wt, eid in blocks):
-            pk, content = None, weights
+            pk, parts = None, {eid: (wt, None) for eid, wt in weights.items()}
             if any(isinstance(wt, Poly) for wt in weights.values()):
                 pk = _Packing.of(weights.values(), max(dim - 2, 1))
                 parts = {eid: pk.primitive(wt) for eid, wt in weights.items()}
-                content = {eid: c for eid, (c, _) in parts.items()}
-            rows, d = _cleared_rows([(rh, rl, content[eid], conn.cleared[eid])
+            rows, d = _cleared_rows([(rh, rl, *parts[eid], conn.cleared[eid])
                                      for rh, rl, _, eid in blocks], n, dim)
-            if pk is not None:
-                # every int of a block times the P_e of its edge
-                poly = {}
-                for rh, rl, _, eid in blocks:
-                    poly[rh // b, rl // b] = poly[rl // b, rh // b] = \
-                        parts[eid][1]
-                rows = [{c: {m: v * x
-                             for m, x in poly[r // b, c // b].items()}
-                         for c, v in row.items()}
-                        for r, row in enumerate(rows)]
             super().__init__(rows, d, pk)
             return
         rows = [{} for _ in range(dim)]
@@ -136,24 +125,26 @@ class HMatrix(SkewMatrix):
 
 
 def _cleared_rows(blocks, n, dim):
-    """The int rows of B = DAD and the d_i for H of exact rank-n blocks
-    (rh, rl, w, (N, d)): block (rh, rl) is w J N / d, J N being N with its
-    row halves swapped and the lower half negated, and d_r is the lcm of
-    the lowest-terms denominators in row r, as linalg._clear takes them.
-    With w = p/q and D = dq, the entries x p / D of a line (row or column)
-    of J N whose gcd is g have denominators D / gcd(D, x p), whose lcm is
-    D / gcd(D, p g).  Every entry of B is checked to be an integer."""
-    blocks = [(rh, rl, w.numerator, dn * w.denominator, nr[n:] + nr[:n])
-              for rh, rl, w, (nr, dn) in blocks]
+    """The rows of B = DAD and the d_i for H of exact rank-n blocks
+    (rh, rl, w, P, (N, d)): block (rh, rl) is w P J N / d, J N being N
+    with its row halves swapped and the lower half negated, and d_r is
+    the lcm of the lowest-terms denominators in row r, as linalg._clear
+    takes them.  With w = p/q and D = dq, the entries x p / D of a line
+    (row or column) of J N whose gcd is g have denominators D / gcd(D,
+    x p), whose lcm is D / gcd(D, p g).  Every entry of B is checked to
+    be an integer, and is an int when P is None, else that int times the
+    packed integer polynomial P."""
+    blocks = [(rh, rl, w.numerator, dn * w.denominator, nr[n:] + nr[:n], pe)
+              for rh, rl, w, pe, (nr, dn) in blocks]
     d = [1] * dim
-    for rh, rl, p, den, swapped in blocks:
+    for rh, rl, p, den, swapped, _ in blocks:
         if den > 1:
             for r, line in [*enumerate(swapped, rh),
                             *enumerate(zip(*swapped), rl)]:
                 g = math.gcd(den, p * math.gcd(*line))
                 d[r] = math.lcm(d[r], den // g)
     rows = [{} for _ in range(dim)]
-    for rh, rl, p, den, swapped in blocks:
+    for rh, rl, p, den, swapped, pe in blocks:
         if not p:
             continue
         for r, row in enumerate(swapped, rh):
@@ -164,8 +155,11 @@ def _cleared_rows(blocks, n, dim):
                     if rem:
                         raise SelfCheckFailed("H entry %d, %d does not clear"
                                               % (r, c))
-                    rows[r][c] = v
-                    rows[c][r] = -v
+                    if pe is None:
+                        rows[r][c], rows[c][r] = v, -v
+                    else:
+                        rows[r][c] = {m: v * y for m, y in pe.items()}
+                        rows[c][r] = {m: -v * y for m, y in pe.items()}
     return rows, d
 
 
@@ -338,7 +332,7 @@ def solve_theta(alpha, eps):
     return v
 
 
-def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0, w=None):
+def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0):
     """Rank-2 Kasteleyn Pfaffian twisted by the flat embedded-U(2)
     connection, at the theta that kills odd-doubled loops."""
     v = solve_theta(alpha, eps)
@@ -355,10 +349,10 @@ def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0, w=None):
         for _ in range(expo[eid]):
             rows = j_times(rows)
         mats[eid] = rows
-    return float(HMatrix(g, Connection(g, 2, mats), w).pfaffian())
+    return float(HMatrix(g, Connection(g, 2, mats)).pfaffian())
 
 
-def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0, w=None):
+def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0):
     """Coefficients C_0..C_K of the annulus partition function in the
     monomial basis x^k, x = 2 + 4 cos(eps).  K = half the strand capacity
     of the cut: each cut edge carries at most 4 loop strands at rank 2
@@ -376,7 +370,7 @@ def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0, w=None):
     cond = np.linalg.cond(v)
     if cond > 1e8:
         raise IllConditioned("Vandermonde condition number %.3g" % cond)
-    z = np.array([annulus_partition(g, spec, e, alpha=alpha, beta=beta, w=w)
+    z = np.array([annulus_partition(g, spec, e, alpha=alpha, beta=beta)
                   for e in eps_samples], dtype=float)
     coeffs, _, _, _ = np.linalg.lstsq(v, z, rcond=None)
     return [float(c) for c in coeffs]

@@ -185,18 +185,22 @@ def test_verbs_run_without_numpy(capsys):
     src = str(Path(__file__).resolve().parent.parent / "src")
     argvs = [["verify-main", "--graph", str(DATA / "cube.json"), "--n", "2"],
              ["kasteleyn", "--graph", G24, "--n", "2",
-              "--weights", "symbolic"]]
+              "--weights", "symbolic"],
+             ["annulus-ck", "--graph", str(DATA / "c4.json"), "--inner", "0"]]
     script = ("import sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
               "from spwebs import cli\n"
               "codes = [cli.main(argv) for argv in %r]\n"
-              "sys.exit(0 if codes == [0, 0] and 'numpy' not in sys.modules"
-              " else 'exit codes %%r, numpy loaded: %%s'"
+              "sys.exit(0 if codes == [0, 0, 2] and 'numpy' not in"
+              " sys.modules else 'exit codes %%r, numpy loaded: %%s'"
               " %% (codes, 'numpy' in sys.modules))\n" % (argvs,))
     proc = subprocess.run([sys.executable, "-S", "-c", script, src],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "".join(run(capsys, argv)[1] for argv in argvs)
+    assert proc.stdout == "".join(run(capsys, argv)[1] for argv in argvs[:2])
+    # the annulus-ck fit needs numpy: without it the verb is refused as a
+    # usage error, exit 2 with one line, not a traceback and exit 1
+    assert proc.stderr.splitlines() == ["error: No module named 'numpy'"]
 
 
 def test_annulus_ck_default_samples_fit_every_face_of_a_grid(capsys,
@@ -351,6 +355,31 @@ def test_crossing_edges_exit_two(capsys, tmp_path):
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv
+        assert captured.err.splitlines() == ["error: " + message]
+
+
+def test_violated_identity_exits_one(capsys, monkeypatch):
+    # exit 1 is the violated identity alone: the report goes to stdout
+    sum_traces = th.sum_traces
+    monkeypatch.setattr(th, "sum_traces",
+                        lambda g, conn, w: sum_traces(g, conn, w) + 1)
+    code = cli.main(["verify-main", "--graph", str(DATA / "c4.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.startswith("IDENTITY VIOLATED: Pf(H) = ")
+    assert len(out.splitlines()) == 1
+
+
+def test_missing_graph_and_short_samples_exit_two(capsys):
+    c4 = str(DATA / "c4.json")
+    for argv, message in (
+            (["dimers"], "--graph is required for this command"),
+            (["annulus-ck", "--graph", c4, "--inner", "0",
+              "--samples", "0.1,0.2,0.3"],
+             "need at least 4 samples (K = 2 plus a held-out point)")):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
         assert captured.err.splitlines() == ["error: " + message]
 
 

@@ -158,32 +158,67 @@ def test_planar_predicates_construct_no_fraction():
 
 
 def test_one_pfaffian_elimination_for_every_exact_ring(monkeypatch):
-    # the dense Poly loop and its pivot search are gone, with no fallback
+    # the dense Poly loop and its pivot search are gone, with no fallback,
+    # and so is the second ring dispatch beside SkewMatrix's
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
-        assert not [name for name in ("_pf_poly", "_pf_pivot", "_swap_rc")
+        assert not [name for name in ("_pf_poly", "_pf_pivot", "_swap_rc",
+                                      "_pf_rows")
                     if name in text], path.name
     # int, Fraction and Poly matrices all reach the one sparse loop
-    seen, sizes = [], []
-    sparse = linalg._pf_sparse
+    seen, sizes, rings = [], [], []
+    sparse, cleared = linalg._pf_sparse, linalg._cleared
 
     def spy(b, *ops):
         seen.append(ops[0])
         sizes.append(ops[-1])
         return sparse(b, *ops)
 
+    def ring_spy(rows, kinds):
+        rings.append(kinds)
+        return cleared(rows, kinds)
+
     monkeypatch.setattr(linalg, "_pf_sparse", spy)
+    monkeypatch.setattr(linalg, "_cleared", ring_spy)
     x = Poly.var("x")
     half = Fraction(1, 2)
     for a, pf in (([[0, 3], [-3, 0]], 3), ([[0, half], [-half, 0]], half),
-                  ([[0, x], [-x, 0]], x)):
+                  ([[0, x], [-x, 0]], x), ([[0, 1.5], [-1.5, 0]], 1.5)):
+        # the ring is picked once per Pfaffian and once per determinant
         assert linalg.pf_eliminate(linalg.mat(a)) == pf
+        assert len(rings) == 1, a
         assert linalg.det(linalg.mat(a)) == pf * pf
+        assert len(rings) == 2, a
+        rings.clear()
     # the zero of each ring: int 0 for the int rows, {} for packed ones
     assert seen == [0, 0, 0, 0, {}, {}]
     # int rows rank pivots by their number of entries, packed rows by
     # their number of terms, through the same loop
     assert sizes[:4] == [len] * 4 and len not in sizes[4:]
+
+
+def test_h_rows_are_built_in_one_pass(monkeypatch):
+    # _cleared_rows writes B's entries in their final form, ints or
+    # packed polynomials, and HMatrix hands them on as they are
+    built = []
+    cleared_rows = th._cleared_rows
+
+    def spy(*args):
+        built.append(cleared_rows(*args))
+        return built[-1]
+
+    monkeypatch.setattr(th, "_cleared_rows", spy)
+    g = grid(2, 3)
+    conn = kasteleyn_connection(g, 2)
+    for w, kind in ((None, int), (th.symbolic_weights(g), dict)):
+        h = th.HMatrix(g, conn, w)
+        rows, d = built.pop()
+        assert h.cleared[:2] == (rows, d) and h.cleared[0] is rows
+        entries = [v for row in rows for v in row.values()]
+        assert entries and all(type(v) is kind for v in entries)
+        if kind is dict:
+            assert all(type(c) is int for v in entries for c in v.values())
+        assert h.pfaffian() == th.dimer_partition(g, w) ** 4
 
 
 def test_one_annulus_cut_builder():

@@ -14,7 +14,7 @@ from spwebs.connections import (annulus_spec, edgewise_product,
                                 face_spin_connection, flat_annulus_connection,
                                 kasteleyn_connection)
 from spwebs.errors import (BadFaceLength, DimensionMismatch, DivByZero,
-                           IllConditioned, OutOfRange)
+                           IdentityViolated, IllConditioned, OutOfRange)
 from spwebs.linalg import (eye, is_symplectic, mat, mat_equal, matmul,
                            symplectic_J)
 from spwebs.planar import (flip_edge_orientation, load_graph,
@@ -293,6 +293,19 @@ def test_extract_ck_rejects_clustered_samples():
 def test_double_dimer_expectation_unsigned_is_one():
     g = k4_2by3()
     assert th.double_dimer_expectation(g, {}) == 1
+
+
+def test_identity_sign_of_each_outcome():
+    assert th.identity_sign(3, 3) == 1
+    assert th.identity_sign(3, -3) == -1
+    assert th.identity_sign(1.0, -1.0 + 1e-12) == -1
+    # neither sign fits
+    with pytest.raises(IdentityViolated):
+        th.identity_sign(2, 3)
+    # a float past the double range compares to nothing
+    for pf, ts in ((math.inf, 1.0), (1.0, -math.inf), (math.nan, math.nan)):
+        with pytest.raises(OutOfRange):
+            th.identity_sign(pf, ts)
 
 
 def test_weight_map_defaults():
