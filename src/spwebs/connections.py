@@ -245,7 +245,8 @@ def kasteleyn_connection(g, n=1):
 class AnnulusSpec:
     """A cut from the inner face to the outer face: the edges crossed by a
     shortest dual path, each with the sign of the crossing (+1 when the
-    edge's canonical dart lies on the face the path leaves)."""
+    edge's canonical dart lies on the face the path leaves).  annulus_spec
+    stores expo, the kasteleyn_exponents of g, once for every Pfaffian."""
 
     def __init__(self, inner_face, cut):
         self.inner_face = inner_face
@@ -270,6 +271,7 @@ def annulus_spec(g, inner_face):
         want = 1 if f == inner_face else (-1 if f == g.outer_face else 0)
         if spec.winding(g, face_loop(g, f)) != want:
             raise SelfCheckFailed("face %d winds wrongly around the cut" % f)
+    spec.expo = kasteleyn_exponents(g)
     return spec
 
 

@@ -214,9 +214,9 @@ class SkewMatrix:
 
     a is a square matrix, or its rows as dicts from column index to entry;
     such a row may also hold zero entries (H of a zero weight), which the
-    Pfaffian drops.  kinds is the set of entry types, zeros included,
-    from which the ring is picked once, here; float and Poly entries
-    together raise MixedRing.  Exact matrices are held as cleared = (B,
+    Pfaffian drops.  The ring is picked once, here, from the set of entry
+    types, zeros included; float and Poly entries together raise
+    MixedRing.  Exact matrices are held as cleared = (B,
     d, pk), the rows of B = DAD, the d_i and the packing of B's entries:
     ints when pk is None, else integer polynomials packed by pk; float
     ones have cleared None, and pf_eliminate follows cleared.  A
@@ -229,7 +229,6 @@ class SkewMatrix:
     def __init__(self, a, d=None, pk=None):
         if d is not None:
             rows, self.cleared = a, (a, d, pk)
-            kinds = {Fraction if pk is None else Poly}
         elif isinstance(a, list) and all(isinstance(row, dict) for row in a):
             rows, kinds = a, set()
             for row in rows:
@@ -240,7 +239,7 @@ class SkewMatrix:
                 raise DimensionMismatch("skew matrix must be square")
             rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
             kinds = {type(x) for row in dense for x in row}
-        self.kinds, self.dim = kinds, len(rows)
+        self.dim = len(rows)
         if d is None:
             self.rows = rows
             self.cleared = _cleared(rows, kinds)

@@ -5,16 +5,17 @@ A graph is stored as a combinatorial map: each edge has two darts
 darts, derived from the vertex positions by exact angular sort.  Faces
 are the orbits of the left-hand tracing rule, walked on a map from each
 dart to its predecessor around its tail, and checked against Euler's
-formula.  Straight edges may meet only at a shared endpoint.
+formula.  Straight edges may meet only at a shared endpoint.  The outer
+face is the one on the right of the first rotation dart at the lowest,
+then leftmost, vertex with an edge.
 
-Vertex coordinates are rational, but every geometric predicate (angular
-order, orientation, area signs) runs on Python ints: the graph
-multiplies all coordinates once by the lcm D of their denominators
-(PlanarGraph.ipos), and a positive scale changes none of these
-predicates.  No floating point enters any decision.
+Vertex coordinates are rational, held as reduced (p, q) pairs, but every
+geometric predicate (angular order, orientation, area signs) runs on
+Python ints: the graph multiplies all coordinates once by the lcm D of
+their denominators (PlanarGraph.ipos), and a positive scale changes none
+of these predicates.  No floating point enters any decision.
 """
 
-import functools
 import json
 import math
 from fractions import Fraction
@@ -27,16 +28,21 @@ from .errors import (
     NotSimpleLoop,
     json_field,
 )
-from .rings import format_scalar, parse_scalar
+from .rings import _pair, format_scalar, parse_scalar
 
 
 class Vertex:
-    __slots__ = ("id", "x", "y")
+    """A vertex at (x, y) = (px/qx, py/qy) in lowest terms, qx, qy > 0, the
+    pairs parsed straight from each coordinate; x and y are built when read."""
+    __slots__ = ("id", "px", "qx", "py", "qy")
 
     def __init__(self, vid, x, y):
         self.id = vid
-        self.x = x if isinstance(x, Fraction) else Fraction(x)
-        self.y = y if isinstance(y, Fraction) else Fraction(y)
+        self.px, self.qx = _pair(x) or parse_scalar(x, False).as_integer_ratio()
+        self.py, self.qy = _pair(y) or parse_scalar(y, False).as_integer_ratio()
+
+    x = property(lambda self: Fraction(self.px, self.qx))
+    y = property(lambda self: Fraction(self.py, self.qy))
 
     def __repr__(self):
         return "Vertex(%d, %s, %s)" % (self.id, self.x, self.y)
@@ -99,18 +105,13 @@ class PlanarGraph:
                 raise DegenerateGeometry("edge %d references unknown vertex" % e.id)
         # every predicate runs on these ints: the coordinates times D, the
         # lcm of their denominators
-        self.scale = math.lcm(*[c.denominator for v in vertices
-                                for c in (v.x, v.y)])
-        self.ipos = {v.id: (v.x.numerator * (self.scale // v.x.denominator),
-                            v.y.numerator * (self.scale // v.y.denominator))
+        s = self.scale = math.lcm(*[q for v in vertices for q in (v.qx, v.qy)])
+        self.ipos = {v.id: (v.px * (s // v.qx), v.py * (s // v.qy))
                      for v in vertices}
         self.rotation = self._rotation_from_positions()
         self._check_crossings()
-        self.faces = self._trace_faces()
+        self.faces, self.face_of_dart = self._trace_faces()
         self._check_euler()
-        self.face_of_dart = {d: idx for idx, cyc in enumerate(self.faces)
-                             for d in cyc}
-        # None when there are no edges, and so no faces
         self.outer_face = self._find_outer_face()
 
     # -- construction helpers -------------------------------------------
@@ -140,21 +141,27 @@ class PlanarGraph:
                     "vertices %d and %d coincide" % (pts[p], vid))
             pts[p] = vid
         out = {v: [] for v in self.vertices}
-        for e in self.edges.values():
+        tied = False
+        # each dart, in id order, goes after the last one not ccw of it, so
+        # a shared direction names the lower edge id first
+        for eid, e in sorted(self.edges.items()):
             (ux, uy), (vx, vy) = self.ipos[e.u], self.ipos[e.v]
-            out[e.u].append(((e.id, 0), (vx - ux, vy - uy)))
-            out[e.v].append(((e.id, 1), (ux - vx, uy - vy)))
-        for v, darts in out.items():
-            # darts in id order, so the sort is deterministic and a shared
-            # direction names the lower edge id first
-            keyed = [(_angular_class(vec), vec, d) for d, vec in sorted(darts)]
-            keyed.sort(key=functools.cmp_to_key(_ccw))
-            for k1, k2 in zip(keyed, keyed[1:]):
-                if not _ccw(k1, k2):
-                    raise DegenerateGeometry(
-                        "incident edges %d and %d share a direction"
-                        % (k1[2][0], k2[2][0]))
-            out[v] = [k[2] for k in keyed]
+            for v, vec, d in ((e.u, (vx - ux, vy - uy), (eid, 0)),
+                              (e.v, (ux - vx, uy - vy), (eid, 1))):
+                k, rot = (_angular_class(vec), vec, d), out[v]
+                i = len(rot)
+                while i and (c := _ccw(rot[i - 1], k)) > 0:
+                    i -= 1
+                rot.insert(i, k)
+                tied = tied or i and not c
+        for v, rot in out.items():
+            if tied:
+                for k1, k2 in zip(rot, rot[1:]):
+                    if not _ccw(k1, k2):
+                        raise DegenerateGeometry(
+                            "incident edges %d and %d share a direction"
+                            % (k1[2][0], k2[2][0]))
+            out[v] = [k[2] for k in rot]
         return out
 
     def _check_crossings(self):
@@ -169,7 +176,8 @@ class PlanarGraph:
             segs.append((a, b, min(a[1], b[1]), max(a[1], b[1]), e))
         segs.sort(key=lambda s: s[0])
         for i, (a, b, lo, hi, e) in enumerate(segs):
-            for c, d, lo2, hi2, f in segs[i + 1:]:
+            for j in range(i + 1, len(segs)):
+                c, d, lo2, hi2, f = segs[j]
                 if c[0] > b[0]:
                     break
                 if lo2 > hi or hi2 < lo or e.u in (f.u, f.v) or \
@@ -187,22 +195,22 @@ class PlanarGraph:
                                          % tuple(sorted((e.id, f.id))))
 
     def _trace_faces(self):
-        """Faces as dart cycles, interior on the left: d is followed by
-        prev[reversal of d], the dart before it ccw around d's head.  Sorted
-        darts make each face start at its least dart, in sorted order."""
+        """(faces, face_of_dart), faces as dart cycles, interior on the left:
+        d is followed by prev[reversal of d], the dart before it ccw around
+        d's head.  Sorted darts start each face at its least, in order."""
         prev = {}
         for ds in self.rotation.values():
-            prev.update(zip(ds, ds[-1:] + ds[:-1]))
-        faces, seen = [], set()
+            prev.update(zip(ds, ds[-1:] + ds))
+        faces, face_of = [], {}
         for start in sorted(prev):
-            if start not in seen:
-                cyc, d = [start], prev[start[0], 1 - start[1]]
-                while d != start:
+            if start not in face_of:
+                idx, cyc, d = len(faces), [start], start
+                face_of[start] = idx
+                while (d := prev[d[0], 1 - d[1]]) != start:
                     cyc.append(d)
-                    d = prev[d[0], 1 - d[1]]
-                seen.update(cyc)
+                    face_of[d] = idx
                 faces.append(cyc)
-        return faces
+        return faces, face_of
 
     def _check_euler(self):
         """The edges must form one connected graph.  Each component traces
@@ -219,18 +227,16 @@ class PlanarGraph:
                 "V-E+F = %d-%d+%d != 2" % (nv, len(self.edges),
                                            len(self.faces)))
 
-    def face_signed_area(self, idx):
-        """Twice the signed area of face idx in the int coordinates ipos,
-        so D² times twice the true area: positive for a ccw boundary."""
-        pts = [self.ipos[v] for v in self.face_vertices(idx)]
-        return sum(map(cross, pts, pts[1:] + pts[:1]))
-
     def _find_outer_face(self):
-        if len(self.faces) == 1:
-            return 0
-        neg = [i for i in range(len(self.faces))
-               if self.face_signed_area(i) < 0]
-        return neg[0] if len(neg) == 1 else None
+        """The face on the right of the first rotation dart at the lowest,
+        then leftmost, vertex with an edge, None with no edges.  Its darts
+        point up or due east, so the wedge from its last dart ccw to its
+        first holds due south, where nothing of the graph lies."""
+        if not self.edges:
+            return None
+        low = min((y, x, v) for v, (x, y) in self.ipos.items() if self.rotation[v])
+        eid, end = self.rotation[low[2]][0]
+        return self.face_of_dart[eid, 1 - end]
 
     def bounded_faces(self):
         return [i for i in range(len(self.faces)) if i != self.outer_face]
@@ -301,24 +307,16 @@ class Structure:
 
 
 def standard_structure(g):
-    """Edges oriented upward by y, cilium due west at every vertex."""
+    """Edges oriented upward by y, cilium due west at every vertex.  With
+    no edge horizontal no dart points due west, and each rotation list,
+    sorted ccw from due west, starts just after the cilium."""
     orient = {}
     for e in g.edges.values():
         yu, yv = g.ipos[e.u][1], g.ipos[e.v][1]
         if yu == yv:
             raise NonGenericPosition("edge %d is horizontal" % e.id)
         orient[e.id] = (e.id, 0) if yu < yv else (e.id, 1)
-    order = {}
-    for v, darts in g.rotation.items():
-        for d in darts:
-            vec = g.dart_vector(d)
-            if vec[1] == 0 and vec[0] < 0:
-                raise NonGenericPosition(
-                    "edge %d points due west from vertex %d" % (d[0], v))
-        # rotation lists are sorted ccw starting from due west already,
-        # so the cilium gap is before the first entry
-        order[v] = list(darts)
-    return Structure(order, orient)
+    return Structure(g.rotation, orient)
 
 
 def vertex_order(g):
@@ -470,8 +468,7 @@ def graph_from_dict(data):
                 "x" not in v or "y" not in v:
             for key, kind in (("id", int), ("x", object), ("y", object)):
                 json_field(v, key, kind)
-        vertices.append(Vertex(v["id"], parse_scalar(v["x"], False),
-                               parse_scalar(v["y"], False)))
+        vertices.append(Vertex(v["id"], v["x"], v["y"]))
     for e in json_field(data, "edges", list):
         if type(e) is not dict or not \
                 type(e.get("id")) is type(e.get("u")) is type(e.get("v")) is int:

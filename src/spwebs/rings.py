@@ -377,11 +377,13 @@ def _pair(x):
     if type(x) is str:
         num, sep, den = x.partition("/")
         try:
-            if (num.isdecimal() or num[:1] in "+-" and num[1:].isdecimal()) \
-                    and (not sep or den.isdecimal()):
-                p, q = int(num), int(den) if sep else 1
-                g = math.gcd(p, q)
-                return (p // g, q // g) if q else None
+            if num.isdecimal() or num[:1] in "+-" and num[1:].isdecimal():
+                if not sep:
+                    return int(num), 1
+                if den.isdecimal():
+                    p, q = int(num), int(den)
+                    g = math.gcd(p, q)
+                    return (p // g, q // g) if q else None
             x = Fraction(x)
         except (ValueError, ZeroDivisionError):
             return None
@@ -394,10 +396,11 @@ def _pair(x):
 
 def parse_scalar(text, symbols_as_vars=True):
     """Parse "p/q", integer strings, or a bare symbol name: a Fraction for
-    what _pair takes, a finite float as it is, else a Poly variable."""
+    what _pair takes (Fraction(p), with no gcd, for q = 1), a finite float
+    as it is, else a Poly variable."""
     pq = _pair(text)
     if pq is not None:
-        return Fraction(*pq)
+        return Fraction(pq[0]) if pq[1] == 1 else Fraction(*pq)
     if isinstance(text, float):
         return text
     text = text.strip()

@@ -238,10 +238,9 @@ def _ratio(num, den):
     return exact_div_scalar(num, den)
 
 
-def _kasteleyn_ratio(g, flipped, w):
-    """Pf(H) under the rank-1 Kasteleyn connection times -I on the
-    flipped edges, over Pf(H) under the Kasteleyn connection alone."""
-    expo = kasteleyn_exponents(g)
+def _kasteleyn_ratio(g, flipped, w, expo):
+    """Pf(H) under the rank-1 Kasteleyn connection of exponents expo times
+    -I on the flipped edges, over Pf(H) under that connection alone."""
     twisted = {eid: k + 2 * (eid in flipped) for eid, k in expo.items()}
     num = HMatrix(g, j_connection(g, 1, twisted), w).pfaffian()
     return _ratio(num, HMatrix(g, j_connection(g, 1, expo), w).pfaffian())
@@ -256,14 +255,15 @@ def spin_correlation(g, f1, f2, w=None):
         if ell % 4 != 2:
             warnings.warn("spin flips want faces of length 2 mod 4; "
                           "face %d has length %d" % (f, ell), BadFaceLength)
-    return _kasteleyn_ratio(g, spin_flips(g, [f1, f2]), w)
+    return _kasteleyn_ratio(g, spin_flips(g, [f1, f2]), w,
+                            kasteleyn_exponents(g))
 
 
 def annulus_parity(g, spec, w=None):
     """Double-dimer expectation of (-1)^(total winding) on an annulus,
     as the ratio of the Pfaffian twisted by the flat connection with
     holonomy -I (-I on every cut edge) to the untwisted one."""
-    return _kasteleyn_ratio(g, {eid for eid, _ in spec.cut}, w)
+    return _kasteleyn_ratio(g, {eid for eid, _ in spec.cut}, w, spec.expo)
 
 
 def double_dimer_expectation(g, edge_signs, w=None):
@@ -339,14 +339,13 @@ def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0):
     theta = 0.5 * math.acos(max(-1.0, min(1.0, v)))
     r = u2_matrix(theta, alpha, beta, eps)
     flat = {1: r, -1: block_transpose(r)}
-    expo = kasteleyn_exponents(g)
     # shared float J-powers off the cut, where the flat factor is I; on a
     # cut edge J^k R^s is k row swaps of R^s, unitary_embed checked RJ = JR
     fj = [[list(map(float, row)) for row in j_power(2, k)] for k in range(4)]
-    mats = {eid: fj[k] for eid, k in expo.items()}
+    mats = {eid: fj[k] for eid, k in spec.expo.items()}
     for eid, s in spec.cut:
         rows = flat[s]
-        for _ in range(expo[eid]):
+        for _ in range(spec.expo[eid]):
             rows = j_times(rows)
         mats[eid] = rows
     return float(HMatrix(g, Connection(g, 2, mats)).pfaffian())

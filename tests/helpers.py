@@ -292,6 +292,13 @@ def reference_rotation(g):
     return out
 
 
+def face_signed_area(g, idx):
+    """Twice the signed area of face idx in the int coordinates ipos, so
+    D² times twice the true area: positive for a ccw boundary."""
+    pts = [g.ipos[v] for v in g.face_vertices(idx)]
+    return sum(map(cross, pts, pts[1:] + pts[:1]))
+
+
 def reference_faces(g):
     """(faces, face_of_dart, outer face) of g by the walk that the face
     tracing replaced: the dart before each one found with list.index in

@@ -110,7 +110,9 @@ def test_packed_poly_h_matches_poly_assembly(n):
             for w in _poly_weight_sets(g, rnd):
                 ref = reference_rows(g, conn, w)
                 h = th.HMatrix(g, conn, w)
-                assert h.kinds == {Poly} and h.cleared[2] is not None
+                assert h.cleared[2] is not None
+                assert {type(x) for row in h.rows
+                        for x in row.values()} == {Poly}
                 assert np.asarray(h).tolist() == linalg._dense(ref)
                 pf = h.pfaffian()
                 assert isinstance(pf, Poly)

@@ -249,7 +249,8 @@ def test_annulus_ck_stdout_on_bench_sized_grids(capsys, tmp_path,
     class Spy(th.HMatrix):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append(self.kinds)
+            built.append({type(x) for row in self.rows
+                          for x in row.values()})
 
     monkeypatch.setattr(th, "HMatrix", Spy)
     for (rows, cols, (i, j)), want in ANNULUS_CK_GRIDS.items():

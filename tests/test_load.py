@@ -11,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (grid, random_gauges, reference_connection,
-                     reference_faces, reference_ipos, reference_rotation)
+from helpers import (grid, random_gauges, random_triangulation,
+                     reference_connection, reference_faces, reference_ipos,
+                     reference_rotation)
 from spwebs import cli
 from spwebs import theorems as th
 from spwebs.connections import (Connection, connection_from_dict,
                                 connection_to_dict, gauge_transform,
                                 kasteleyn_connection, load_connection)
+from spwebs.errors import SpwebsError
 from spwebs.planar import graph_from_dict, graph_to_dict, save_graph
 from spwebs.rand import random_connection, random_fraction, random_planar_graph
 from spwebs.rings import format_scalar
@@ -55,6 +57,36 @@ def _rational_grid(rows, cols, rnd):
     return data
 
 
+def _file(points, pairs):
+    """The file of the graph with vertex i at points[i] and edge i joining
+    the vertices pairs[i]."""
+    return {"vertices": [{"id": i, "x": str(x), "y": str(y)}
+                         for i, (x, y) in enumerate(points)],
+            "edges": [{"id": i, "u": u, "v": v}
+                      for i, (u, v) in enumerate(pairs)]}
+
+
+# a house with a middle wall 0-5 whose floor 1-0-2 holds the three lowest vertices, with a
+# triangle 1-4-6 up and to the left of vertex 1; a triangle with isolated
+# vertices below and left of it; a tree; and a graph with no edges
+HOUSE = _file([(4, 0), (0, 0), (8, 0), (8, 5), (0, 5), (4, 9), (-3, 7)],
+              [(1, 0), (0, 2), (2, 3), (3, 5), (5, 4), (4, 1), (0, 5),
+               (1, 6), (4, 6)])
+ISOLATED = _file([(0, 0), (6, 1), (2, 5), (3, -4), (-5, 0)],
+                 [(0, 1), (1, 2), (2, 0)])
+TREE = _file([(3, 0), (0, 0), (5, 2), (1, 4), (7, 0)],
+             [(1, 0), (0, 2), (2, 3), (2, 4)])
+NO_EDGES = _file([(0, 0), (2, -1), (-1, 3)], [])
+
+
+def _mirrored(data):
+    """The file of the graph reflected in the x axis."""
+    out = json.loads(json.dumps(data))
+    for v in out["vertices"]:
+        v["y"] = format_scalar(-Fraction(v["y"]))
+    return out
+
+
 def _graph_files():
     rnd = random.Random(2201)
     files = [json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))
@@ -63,6 +95,13 @@ def _graph_files():
               for seed in range(12) for nv in (3, 5, 8)]
     files += [_rational_grid(r, c, rnd) for r in (4, 5, 6)
               for c in range(r, 7)]
+    # outer faces found at the lowest vertex, on parabolas opening up and
+    # down, and on graphs that share or lack the lowest vertex's y
+    more = [graph_to_dict(make(random.Random(seed), nv))
+            for make in (random_planar_graph, random_triangulation)
+            for seed in range(100, 125) for nv in (4, 7)]
+    files += more + [_mirrored(data) for data in more]
+    files += [HOUSE, ISOLATED, TREE, NO_EDGES, _mirrored(HOUSE)]
     return files
 
 
@@ -83,6 +122,35 @@ def test_graph_load_matches_the_walk_it_replaced():
                 if not isinstance(want, float):
                     want = Fraction(want)
                 assert type(w) is type(want) and w == want
+
+
+def test_outer_face_is_found_at_the_lowest_vertex_with_an_edge():
+    house, isolated, tree, no_edges = map(graph_from_dict, (HOUSE, ISOLATED,
+                                                           TREE, NO_EDGES))
+    # the floor 1-0-2 runs along the outer face, below the house
+    assert {(1, 1), (0, 1)} <= set(house.faces[house.outer_face])
+    assert len(house.bounded_faces()) == 3
+    assert isolated.faces[isolated.outer_face] == [(0, 1), (2, 1), (1, 1)]
+    assert tree.outer_face == 0 and len(tree.faces) == 1
+    assert no_edges.outer_face is None and no_edges.faces == []
+
+
+@pytest.mark.parametrize("name, message", [
+    ("coinciding_vertices", "vertices 0 and 2 coincide"),
+    # edges 1 and 2 share a direction at vertex 1, edges 5 and 7 and then
+    # 8 and 9 at vertex 0: the first vertex in file order names its first
+    # pair ccw from due west
+    ("shared_directions", "incident edges 8 and 9 share a direction"),
+    # the crossing with the leftmost left end is named
+    ("crossing_edges", "edges 7 and 8 cross"),
+])
+def test_graph_load_rejections_name_the_same_pair(name, message, capsys):
+    path = DATA / "malformed" / (name + ".json")
+    with pytest.raises(SpwebsError) as exc:
+        graph_from_dict(json.loads(path.read_text()))
+    assert str(exc.value) == message
+    assert cli.main(["dimers", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def _inexact(n):

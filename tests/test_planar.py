@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (c4_ring, cube_ring, grid, k4_2by3, pendant_square,
-                     random_triangulation, rotated, simple_loops, triangle)
+from helpers import (c4_ring, cube_ring, face_signed_area, grid, k4_2by3,
+                     pendant_square, random_triangulation, rotated,
+                     simple_loops, triangle)
 from spwebs import cli
 from spwebs.errors import (DegenerateGeometry, HorizontalStep,
                            NonPlanarEmbedding, NotSimpleLoop)
@@ -152,7 +153,7 @@ def test_enclosed_faces_fill_the_loop_polygon():
                 pts = [g.ipos[v] for v in l.vertices]
                 shoelace = sum(cross(p, q)
                                for p, q in zip(pts, pts[1:] + pts[:1]))
-                assert sum(g.face_signed_area(f)
+                assert sum(face_signed_area(g, f)
                            for f in enclosed_faces(g, l)) == abs(shoelace)
                 count += 1
     assert count > 300

@@ -126,7 +126,7 @@ def test_numpy_only_in_the_ck_fit_and_the_array_conversion():
 # would bring back the slow path
 INT_PREDICATES = {
     "planar": ["_rotation_from_positions", "_check_crossings", "dart_vector",
-               "_trace_faces", "face_signed_area", "_find_outer_face",
+               "_trace_faces", "_find_outer_face",
                "orient", "_ccw", "enclosed_faces", "loop_area",
                "vertices_enclosed", "standard_structure", "cilia_parity",
                "_wedge_contains", "vertex_order"],
