@@ -19,11 +19,11 @@ from .webs import (Multiweb, check_multiweb, decompose_2multiweb,
 from .traces import (crossing_count, det_vertex, qdet, trace_coloring,
                      trace_contraction, trace_identity_colorings,
                      trace_sl_bipartite, trace_sp2_loops, wedge_norm)
-from .theorems import (HMatrix, annulus_parity, annulus_partition,
-                       dimer_partition, double_dimer_expectation, extract_Ck,
-                       kasteleyn_trace_decomposition, solve_theta,
-                       spin_correlation, sum_traces, symbolic_weights,
-                       u2_loop_trace, u2_matrix, verify_kasteleyn,
-                       verify_main)
+from .theorems import (HMatrix, annulus_coefficients, annulus_parity,
+                       annulus_partition, dimer_partition,
+                       double_dimer_expectation, kasteleyn_trace_decomposition,
+                       solve_theta, spin_correlation, sum_traces,
+                       symbolic_weights, u2_loop_trace, u2_matrix,
+                       verify_kasteleyn, verify_main)
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ Loads graphs, connections, webs and vector files from JSON, runs the
 enumerations, traces, Pfaffians and identity checks, and prints
 canonical deterministic output: exact scalars through format_scalar,
 floats through repr, JSON with sorted keys.  Exit code 0 on success,
-1 when an identity check fails, 2 on usage errors, malformed input and
-a missing numpy (annulus-ck's fit).
+1 when an identity check fails, and 2 on usage errors and malformed
+input.  A library warning is printed to stderr as one "warning:" line.
 
 VERBS maps each verb to its handler and to exactly the flags that
 handler reads; besides those, every verb takes --json, and any other
@@ -18,6 +18,8 @@ import json
 import math
 import random
 import sys
+import warnings
+from fractions import Fraction
 
 from . import theorems as th
 from .connections import (annulus_spec, identity_connection,
@@ -164,19 +166,16 @@ def cmd_annulus_parity(args):
 def cmd_annulus_ck(args):
     g = _graph(args)
     spec = annulus_spec(g, _face(g, args.inner))
-    k_max = 2 * len(spec.cut)
-    samples = args.samples or [0.2 + 2.8 * i / (k_max + 1)
-                               for i in range(k_max + 2)]
-    if len(samples) < k_max + 2:
-        raise SpwebsError("need at least %d samples (K = %d plus a held-out"
-                          " point)" % (k_max + 2, k_max))
-    coeffs = th.extract_Ck(g, spec, samples[:-1])
-    x = 2.0 + 4.0 * math.cos(samples[-1])
-    z = th.annulus_partition(g, spec, samples[-1])
-    residual = abs(z - sum(c * x ** k for k, c in enumerate(coeffs)))
-    human = "\n".join(["C_%d = %r" % (k, c) for k, c in enumerate(coeffs)]
+    # the held-out float Pfaffian comes first: it rejects a Poly weight
+    z = th.annulus_partition(g, spec, 3.0)
+    coeffs = th.annulus_coefficients(g, spec)
+    x = Fraction(2.0 + 4.0 * math.cos(3.0))
+    residual = abs(z - float(sum(c * x ** k for k, c in enumerate(coeffs))))
+    exact = [format_scalar(c) for c in coeffs]
+    human = "\n".join(["C_%d = %s" % kc for kc in enumerate(exact)]
                       + ["residual = %r" % residual])
-    return human, {"C": coeffs, "residual": residual}
+    return human, {"C": [float(c) for c in coeffs], "C_exact": exact,
+                   "residual": residual}
 
 
 def cmd_isotopy_check(args):
@@ -204,14 +203,6 @@ def _int_at_least(lo):
     return parse
 
 
-def _finite_floats(text):
-    """Argument type: comma separated finite numbers."""
-    values = [float(x) for x in text.split(",")]
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError("not finite: %r" % text)
-    return values
-
-
 FLAGS = {
     "graph": dict(help="graph JSON file"),
     "conn": dict(help="connection JSON file (default: identity)"),
@@ -230,8 +221,6 @@ FLAGS = {
     "f1": dict(type=int, required=True, help="face index"),
     "f2": dict(type=int, required=True, help="face index"),
     "inner": dict(type=int, required=True, help="inner face index"),
-    "samples": dict(type=_finite_floats, help="comma separated eps values;"
-                    " the last one is held out for the residual"),
     "vectors": dict(required=True, help="JSON list of vectors"),
     "matrix": dict(required=True, help="JSON matrix file"),
     "q": dict(required=True, help="deformation scalar"),
@@ -251,7 +240,7 @@ VERBS = {
                   "pf", "graph n weights ring"),
     "spin-corr": (cmd_spin_corr, "spin", "graph f1 f2 ring"),
     "annulus-parity": (cmd_annulus_parity, "parity", "graph inner ring"),
-    "annulus-ck": (cmd_annulus_ck, None, "graph inner samples"),
+    "annulus-ck": (cmd_annulus_ck, None, "graph inner"),
     "det-vertex": (lambda args: det_vertex(_vectors(args)), "det",
                    "n vectors"),
     "wedge-norm": (lambda args: wedge_norm(_vectors(args)), "det",
@@ -281,22 +270,25 @@ def main(argv=None):
     if getattr(args, "weights", None) == "symbolic" and args.ring == "float":
         args.usage_error("--ring float does nothing with --weights symbolic")
     handler, key, _ = VERBS[args.verb]
-    try:
-        result = handler(args)
-        if key is not None:
-            text = format_scalar(result)
-            result = text, {key: text}
-        human, payload = result
-        print(json.dumps(payload, sort_keys=True, allow_nan=False)
-              if args.json else human)
-        return 0
-    except IdentityViolated as exc:
-        print("IDENTITY VIOLATED: %s" % exc)
-        return 1
-    except (SpwebsError, OSError, ValueError, KeyError, OverflowError,
-            ImportError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            "warning: %s" % message, file=sys.stderr)
+        try:
+            result = handler(args)
+            if key is not None:
+                text = format_scalar(result)
+                result = text, {key: text}
+            human, payload = result
+            print(json.dumps(payload, sort_keys=True, allow_nan=False)
+                  if args.json else human)
+            return 0
+        except IdentityViolated as exc:
+            print("IDENTITY VIOLATED: %s" % exc)
+            return 1
+        except (SpwebsError, OSError, ValueError, KeyError,
+                OverflowError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -86,10 +86,6 @@ class DivByZero(SpwebsError):
     pass
 
 
-class IllConditioned(SpwebsError):
-    pass
-
-
 class MixedRing(SpwebsError):
     """Float and Poly entries in one computation: no ring holds both."""
 

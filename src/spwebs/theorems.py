@@ -9,7 +9,7 @@ statistics: the Kasteleyn connection squares the dimer partition
 function, a spin flip on a dual path computes the parity of separating
 double-dimer loops, and a flat connection on an annulus measures
 winding.  The U(2) family embedded in Sp(4) turns the rank-2 annulus
-Pfaffian into a polynomial in 2 + 4*cos(eps).
+Pfaffian into a polynomial in 2 + 4*cos(eps), with exact coefficients.
 """
 
 import math
@@ -20,8 +20,7 @@ from fractions import Fraction
 from .connections import (Connection, exponent_sum, j_connection, j_power,
                           kasteleyn_connection, kasteleyn_exponents,
                           spin_flips, unitary_embed)
-from .errors import (BadFaceLength, DimensionMismatch, DivByZero,
-                     IdentityViolated, IllConditioned, OutOfRange,
+from .errors import (BadFaceLength, DivByZero, IdentityViolated, OutOfRange,
                      SelfCheckFailed)
 from .linalg import SkewMatrix, block_transpose, j_times, scalar_is_zero
 from .planar import standard_structure, vertex_order
@@ -87,41 +86,48 @@ class HMatrix(SkewMatrix):
     A Poly weight enters as its content c_e, which _cleared_rows takes as
     the weight, and its primitive integer polynomial P_e, by which it
     multiplies the block's ints, packed as the Pfaffian takes them.
-    Otherwise (a float weight or a float edge matrix) the entries where
-    an edge matrix is nonzero are stored as rows of dicts (zeros under a
-    zero weight, which keep its ring).
+    Otherwise (a float weight or a float or Poly edge matrix) the rows
+    come from _entry_rows.
     """
 
     def __init__(self, g, conn, w=None):
         weights = weight_map(g, w)
-        pos = {vid: i for i, vid in enumerate(vertex_order(g))}
-        n, b = conn.n, 2 * conn.n
-        dim = b * len(pos)
-        # block (hi, lo) is w J m, m the matrix from lo to hi, since
-        # J phi(hi -> lo) = m^T J = -(J m)^T
-        blocks = [(b * pos[max(e.u, e.v)], b * pos[min(e.u, e.v)],
-                   weights[e.id], e.id) for e in g.edges.values()]
+        blocks, dim = _blocks(g, weights, conn.n)
         if all(isinstance(wt, (int, Fraction, Poly)) and conn.cleared[eid]
                for _, _, wt, eid in blocks):
             pk, parts = None, {eid: (wt, None) for eid, wt in weights.items()}
             if any(isinstance(wt, Poly) for wt in weights.values()):
                 pk = _Packing.of(weights.values(), max(dim - 2, 1))
                 parts = {eid: pk.primitive(wt) for eid, wt in weights.items()}
-            rows, d = _cleared_rows([(rh, rl, *parts[eid], conn.cleared[eid])
-                                     for rh, rl, _, eid in blocks], n, dim)
+            rows, d = _cleared_rows([(rh, rl, *parts[e], conn.cleared[e])
+                                     for rh, rl, _, e in blocks], conn.n, dim)
             super().__init__(rows, d, pk)
             return
-        rows = [{} for _ in range(dim)]
-        for rh, rl, wt, eid in blocks:
-            # x * float(w) is x * w for a float entry x, in fewer steps
-            wf = wt if isinstance(wt, Poly) else float_weight(eid, wt)
-            for i, row in enumerate(j_times(conn.matrices[eid])):
-                for c, x in enumerate(row, rl):
-                    if x:
-                        val = x * (wf if isinstance(x, float) else wt)
-                        rows[rh + i][c] = val
-                        rows[c][rh + i] = -val
-        super().__init__(rows)
+        super().__init__(_entry_rows(blocks, conn.matrices, dim))
+
+
+def _blocks(g, weights, n):
+    """H's blocks (rh, rl, w, eid) at rank n, and its dimension: block (hi,
+    lo) is w J m, m the matrix lo -> hi, as J phi(hi -> lo) = -(J m)^T."""
+    pos = {vid: 2 * n * i for i, vid in enumerate(vertex_order(g))}
+    return [(pos[max(e.u, e.v)], pos[min(e.u, e.v)], weights[e.id], e.id)
+            for e in g.edges.values()], 2 * n * len(pos)
+
+
+def _entry_rows(blocks, mats, dim):
+    """H's rows of dicts from _blocks and the edge matrices, with a zero
+    under a zero weight kept, in its ring, where the matrix is nonzero."""
+    rows = [{} for _ in range(dim)]
+    for rh, rl, wt, eid in blocks:
+        for i, row in enumerate(j_times(mats[eid]), rh):
+            for c, x in enumerate(row, rl):
+                if x:
+                    # x * float(w) is x * w for a float x, in fewer steps
+                    val = x * (float_weight(eid, wt) if isinstance(x, float)
+                               else wt)
+                    rows[i][c] = val
+                    rows[c][i] = -val
+    return rows
 
 
 def _cleared_rows(blocks, n, dim):
@@ -332,44 +338,49 @@ def solve_theta(alpha, eps):
     return v
 
 
+def _annulus_matrices(spec, r, ring):
+    """Edge id -> J^k R^s on a cut edge crossed with sign s, else J^k, for
+    k = spec.expo[eid] and J in ring; J^k R^s is k row swaps of R^s."""
+    flat = {1: r, -1: block_transpose(r)}
+    jk = [[list(map(ring, row)) for row in j_power(2, k)] for k in range(4)]
+    mats = {eid: jk[k] for eid, k in spec.expo.items()}
+    for eid, s in spec.cut:
+        mats[eid] = flat[s]
+        for _ in range(spec.expo[eid]):
+            mats[eid] = j_times(mats[eid])
+    return mats
+
+
 def annulus_partition(g, spec, eps, alpha=0.0, beta=0.0):
     """Rank-2 Kasteleyn Pfaffian twisted by the flat embedded-U(2)
-    connection, at the theta that kills odd-doubled loops."""
+    connection, at the theta that kills odd-doubled loops.  H is all
+    floats; unitary_embed checked RJ = JR."""
     v = solve_theta(alpha, eps)
     theta = 0.5 * math.acos(max(-1.0, min(1.0, v)))
-    r = u2_matrix(theta, alpha, beta, eps)
-    flat = {1: r, -1: block_transpose(r)}
-    # shared float J-powers off the cut, where the flat factor is I; on a
-    # cut edge J^k R^s is k row swaps of R^s, unitary_embed checked RJ = JR
-    fj = [[list(map(float, row)) for row in j_power(2, k)] for k in range(4)]
-    mats = {eid: fj[k] for eid, k in spec.expo.items()}
-    for eid, s in spec.cut:
-        rows = flat[s]
-        for _ in range(spec.expo[eid]):
-            rows = j_times(rows)
-        mats[eid] = rows
+    mats = _annulus_matrices(spec, u2_matrix(theta, alpha, beta, eps), float)
     return float(HMatrix(g, Connection(g, 2, mats)).pfaffian())
 
 
-def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0):
-    """Coefficients C_0..C_K of the annulus partition function in the
-    monomial basis x^k, x = 2 + 4 cos(eps).  K = half the strand capacity
-    of the cut: each cut edge carries at most 4 loop strands at rank 2
-    and a winding loop uses at least 2 of them.  Least-squares over the
-    samples; a Vandermonde condition number past 1e8 raises IllConditioned
-    rather than returning noise.  numpy is loaded here, for the fit only."""
-    import numpy as np
-
-    k_max = 2 * len(spec.cut)
-    if len(eps_samples) < k_max + 1:
-        raise DimensionMismatch(
-            "need at least %d samples for K = %d" % (k_max + 1, k_max))
-    xs = [2.0 + 4.0 * math.cos(e) for e in eps_samples]
-    v = np.array([[x ** k for k in range(k_max + 1)] for x in xs], dtype=float)
-    cond = np.linalg.cond(v)
-    if cond > 1e8:
-        raise IllConditioned("Vandermonde condition number %.3g" % cond)
-    z = np.array([annulus_partition(g, spec, e, alpha=alpha, beta=beta)
-                  for e in eps_samples], dtype=float)
-    coeffs, _, _, _ = np.linalg.lstsq(v, z, rcond=None)
-    return [float(c) for c in coeffs]
+def annulus_coefficients(g, spec):
+    """Exact C_0..C_K, K = 2 |cut|, of annulus_partition at alpha = 0 in
+    x^k, x = 2 + 4 cos(eps), for number weights (a float as its Fraction).
+    There theta = 0 and the cut holonomy is R = unitary_embed(diag(1, c),
+    diag(0, s)), c = cos(eps), s = sin(eps): one packed Pfaffian gives
+    P(c, s); s^2 -> 1 - c^2 and c = (x - 2) / 4 give the C_k."""
+    c, s = Poly.var("c"), Poly.var("s")
+    # written out: R is symplectic only modulo c^2 + s^2 - 1
+    r = [[1, 0, 0, 0], [0, c, 0, s], [0, 0, 1, 0], [0, -s, 0, c]]
+    weights = {eid: Fraction(w) for eid, w in weight_map(g).items()}
+    blocks, dim = _blocks(g, weights, 2)
+    mats = _annulus_matrices(spec, r, int)
+    pf = SkewMatrix(_entry_rows(blocks, mats, dim)).pfaffian()
+    cx, ck = (Poly.var("x") - 2) * Fraction(1, 4), Poly()
+    for mono, coeff in pf.terms.items():
+        a, b = dict(mono).get("c", 0), dict(mono).get("s", 0)
+        if b % 2:
+            raise SelfCheckFailed("an odd power of s survives in P(c, s)")
+        ck += coeff * cx ** a * (1 - cx * cx) ** (b // 2)
+    ck = {dict(m).get("x", 0): v for m, v in ck.terms.items()}
+    if max(ck, default=0) > 2 * len(spec.cut):
+        raise SelfCheckFailed("C_%d is nonzero, past K" % max(ck))
+    return [ck.get(k, Fraction(0)) for k in range(2 * len(spec.cut) + 1)]

@@ -14,13 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 from spwebs import Edge, Loop, PlanarGraph, Vertex
-from spwebs.errors import OutOfRange, SpwebsError, UnknownVariable
+from spwebs.errors import (DimensionMismatch, OutOfRange, SpwebsError,
+                           UnknownVariable)
 from spwebs.linalg import (all_pairings, clear_denominators, mat, minors,
                            perm_sign)
 from spwebs.planar import _angular_class, _ccw, cross
 from spwebs.rand import (_convex_vertices, _fan_diagonals, random_fraction,
                          random_sp)
 from spwebs.rings import Poly
+from spwebs.theorems import annulus_partition
 from spwebs.webs import Multiweb
 
 
@@ -150,6 +152,10 @@ class BadK(SpwebsError):
     pass
 
 
+class IllConditioned(SpwebsError):
+    pass
+
+
 def rotated(loop, g, k):
     """The loop started k darts later."""
     return Loop(g, loop.darts[k:] + loop.darts[:k])
@@ -210,6 +216,27 @@ def rotation_matrix(c, s):
     elif Fraction(c) ** 2 + Fraction(s) ** 2 != 1:
         raise NotOnCircle("c^2 + s^2 != 1")
     return mat([[c, s], [-s, c]])
+
+
+def extract_Ck(g, spec, eps_samples, alpha=0.0, beta=0.0):
+    """Float oracle for the annulus C_k: the coefficients C_0..C_K, K =
+    2 |cut|, of the annulus partition function in the monomial basis x^k,
+    x = 2 + 4 cos(eps), fitted by least squares to annulus_partition at
+    the samples.  A Vandermonde condition number past 1e8 raises
+    IllConditioned rather than returning noise."""
+    k_max = 2 * len(spec.cut)
+    if len(eps_samples) < k_max + 1:
+        raise DimensionMismatch(
+            "need at least %d samples for K = %d" % (k_max + 1, k_max))
+    xs = [2.0 + 4.0 * math.cos(e) for e in eps_samples]
+    v = np.array([[x ** k for k in range(k_max + 1)] for x in xs], dtype=float)
+    cond = np.linalg.cond(v)
+    if cond > 1e8:
+        raise IllConditioned("Vandermonde condition number %.3g" % cond)
+    z = np.array([annulus_partition(g, spec, e, alpha=alpha, beta=beta)
+                  for e in eps_samples], dtype=float)
+    coeffs, _, _, _ = np.linalg.lstsq(v, z, rcond=None)
+    return [float(c) for c in coeffs]
 
 
 def pf_combinatorial(a):

@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import (c4_ring, cube_ring, exterior_power_trace, grid,
-                     inner_face, k4_2by3, pendant_square, random_triangulation,
-                     random_vector, rotation_matrix, simple_loops, triangle)
+from helpers import (c4_ring, cube_ring, exterior_power_trace, extract_Ck,
+                     grid, inner_face, k4_2by3, pendant_square,
+                     random_triangulation, random_vector, rotation_matrix,
+                     simple_loops, triangle)
 from spwebs import theorems as th
 from spwebs.connections import (Connection, annulus_spec,
                                 identity_connection, kasteleyn_connection,
@@ -249,16 +250,24 @@ def test_c11_u2_loop_weights_match_raw_matrices():
 
 
 def test_c12_annulus_coefficients_stable_across_sample_sets():
-    g = c4_ring()
-    spec = annulus_spec(g, inner_face(g, [0, 1, 2, 3]))
-    assert 2 * len(spec.cut) <= 2
-    first = th.extract_Ck(g, spec, [0.3, 1.1, 2.0])
-    x = 2 + 4 * math.cos(2.6)
-    z = th.annulus_partition(g, spec, 2.6)
-    residual = abs(z - sum(c * x ** k for k, c in enumerate(first)))
-    assert residual < 1e-8
-    second = th.extract_Ck(g, spec, [0.7, 1.7, 2.9])
-    assert max(abs(a - b) for a, b in zip(first, second)) < 1e-6
+    # the exact C_k, and float fits on two sample sets that agree with
+    # them and with a held-out float Pfaffian, on the 4-cycle (K = 2) and
+    # on the cube's inner square (K = 4)
+    for g, face, samples, want in (
+            (c4_ring(), [0, 1, 2, 3], ([0.3, 1.1, 2.0], [0.7, 1.7, 2.9]),
+             [4, 2, 0]),
+            (cube_ring(), [4, 5, 6, 7], ([0.2, 0.8, 1.4, 2.0, 2.6],
+                                         [0.4, 1.0, 1.6, 2.2, 2.9]),
+             [2916, 486, Fraction(81, 4), 0, 0])):
+        spec = annulus_spec(g, inner_face(g, face))
+        exact = th.annulus_coefficients(g, spec)
+        assert exact == want and 2 * len(spec.cut) == len(want) - 1
+        x = 2 + 4 * math.cos(2.6)
+        z = th.annulus_partition(g, spec, 2.6)
+        assert abs(z - sum(c * x ** k for k, c in enumerate(exact))) < 1e-8
+        for eps in samples:
+            fit = extract_Ck(g, spec, eps)
+            assert max(abs(a - b) for a, b in zip(fit, exact)) < 1e-6
 
 
 def test_c13_quantum_determinant_specializes_to_determinant():

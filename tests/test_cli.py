@@ -1,11 +1,11 @@
 import copy
 import json
-import math
 import random
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -174,14 +174,14 @@ def test_annulus_ck_verb(capsys):
                              "--inner", "0", "--json"])
     payload = json.loads(out)
     assert code == 0
-    assert abs(payload["C"][0] - 4.0) < 1e-6
-    assert abs(payload["C"][1] - 2.0) < 1e-6
+    assert payload["C_exact"] == ["4", "2", "0"]
+    assert payload["C"] == [4.0, 2.0, 0.0]
     assert payload["residual"] < 1e-8
 
 
 def test_verbs_run_without_numpy(capsys):
     # python -S leaves site-packages, and numpy with it, off the path: a
-    # matrix is a list of rows, and only the annulus-ck fit loads numpy
+    # matrix is a list of rows, and the C_k are exact, so no verb loads it
     src = str(Path(__file__).resolve().parent.parent / "src")
     argvs = [["verify-main", "--graph", str(DATA / "cube.json"), "--n", "2"],
              ["kasteleyn", "--graph", G24, "--n", "2",
@@ -191,59 +191,74 @@ def test_verbs_run_without_numpy(capsys):
               "sys.path.insert(0, sys.argv[1])\n"
               "from spwebs import cli\n"
               "codes = [cli.main(argv) for argv in %r]\n"
-              "sys.exit(0 if codes == [0, 0, 2] and 'numpy' not in"
+              "sys.exit(0 if codes == [0, 0, 0] and 'numpy' not in"
               " sys.modules else 'exit codes %%r, numpy loaded: %%s'"
               " %% (codes, 'numpy' in sys.modules))\n" % (argvs,))
     proc = subprocess.run([sys.executable, "-S", "-c", script, src],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "".join(run(capsys, argv)[1] for argv in argvs[:2])
-    # the annulus-ck fit needs numpy: without it the verb is refused as a
-    # usage error, exit 2 with one line, not a traceback and exit 1
-    assert proc.stderr.splitlines() == ["error: No module named 'numpy'"]
+    assert proc.stdout == "".join(run(capsys, argv)[1] for argv in argvs)
+    assert proc.stderr == ""
 
 
-def test_annulus_ck_default_samples_fit_every_face_of_a_grid(capsys,
-                                                             tmp_path):
-    # the shortest dual cut keeps K = 2|cut| small enough for the float fit
-    # on every face of a 5x6 grid; at x = 6 the holonomy is the identity,
-    # so sum C_k 6^k is Z^4 of the plain dimer sum, Z = 1183 (a 5x5 grid
-    # has no dimer cover, so there every face would fit 0 against 0)
+def test_library_warnings_are_one_line_each(capsys):
+    # spin flips on the cube's square faces: stdout and the exit code are
+    # those of a clean run, and stderr holds one line per warning, with no
+    # source path or line of the library
+    code = cli.main(["spin-corr", "--graph", str(DATA / "cube.json"),
+                     "--f1", "1", "--f2", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (0, "1/9\n")
+    assert err.splitlines() == [
+        "warning: spin flips want faces of length 2 mod 4; face %d has"
+        " length 4" % f for f in (1, 2)]
+
+
+def test_annulus_ck_is_exact_on_every_face_of_a_grid(capsys, tmp_path):
+    # at x = 6 the holonomy is the identity, so sum C_k 6^k is Z^4 of the
+    # plain dimer sum, exactly: Z = 1183 on a 5x6 grid (a 5x5 grid has no
+    # dimer cover, so there every face would give 0 against 0)
     g = grid(5, 6)
     path = str(tmp_path / "g.json")
     save_graph(g, path)
-    z4 = float(th.dimer_partition(g)) ** 4
+    z4 = th.dimer_partition(g) ** 4
     assert z4 == 1183 ** 4
     for f in g.bounded_faces():
         code, out = run(capsys, ["annulus-ck", "--graph", path, "--inner",
                                  str(f), "--json"])
         assert code == 0, f
         payload = json.loads(out)
-        assert len(payload["C"]) == 2 * len(annulus_spec(g, f).cut) + 1
-        total = sum(c * 6.0 ** k for k, c in enumerate(payload["C"]))
-        assert math.isclose(total, z4, rel_tol=1e-9), f
+        exact = [Fraction(c) for c in payload["C_exact"]]
+        assert len(exact) == 2 * len(annulus_spec(g, f).cut) + 1
+        assert payload["C"] == [float(c) for c in exact]
+        assert sum(c * 6 ** k for k, c in enumerate(exact)) == z4, f
         assert payload["residual"] <= 1e-6 * z4, f
 
 
 ANNULUS_CK_GRIDS = {
-    (4, 4, (1, 1)): '{"C": [23831418672.000053, 372982032.00000685, '
-                    '1292831.9999912893, 3.1343254189857184e-06, '
-                    '-4.209358788529774e-07], "residual": 2.6702880859375e-05}',
-    (5, 5, (2, 2)): '{"C": [0.0, 0.0, 0.0, 0.0, 0.0], "residual": 0.0}',
-    (5, 5, (0, 3)): '{"C": [0.0, 0.0, 0.0], "residual": 0.0}',
-    (5, 6, (2, 2)): '{"C": [1.1147629347232694e+19, 2.665347181561465e+18, '
-                    '1613442449325606.5, -748.6042710310033, '
-                    '57.988825685043594], "residual": 23552.0}',
-    (5, 6, (0, 3)): '{"C": [8.104176900833379e+18, 3.1822699106573046e+18, '
-                    '1225.5604397772183], "residual": 29184.0}',
+    (4, 4, (1, 1)): '{"C": [23831418672.0, 372982032.0, 1292832.0, 0.0, '
+                    '0.0], "C_exact": ["23831418672", "372982032", '
+                    '"1292832", "0", "0"], "residual": 3.814697265625e-06}',
+    (5, 5, (2, 2)): '{"C": [0.0, 0.0, 0.0, 0.0, 0.0], "C_exact": ["0", '
+                    '"0", "0", "0", "0"], "residual": 0.0}',
+    (5, 5, (0, 3)): '{"C": [0.0, 0.0, 0.0], "C_exact": ["0", "0", "0"], '
+                    '"residual": 0.0}',
+    (5, 6, (2, 2)): '{"C": [1.1147629347232395e+19, 2.6653471815613686e+18, '
+                    '1613442449350656.0, 0.0, 0.0], "C_exact": '
+                    '["11147629347232395264", "2665347181561368576", '
+                    '"1613442449350656", "0", "0"], "residual": 3072.0}',
+    (5, 6, (0, 3)): '{"C": [8.104176900833366e+18, 3.1822699106573107e+18, '
+                    '0.0], "C_exact": ["8104176900833366016", '
+                    '"3182269910657310720", "0"], "residual": 1536.0}',
 }
 
 
 def test_annulus_ck_stdout_on_bench_sized_grids(capsys, tmp_path,
                                                 monkeypatch):
     # the bench's weighted grids (weight 2 on every third edge id), where
-    # H has dimension 64 and more; the 5x5 grid has no dimer cover.  Each
-    # sample H is all floats: the J-powers off the cut are float rows
+    # H has dimension 64 and more; the 5x5 grid has no dimer cover.  The
+    # one HMatrix is the held-out float H, all floats: the J-powers off
+    # the cut are float rows; the exact C_k take no HMatrix
     built = []
 
     class Spy(th.HMatrix):
@@ -265,8 +280,7 @@ def test_annulus_ck_stdout_on_bench_sized_grids(capsys, tmp_path,
         code, out = run(capsys, ["annulus-ck", "--graph", path, "--inner",
                                  str(f), "--json"])
         assert (code, out) == (0, want + "\n"), (rows, cols, f)
-        assert len(built) == 2 * len(annulus_spec(g, f).cut) + 2
-        assert all(kinds == {float} for kinds in built)
+        assert built == [{float}]
 
 
 def test_det_vertex_matches_wedge_norm(capsys, tmp_path):
@@ -371,17 +385,12 @@ def test_violated_identity_exits_one(capsys, monkeypatch):
     assert len(out.splitlines()) == 1
 
 
-def test_missing_graph_and_short_samples_exit_two(capsys):
-    c4 = str(DATA / "c4.json")
-    for argv, message in (
-            (["dimers"], "--graph is required for this command"),
-            (["annulus-ck", "--graph", c4, "--inner", "0",
-              "--samples", "0.1,0.2,0.3"],
-             "need at least 4 samples (K = 2 plus a held-out point)")):
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, ""), argv
-        assert captured.err.splitlines() == ["error: " + message]
+def test_missing_graph_exits_two(capsys):
+    code = cli.main(["dimers"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [
+        "error: --graph is required for this command"]
 
 
 def test_usage_errors_exit_two(capsys):
@@ -456,6 +465,7 @@ def test_mixed_float_and_symbolic_input_exits_two(capsys, tmp_path):
                  ["kasteleyn", "--graph", weighted],
                  ["verify-main", "--graph", weighted],
                  ["spin-corr", "--graph", weighted, "--f1", "0", "--f2", "1"],
+                 ["annulus-ck", "--graph", weighted, "--inner", "0"],
                  ["pfaffian", "--graph", weighted, "--ring", "float"]):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -470,7 +480,7 @@ def test_mixed_float_and_symbolic_input_exits_two(capsys, tmp_path):
 FLAG_VALUES = {"graph": G24, "conn": G24, "n": "2", "weights": "symbolic",
                "ring": "float", "seed": "3", "count": "2", "web": G24,
                "method": "loops", "f1": "1", "f2": "2", "inner": "1",
-               "samples": "0.5,1", "vectors": G24, "matrix": G24, "q": "1/2"}
+               "vectors": G24, "matrix": G24, "q": "1/2"}
 
 
 def _flag(name):
@@ -496,9 +506,9 @@ def test_each_verb_takes_exactly_the_flags_it_reads(capsys, verb):
 
 
 def test_parser_is_built_once_from_the_flag_table(capsys):
-    # 13 verbs take 42 flags besides --json, and every flag has a reader
+    # 13 verbs take 41 flags besides --json, and every flag has a reader
     rows = [flags.split() for _, _, flags in cli.VERBS.values()]
-    assert sum(len(r) + 1 for r in rows) == 55
+    assert sum(len(r) + 1 for r in rows) == 54
     assert set(cli.FLAGS) == {name for r in rows for name in r}
     cli._build_parser.cache_clear()
     run(capsys, ["dimers", "--graph", G24])
@@ -528,18 +538,6 @@ def test_explicit_rank_must_match_the_connection_file(capsys, tmp_path):
         run(capsys, ["pfaffian", "--graph", G24, "--conn", conn[1]])
     code, out = run(capsys, ["multiwebs", "--graph", G24])
     assert code == 0 and out.splitlines()[-1] == "count 6"
-
-
-def test_annulus_ck_samples_must_be_finite_numbers(capsys):
-    c4 = str(DATA / "c4.json")
-    for samples in ("nan,1,2,3,4,5,6,7", "inf,1,2,3,4,5,6,7",
-                    "1,2,3,4,5,6,-inf", "1,x,3", "1,,3", ""):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["annulus-ck", "--graph", c4, "--inner", "0",
-                      "--samples", samples])
-        out, errtext = capsys.readouterr()
-        assert err.value.code == 2 and out == "", samples
-        assert "argument --samples" in errtext
 
 
 def test_verify_main_float_ring_uses_library_tolerance(capsys, tmp_path):

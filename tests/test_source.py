@@ -85,21 +85,23 @@ def _owners(tree):
 
 
 def test_float_linear_algebra_only_in_the_ck_fit():
-    # exact paths must never reach float linear algebra: np.linalg is for
-    # the one numeric least-squares fit of C_k
+    # exact paths must never reach float linear algebra: the C_k are
+    # exact, and their least-squares fit is a test oracle
+    # (helpers.extract_Ck), so no np.linalg is left in the package
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = _owners(tree)
         found |= {"%s.%s" % (path.stem, owner.get(node, "<module>"))
                   for node in ast.walk(tree) if _numpy_linalg(node)}
-    assert found == {"theorems.extract_Ck"}, found
+    assert found == set(), found
 
 
 def test_numpy_only_in_the_ck_fit_and_the_array_conversion():
-    # a matrix is a list of rows: numpy is imported only inside the C_k
-    # fit and inside SkewMatrix.__array__, never at module level, and no
-    # object-array idiom (@, .tolist, .astype) is left in the package
+    # a matrix is a list of rows and the C_k are exact: numpy is imported
+    # only inside SkewMatrix.__array__, which the bench tracer calls, never
+    # at module level, and no object-array idiom (@, .tolist, .astype) is
+    # left in the package
     found, idioms = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -115,7 +117,7 @@ def test_numpy_only_in_the_ck_fit_and_the_array_conversion():
                     isinstance(node, ast.Attribute) and \
                     node.attr in ("tolist", "astype"):
                 idioms.append("%s:%d" % (path.name, node.lineno))
-    assert found == {"theorems.extract_Ck", "linalg.__array__"}, found
+    assert found == {"linalg.__array__"}, found
     assert not idioms, idioms
 
 
@@ -349,12 +351,22 @@ def test_every_connection_is_checked_and_j_acts_by_row_swaps():
                     if isinstance(n, ast.keyword) and n.arg == "check"], \
             path.name
     # the annulus twist J^k R^s is k row swaps of R^s: no matmul, and no
-    # commutation check beside the one in unitary_embed
-    fn = _function("theorems", "annulus_partition")
+    # commutation check beside the one in unitary_embed.  The float and
+    # the exact annulus Pfaffians share that one cut-edge builder, and
+    # the exact one no Connection: its R is symplectic only modulo
+    # c^2 + s^2 - 1
+    fn = _function("theorems", "_annulus_matrices")
     assert not [n.lineno for n in ast.walk(fn)
                 if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
-                or isinstance(n, ast.Name) and n.id in ("mat_equal",
+                or isinstance(n, ast.Name) and n.id in ("mat_equal", "matmul",
                                                         "NonCommuting")]
+    for name in ("annulus_partition", "annulus_coefficients"):
+        calls = {n.func.id for n in ast.walk(_function("theorems", name))
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "_annulus_matrices" in calls and "j_times" not in calls, name
+    assert "Connection" not in {
+        n.id for n in ast.walk(_function("theorems", "annulus_coefficients"))
+        if isinstance(n, ast.Name)}
     # unitary_embed checks RJ = JR as row swaps, with no product with J
     fn = _function("connections", "unitary_embed")
     names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}

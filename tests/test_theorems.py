@@ -7,19 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (c4_ring, cube_ring, grid, inner_face, k4_2by3,
-                     pendant_square)
+from helpers import (IllConditioned, c4_ring, cube_ring, extract_Ck, grid,
+                     inner_face, k4_2by3, pendant_square, substitute)
 from spwebs import theorems as th
 from spwebs.connections import (annulus_spec, edgewise_product,
                                 face_spin_connection, flat_annulus_connection,
-                                kasteleyn_connection)
+                                kasteleyn_connection, unitary_embed)
 from spwebs.errors import (BadFaceLength, DimensionMismatch, DivByZero,
-                           IdentityViolated, IllConditioned, OutOfRange)
+                           IdentityViolated, OutOfRange, SelfCheckFailed)
 from spwebs.linalg import (eye, is_symplectic, mat, mat_equal, matmul,
                            symplectic_J)
 from spwebs.planar import (flip_edge_orientation, load_graph,
                            standard_structure)
-from spwebs.rand import random_connection
+from spwebs.rand import (random_connection, random_fraction,
+                         random_planar_graph)
 from spwebs.rings import Poly
 from spwebs.traces import trace_contraction
 from spwebs.webs import Multiweb, enumerate_multiwebs
@@ -228,6 +229,74 @@ def test_annulus_partition_values_are_pinned():
             assert repr(z) == want
 
 
+def test_annulus_coefficients_on_random_planar_graphs():
+    # on every bounded face: at x = 6 the holonomy is the identity, so
+    # sum C_k 6^k is +-Pf of the rank-2 Kasteleyn H, exactly; and sum
+    # C_k x^k is the float annulus Pfaffian at three eps, to 1e-9 of the
+    # size of its terms (at least 1: an exact 0 comes out as float noise)
+    rnd = random.Random(20261020)
+    faces = 0
+    for _ in range(40):
+        g = random_planar_graph(rnd, rnd.randint(4, 7))
+        for e in g.edges.values():
+            e.weight = random_fraction(rnd)
+        pf = th.HMatrix(g, kasteleyn_connection(g, 2)).pfaffian()
+        for f in g.bounded_faces():
+            spec = annulus_spec(g, f)
+            ck = th.annulus_coefficients(g, spec)
+            assert len(ck) == 2 * len(spec.cut) + 1
+            assert all(type(c) is Fraction for c in ck)
+            assert sum(c * 6 ** k for k, c in enumerate(ck)) in (pf, -pf)
+            for eps in (0.4, 1.3, 2.5):
+                x = Fraction(2 + 4 * math.cos(eps))
+                z = float(sum(c * x ** k for k, c in enumerate(ck)))
+                size = float(sum(abs(c * x ** k) for k, c in enumerate(ck)))
+                assert abs(th.annulus_partition(g, spec, eps) - z) \
+                    <= 1e-9 * max(size, 1.0), (f, eps)
+            faces += 1
+    assert faces >= 100
+
+
+def test_exact_cut_holonomy_is_symplectic_modulo_the_circle(monkeypatch):
+    # R(c, s) is not symplectic over Z[c, s], but every entry of
+    # R^T J R - J is divisible by c^2 + s^2 - 1, and at a point of the
+    # circle R is unitary_embed(diag(1, c), diag(0, s))
+    seen = []
+    build = th._annulus_matrices
+    monkeypatch.setattr(th, "_annulus_matrices",
+                        lambda spec, r, ring: seen.append(r)
+                        or build(spec, r, ring))
+    g = c4_ring()
+    th.annulus_coefficients(g, annulus_spec(g, inner_face(g, [0, 1, 2, 3])))
+    (r,) = seen
+    c, s = Poly.var("c"), Poly.var("s")
+    j = symplectic_J(2)
+    rt = [list(col) for col in zip(*r)]
+    defect = [Poly() + x - y for row, jrow in zip(matmul(matmul(rt, j), r), j)
+              for x, y in zip(row, jrow)]
+    assert any(defect)
+    for x in defect:
+        x.exact_div(c * c + s * s - 1)
+    cos, sin = math.cos(0.9), math.sin(0.9)
+    at = [[substitute(x, {"c": cos, "s": sin}) if isinstance(x, Poly) else x
+           for x in row] for row in r]
+    assert at == unitary_embed([[1, 0], [0, cos]], [[0, 0], [0, sin]])
+
+
+def test_annulus_coefficient_self_checks_raise(monkeypatch):
+    # an odd power of s, or a C_k past K = 2 |cut|, is a library defect:
+    # SelfCheckFailed, which python -O keeps
+    g = c4_ring()
+    spec = annulus_spec(g, inner_face(g, [0, 1, 2, 3]))
+    assert len(spec.cut) == 1
+    c, s = Poly.var("c"), Poly.var("s")
+    for pf, message in ((c * s + 1, "odd power of s"), (c ** 3, "past K")):
+        monkeypatch.setattr(th.SkewMatrix, "pfaffian",
+                            lambda self, pf=pf: pf)
+        with pytest.raises(SelfCheckFailed, match=message):
+            th.annulus_coefficients(g, spec)
+
+
 def test_u2_matrix_is_symplectic():
     m = th.u2_matrix(0.7, 0.3, -1.1, 0.9)
     assert is_symplectic(m, tol=1e-12)
@@ -259,7 +328,7 @@ def test_solve_theta_warns_out_of_range():
 def test_extract_ck_ring_values():
     g = c4_ring()
     spec = annulus_spec(g, 0 if g.outer_face != 0 else 1)
-    cks = th.extract_Ck(g, spec, [0.3, 1.1, 2.0])
+    cks = extract_Ck(g, spec, [0.3, 1.1, 2.0])
     assert abs(cks[0] - 4.0) < 1e-8
     assert abs(cks[1] - 2.0) < 1e-8
     assert abs(cks[2]) < 1e-8
@@ -269,10 +338,10 @@ def test_extract_ck_alpha_beta_independent():
     g = c4_ring()
     spec = annulus_spec(g, 0 if g.outer_face != 0 else 1)
     samples = [0.4, 1.2, 2.1]
-    base = th.extract_Ck(g, spec, samples)
+    base = extract_Ck(g, spec, samples)
     # alpha values where the loop-killing angle stays real on the samples
     for al, be in ((0.1, 0.0), (0.2, 0.0), (0.0, 1.3)):
-        other = th.extract_Ck(g, spec, samples, alpha=al, beta=be)
+        other = extract_Ck(g, spec, samples, alpha=al, beta=be)
         assert max(abs(a - b) for a, b in zip(base, other)) < 1e-8
 
 
@@ -280,14 +349,14 @@ def test_extract_ck_needs_enough_samples():
     g = c4_ring()
     spec = annulus_spec(g, 0 if g.outer_face != 0 else 1)
     with pytest.raises(DimensionMismatch):
-        th.extract_Ck(g, spec, [0.5, 1.5])
+        extract_Ck(g, spec, [0.5, 1.5])
 
 
 def test_extract_ck_rejects_clustered_samples():
     g = c4_ring()
     spec = annulus_spec(g, 0 if g.outer_face != 0 else 1)
     with pytest.raises(IllConditioned):
-        th.extract_Ck(g, spec, [1.0, 1.0 + 1e-10, 1.0 + 2e-10])
+        extract_Ck(g, spec, [1.0, 1.0 + 1e-10, 1.0 + 2e-10])
 
 
 def test_double_dimer_expectation_unsigned_is_one():
