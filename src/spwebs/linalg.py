@@ -388,24 +388,26 @@ def clear_denominators(rows):
 
 def minors(rows, k):
     """All k x k minors of a list of rows over any ring, as row mask ->
-    column mask -> minor, zeros left out.  Size j comes from size j - 1 by
-    Laplace expansion along the lowest row s of S: det A[S, T] is the sum
-    over c in T of (-1)^#{t in T: t < c} A[s, c] det A[S - s, T - c]."""
+    column mask -> minor, zeros left out and every row mask kept.  Each
+    row set S of size j comes once, from S - s for s its lowest row, by
+    Laplace expansion along s: det A[S, T] is the sum over c in T of
+    (-1)^#{t in T: t < c} A[s, c] det A[S - s, T - c]."""
     table = {0: {0: 1}}
-    for size in range(1, k + 1):
+    for _ in range(k):
         level = {}
-        for rs in itertools.combinations(range(len(rows)), size):
-            row = rows[rs[0]]
-            out = {}
-            for sub, val in table[sum(1 << r for r in rs[1:])].items():
-                sign = 1
-                for c, x in enumerate(row):
-                    bit = 1 << c
-                    if sub & bit:
-                        sign = -sign
-                    elif x:
-                        out[sub | bit] = out.get(sub | bit, 0) + sign * x * val
-            level[sum(1 << r for r in rs)] = {t: v for t, v in out.items() if v}
+        for rs, sub in table.items():
+            low = ((rs & -rs) or 1 << len(rows)).bit_length() - 1
+            for s, row in enumerate(rows[:low]):
+                out = {}
+                for cs, v in sub.items():
+                    sign = 1
+                    for c, x in enumerate(row):
+                        b = 1 << c
+                        if cs & b:
+                            sign = -sign
+                        elif x:
+                            out[cs | b] = out.get(cs | b, 0) + sign * x * v
+                level[rs | 1 << s] = {t: v for t, v in out.items() if v}
         table = level
     return table
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .connections import (Connection, exponent_sum, j_connection, j_power,
                           kasteleyn_connection, kasteleyn_exponents,
                           spin_flips, unitary_embed)
-from .errors import (BadFaceLength, DivByZero, IdentityViolated, OutOfRange,
-                     SelfCheckFailed)
+from .errors import (BadFaceLength, DivByZero, IdentityViolated,
+                     MalformedInput, OutOfRange, SelfCheckFailed)
 from .linalg import SkewMatrix, block_transpose, j_times, scalar_is_zero
 from .planar import standard_structure, vertex_order
 from .rings import Poly, _Packing, exact_div_scalar
@@ -370,16 +370,24 @@ def annulus_coefficients(g, spec):
     c, s = Poly.var("c"), Poly.var("s")
     # written out: R is symplectic only modulo c^2 + s^2 - 1
     r = [[1, 0, 0, 0], [0, c, 0, s], [0, 0, 1, 0], [0, -s, 0, c]]
+    for eid, w in weight_map(g).items():
+        if isinstance(w, Poly):
+            raise MalformedInput("edge %d weight %s is no number" % (eid, w))
     weights = {eid: Fraction(w) for eid, w in weight_map(g).items()}
     blocks, dim = _blocks(g, weights, 2)
     mats = _annulus_matrices(spec, r, int)
     pf = SkewMatrix(_entry_rows(blocks, mats, dim)).pfaffian()
     cx, ck = (Poly.var("x") - 2) * Fraction(1, 4), Poly()
+    cpow, spow = [1, cx], [1, 1 - cx * cx]  # powers, each built once
     for mono, coeff in pf.terms.items():
         a, b = dict(mono).get("c", 0), dict(mono).get("s", 0)
         if b % 2:
             raise SelfCheckFailed("an odd power of s survives in P(c, s)")
-        ck += coeff * cx ** a * (1 - cx * cx) ** (b // 2)
+        while len(cpow) <= a:
+            cpow.append(cpow[-1] * cx)
+        while len(spow) <= b // 2:
+            spow.append(spow[-1] * spow[1])
+        ck += coeff * cpow[a] * spow[b // 2]
     ck = {dict(m).get("x", 0): v for m, v in ck.terms.items()}
     if max(ck, default=0) > 2 * len(spec.cut):
         raise SelfCheckFailed("C_%d is nonzero, past K" % max(ck))

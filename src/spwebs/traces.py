@@ -26,13 +26,13 @@ directly; they see the split web as a list of copies with their slots
 in the cilium order at each end, and build no graph.
 
 A bond is a minor scaled by D^k: the connection has cleared each exact
-edge matrix once to the integers N = D phi, D the lcm of its
-denominators, so D phi_vu is N in the canonical direction and the
-signed block transpose of N against it (Connection.cleared_phi; Poly and
-float matrices come as they are, with D = 1).  J D phi_vu is a signed
-swap of its row halves, and all k-minors come from one Laplace-expansion
-table.  The network is contracted on these integers and the product of
-the scales is divided out once at the end.
+edge matrix once to the integers N = D phi, D the lcm of its denominators,
+so D phi_vu is N in the canonical direction and the signed block transpose
+of N against it (Connection.cleared_phi; Poly and float matrices come as
+they are, with D = 1).  J D phi_vu is a signed swap of its row halves.
+Its k-minors come from one Laplace table, for k > n read off the
+(2n - k)-minors by Jacobi's identity (_bond).  The network is contracted
+on these integers and the product of the scales is divided out at the end.
 
 The same index convention fills the blocks of the big antisymmetric matrix
 H, so the Pfaffian pairing terms are exactly the per-edge factors here.
@@ -147,11 +147,26 @@ def _vertex_tensor(n2, sizes):
 
 
 def _bond(rows, d, k, symplectic):
-    """Tail subset -> head subset -> k-minor of J D phi (D phi when
+    """Tail subset -> head subset -> k-minor of B = J D phi (D phi when
     symplectic is False) from the rows of D phi and d = D, nonzero entries
-    only, and the signed scale (-1)^(k(k-1)/2) D^k it is divided by."""
-    return (minors(j_times(rows) if symplectic else rows, k),
-            (-1) ** (k * (k - 1) // 2) * d ** k)
+    only, and the signed scale (-1)^(k(k-1)/2) D^k it is divided by.  As
+    B^T J B = D^2 J, for k > n on exact rows det B[S, T] = g(R) g(C)
+    D^(2k-2n) det B[R, C] (Jacobi), R and C the complements of S and T with
+    halves swapped and g(R) = (-1)^(sigma(S) + h + lh), sigma(S) the index
+    sum of S, h and l the members of R below n and at or above it."""
+    b = j_times(rows) if symplectic else rows
+    n, scale = len(b) // 2, (-1) ** (k * (k - 1) // 2) * d ** k
+    if k <= n or any(isinstance(x, float) for row in b for x in row):
+        return minors(b, k), scale
+    table, low, dual = minors(b, 2 * n - k), (1 << n) - 1, {}
+    for x in table:
+        s = ((1 << 2 * n) - 1) ^ ((x & low) << n | x >> n)
+        h, l = (x & low).bit_count(), (x >> n).bit_count()
+        odd = sum(s >> i & 1 for i in range(1, 2 * n, 2))
+        dual[x] = s, (-1) ** (odd + h + l * h) * d ** (k - n)
+    return ({dual[r][0]: {dual[c][0]: dual[r][1] * dual[c][1] * v
+                          for c, v in row.items()}
+             for r, row in table.items()}, scale)
 
 
 def _trace_network(g, conn, m, s, symplectic=True):
@@ -181,26 +196,26 @@ def _trace_network(g, conn, m, s, symplectic=True):
         legs1, t1 = clusters[c1]
         if c1 == c2:
             p, q = legs1.index(d), legs1.index(rd)
-            legs = [x for k, x in enumerate(legs1) if k not in (p, q)]
+            lo, hi = (p, q) if p < q else (q, p)
+            legs = legs1[:lo] + legs1[lo + 1:hi] + legs1[hi + 1:]
             out = {}
             for idx, coef in t1.items():
                 f = bond[idx[p]].get(idx[q])
                 if not f:
                     continue
-                key = tuple(x for k, x in enumerate(idx) if k not in (p, q))
+                key = idx[:lo] + idx[lo + 1:hi] + idx[hi + 1:]
                 out[key] = out.get(key, 0) + coef * f
         else:
             legs2, t2 = clusters[c2]
             p, q = legs1.index(d), legs2.index(rd)
-            legs = ([x for k, x in enumerate(legs1) if k != p]
-                    + [x for k, x in enumerate(legs2) if k != q])
+            legs = legs1[:p] + legs1[p + 1:] + legs2[:q] + legs2[q + 1:]
             byq = {}
             for idx, coef in t2.items():
                 byq.setdefault(idx[q], []).append(
-                    (tuple(x for k, x in enumerate(idx) if k != q), coef))
+                    (idx[:q] + idx[q + 1:], coef))
             out = {}
             for idx, coef in t1.items():
-                rest1 = tuple(x for k, x in enumerate(idx) if k != p)
+                rest1 = idx[:p] + idx[p + 1:]
                 for b, f in bond[idx[p]].items():
                     for rest2, coef2 in byq.get(b, ()):
                         key = rest1 + rest2

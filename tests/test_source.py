@@ -367,6 +367,11 @@ def test_every_connection_is_checked_and_j_acts_by_row_swaps():
     assert "Connection" not in {
         n.id for n in ast.walk(_function("theorems", "annulus_coefficients"))
         if isinstance(n, ast.Name)}
+    # the powers of (x - 2) / 4 and of 1 - ((x - 2) / 4)^2 in the C_k
+    # reduction are built once, not with ** for every term of P(c, s)
+    assert not [n.lineno for n in ast.walk(
+        _function("theorems", "annulus_coefficients"))
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
     # unitary_embed checks RJ = JR as row swaps, with no product with J
     fn = _function("connections", "unitary_embed")
     names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}

@@ -14,7 +14,8 @@ from spwebs.connections import (annulus_spec, edgewise_product,
                                 face_spin_connection, flat_annulus_connection,
                                 kasteleyn_connection, unitary_embed)
 from spwebs.errors import (BadFaceLength, DimensionMismatch, DivByZero,
-                           IdentityViolated, OutOfRange, SelfCheckFailed)
+                           IdentityViolated, MalformedInput, OutOfRange,
+                           SelfCheckFailed)
 from spwebs.linalg import (eye, is_symplectic, mat, mat_equal, matmul,
                            symplectic_J)
 from spwebs.planar import (flip_edge_orientation, load_graph,
@@ -295,6 +296,16 @@ def test_annulus_coefficient_self_checks_raise(monkeypatch):
                             lambda self, pf=pf: pf)
         with pytest.raises(SelfCheckFailed, match=message):
             th.annulus_coefficients(g, spec)
+
+
+def test_annulus_coefficients_reject_a_poly_weight():
+    # the C_k are exact in x for number weights; a Poly weight is a
+    # library error naming its edge, not Fraction's bare TypeError
+    g = grid(4, 4)
+    g.edges[0].weight = Poly.var("a")
+    spec = annulus_spec(g, g.bounded_faces()[4])
+    with pytest.raises(MalformedInput, match="edge 0 "):
+        th.annulus_coefficients(g, spec)
 
 
 def test_u2_matrix_is_symplectic():

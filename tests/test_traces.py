@@ -7,14 +7,18 @@ import pytest
 
 from helpers import (c4_ring, grid, k4_2by3, random_vector, shuffled_ids,
                      triangle)
+from test_linalg import _shear_product
+from spwebs import traces
 from spwebs.connections import identity_connection, kasteleyn_connection
 from spwebs.errors import NotBipartite, WrongRank
-from spwebs.linalg import det
+from spwebs.linalg import (block_transpose, clear_denominators, det, eye,
+                           is_symplectic, j_times, matmul, minors)
 from spwebs.planar import (advance_cilium, flip_edge_orientation, load_graph,
                            standard_structure, vertex_order)
-from spwebs.rand import random_connection, random_fraction, random_planar_graph
+from spwebs.rand import (random_connection, random_fraction,
+                         random_planar_graph, random_sp)
 from spwebs.rings import Poly
-from spwebs.theorems import sum_traces
+from spwebs.theorems import HMatrix, sum_traces
 from spwebs.traces import (bipartite_parts, bipartite_structure,
                            crossing_count, det_vertex, qdet, trace_coloring,
                            trace_contraction, trace_identity_colorings,
@@ -92,6 +96,72 @@ def test_rank2_trace_sum_on_2by3_is_pinned():
     g = load_graph(Path(__file__).parent / "data" / "2by3.json")
     conn = random_connection(g, random.Random(2), 2)
     assert sum_traces(g, conn) == Fraction(-18128777443, 7558272)
+
+
+def _poly_sp(rnd, n):
+    """A symplectic matrix with Poly entries: the shear [[I, S], [0, I]],
+    S symmetric with one variable per pair, times a random Sp(2n)."""
+    shear = eye(2 * n)
+    for i in range(n):
+        for j in range(i, n):
+            shear[i][n + j] = shear[j][n + i] = Poly.var("x%d%d" % (i, j))
+    return matmul(shear, random_sp(rnd, n))
+
+
+def test_bond_equals_the_laplace_table_for_every_size():
+    # above rank n the bond reads its k-minors off the (2n - k)-table by
+    # Jacobi's complementary minors; it must be the Laplace table exactly,
+    # with every row mask, for J D phi and D phi, in both directions
+    rnd = random.Random(38)
+    cases = [(n, random_sp(rnd, n)) for n in (1, 2) for _ in range(4)]
+    cases += [(3, _shear_product(rnd, 3)) for _ in range(2)]
+    cases += [(n, _poly_sp(rnd, n)) for n in (1, 2) for _ in range(2)]
+    kinds = set()
+    for n, m in cases:
+        assert is_symplectic(m)
+        rows, d = clear_denominators(m)
+        kinds.add((n, type(rows[0][0]) is int, d > 1))
+        for r in (rows, block_transpose(rows)):
+            for symplectic in (True, False):
+                b = j_times(r) if symplectic else r
+                for k in range(2 * n + 1):
+                    table, scale = traces._bond(r, d, k, symplectic)
+                    assert table == minors(b, k), (n, k, symplectic)
+                    assert scale == (-1) ** (k * (k - 1) // 2) * d ** k
+    assert {(1, True, True), (2, True, True), (3, True, True),
+            (1, False, False), (2, False, False)} <= kinds
+
+
+def test_float_bond_is_the_laplace_table_bit_for_bit():
+    # the identity would round differently, so float rows keep Laplace
+    rnd = random.Random(39)
+    for n in (1, 2):
+        m = [[float(x) for x in row] for row in random_sp(rnd, n)]
+        for r in (m, block_transpose(m)):
+            for symplectic in (True, False):
+                b = j_times(r) if symplectic else r
+                for k in range(2 * n + 1):
+                    table = traces._bond(r, 1, k, symplectic)[0]
+                    assert repr(table) == repr(minors(b, k))
+
+
+def test_rank2_cube_expands_no_int_table_past_rank(monkeypatch):
+    # a bond of multiplicity 3 or 4 at rank 2 is read from the 1- or
+    # 0-minors, so no Laplace table on int rows grows past size n
+    g = load_graph(Path(__file__).parent / "data" / "cube.json")
+    conn = random_connection(g, random.Random(2), 2)
+    asked, expanded = [], []
+    bond, laplace = traces._bond, traces.minors
+    monkeypatch.setattr(traces, "_bond", lambda rows, d, k, symplectic:
+                        asked.append(k) or bond(rows, d, k, symplectic))
+    monkeypatch.setattr(traces, "minors", lambda rows, k: expanded.append(
+        (k, all(type(x) is int for row in rows for x in row)))
+        or laplace(rows, k))
+    ts = sum_traces(g, conn)
+    assert max(asked) == 4 and {k for k, _ in expanded} == {0, 1, 2}
+    assert all(is_int for _, is_int in expanded)
+    pf = HMatrix(g, conn).pfaffian()
+    assert ts in (pf, -pf)
 
 
 def test_identity_colorings_match_identity_connection():
