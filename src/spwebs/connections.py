@@ -165,8 +165,7 @@ def unitary_embed(re_m, im_m):
             for r, s in zip(matmul(re_t, re_m), matmul(im_t, im_m))]
     skew = [[x - y for x, y in zip(r, s)]
             for r, s in zip(matmul(re_t, im_m), matmul(im_t, re_m))]
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    if not (mat_equal(herm, ident, tol=1e-12)
+    if not (mat_equal(herm, eye(n), tol=1e-12)
             and mat_equal(skew, [[0] * n] * n, tol=1e-12)):
         raise NotUnitary("M*M != I")
     rows = ([r + i for r, i in zip(re_m, im_m)]

@@ -121,12 +121,6 @@ def matmul(a, b):
              for col in cols] for row in a]
 
 
-def scalar_is_zero(x):
-    if isinstance(x, Poly):
-        return x.is_zero()
-    return x == 0
-
-
 def mat_equal(a, b, tol=0.0):
     a, b = mat(a), mat(b)
     if list(map(len, a)) != list(map(len, b)):
@@ -135,10 +129,8 @@ def mat_equal(a, b, tol=0.0):
         if isinstance(x, float) or isinstance(y, float):
             if abs(x - y) > tol:
                 return False
-        else:
-            d = x - y
-            if not scalar_is_zero(d):
-                return False
+        elif x != y:
+            return False
     return True
 
 
@@ -198,14 +190,14 @@ def all_pairings(items):
             yield ((first, second),) + sub
 
 
+def inversions(seq):
+    """The number of pairs i < j with seq[i] > seq[j]."""
+    return sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+
+
 def perm_sign(seq):
     """Sign of a permutation given as a sequence of distinct comparables."""
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return -1 if inversions(seq) % 2 else 1
 
 
 class SkewMatrix:

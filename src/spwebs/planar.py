@@ -105,7 +105,7 @@ class PlanarGraph:
                 raise DegenerateGeometry("edge %d references unknown vertex" % e.id)
         # every predicate runs on these ints: the coordinates times D, the
         # lcm of their denominators
-        s = self.scale = math.lcm(*[q for v in vertices for q in (v.qx, v.qy)])
+        s = math.lcm(*[q for v in vertices for q in (v.qx, v.qy)])
         self.ipos = {v.id: (v.px * (s // v.qx), v.py * (s // v.qy))
                      for v in vertices}
         self.rotation = self._rotation_from_positions()
@@ -297,9 +297,6 @@ class Structure:
         self.order = {v: list(ds) for v, ds in order.items()}
         self.orient = dict(orient)
 
-    def copy(self):
-        return Structure(self.order, self.orient)
-
     def __repr__(self):
         order = {v: tuple(ds) for v, ds in sorted(self.order.items())}
         orient = {e: d for e, d in sorted(self.orient.items())}
@@ -336,7 +333,7 @@ def edge_sweep(g, eids):
 
 def advance_cilium(s, v):
     """Move the cilium at v one notch ccw; returns (structure, crossed edge)."""
-    out = s.copy()
+    out = Structure(s.order, s.orient)
     lst = out.order[v]
     crossed = lst[0][0]
     out.order[v] = lst[1:] + lst[:1]
@@ -344,7 +341,7 @@ def advance_cilium(s, v):
 
 
 def flip_edge_orientation(s, g, eid):
-    out = s.copy()
+    out = Structure(s.order, s.orient)
     out.orient[eid] = g.dart_reverse(out.orient[eid])
     return out
 

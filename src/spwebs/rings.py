@@ -3,10 +3,11 @@
 Rationals are fractions.Fraction.  Polynomials are stored sparsely as a dict
 mapping monomials to Fraction coefficients; a monomial is a tuple of
 (variable name, exponent) pairs sorted by name with positive exponents.
-Printing uses graded lexicographic order (total degree first, then
+A Poly prints in graded lexicographic order (total degree first, then
 exponents of the alphabetically sorted variables).  Floats are plain
 Python floats, used only for the numeric experiments; Poly arithmetic
-with a float raises MixedRing, since no ring here holds both.
+with a float raises MixedRing, since no ring here holds both.  Every
+scalar prints through its own str, which format_scalar is.
 
 Division and the Poly Pfaffian of linalg work on a private packed
 form: a dict from packed monomial to int coefficient, where a
@@ -84,8 +85,7 @@ class Poly:
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
-        return Poly({(): c} if c else {})
+        return Poly({(): c})
 
     def variables(self):
         out = set()
@@ -178,6 +178,9 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its number, so it hashes as that number
+        if not self.terms.keys() - {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -410,15 +413,9 @@ def parse_scalar(text, symbols_as_vars=True):
 
 
 def format_scalar(x):
-    if isinstance(x, Poly):
-        return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
-    if isinstance(x, int):
-        return str(x)
-    return repr(x)
+    """A scalar's text is its str: an int as itself, a Fraction as p/q (p
+    when q = 1), a Poly in grlex order and a float as its repr."""
+    return str(x)
 
 
 def exact_div_scalar(a, b):

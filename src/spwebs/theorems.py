@@ -16,13 +16,14 @@ import math
 import cmath
 import warnings
 from fractions import Fraction
+from string import ascii_lowercase
 
 from .connections import (Connection, exponent_sum, j_connection, j_power,
                           kasteleyn_connection, kasteleyn_exponents,
                           spin_flips, unitary_embed)
 from .errors import (BadFaceLength, DivByZero, IdentityViolated,
                      MalformedInput, OutOfRange, SelfCheckFailed)
-from .linalg import SkewMatrix, block_transpose, j_times, scalar_is_zero
+from .linalg import SkewMatrix, block_transpose, j_times
 from .planar import standard_structure, vertex_order
 from .rings import Poly, _Packing, exact_div_scalar
 from .traces import trace_contraction
@@ -33,8 +34,6 @@ from .webs import (
     enumerate_multiwebs,
     superpose,
 )
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def weight_map(g, w=None):
@@ -49,7 +48,7 @@ def symbolic_weights(g):
     """One polynomial variable per edge, a, b, c, ... in edge id order."""
     out = {}
     for i, eid in enumerate(sorted(g.edges)):
-        out[eid] = Poly.var(_LETTERS[i] if i < len(_LETTERS) else "w%d" % eid)
+        out[eid] = Poly.var(ascii_lowercase[i] if i < 26 else "w%d" % eid)
     return out
 
 
@@ -239,7 +238,7 @@ def kasteleyn_trace_decomposition(g, m, w=None):
 
 
 def _ratio(num, den):
-    if scalar_is_zero(den):
+    if not den:
         raise DivByZero("denominator Pfaffian vanishes")
     return exact_div_scalar(num, den)
 

@@ -44,8 +44,8 @@ from types import MappingProxyType
 
 from .connections import monodromy
 from .errors import DimensionMismatch, NotBipartite, SelfCheckFailed, WrongRank
-from .linalg import (all_pairings, clear_denominators, det, j_times, mat,
-                     minors, perm_sign)
+from .linalg import (all_pairings, clear_denominators, det, inversions,
+                     j_times, mat, minors, perm_sign)
 from .planar import Structure, edge_sweep, standard_structure
 from .rings import exact_div_scalar
 from .webs import check_multiweb, decompose_2multiweb
@@ -400,9 +400,7 @@ def qdet(a, q):
         raise DimensionMismatch("matrix must be square")
     total = 0
     for p in itertools.permutations(range(k)):
-        inv = sum(1 for x in range(k) for y in range(x + 1, k)
-                  if p[x] > p[y])
-        term = (-q) ** inv
+        term = (-q) ** inversions(p)
         for i in range(k):
             term = term * a[i][p[i]]
         total = total + term

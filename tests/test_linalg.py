@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from helpers import (exterior_power_trace, pf_combinatorial, random_skew,
 from spwebs import linalg
 from spwebs.errors import MixedRing, NotSkew, SelfCheckFailed
 from spwebs.linalg import (SkewMatrix, all_pairings, block_transpose,
-                           clear_denominators, det, eye, is_symplectic, mat,
-                           mat_equal, matmul, minors, perm_sign, pf_eliminate,
-                           scalar_is_zero, symplectic_J)
+                           clear_denominators, det, eye, inversions,
+                           is_symplectic, mat, mat_equal, matmul, minors,
+                           perm_sign, pf_eliminate, symplectic_J)
 from spwebs.rand import random_fraction, random_sp2, random_sp4
 from spwebs.rings import Poly
 from spwebs.traces import det_vertex, wedge_norm
@@ -61,6 +61,26 @@ def test_perm_sign():
     assert perm_sign([0, 1, 2]) == 1
     assert perm_sign([1, 0, 2]) == -1
     assert perm_sign([2, 0, 1]) == 1
+
+
+def test_inversions_and_perm_sign_on_every_permutation_of_six():
+    """inversions against a nested-loop count, and perm_sign against the
+    parity of the cycle decomposition: a permutation of k points with c
+    cycles is a product of k - c transpositions."""
+    for p in permutations(range(6)):
+        count = 0
+        for i in range(6):
+            for j in range(i + 1, 6):
+                count += p[i] > p[j]
+        assert inversions(p) == inversions(list(p)) == count
+        seen, cycles = set(), 0
+        for start in range(6):
+            if start not in seen:
+                cycles += 1
+                while start not in seen:
+                    seen.add(start)
+                    start = p[start]
+        assert perm_sign(p) == (-1) ** (6 - cycles)
 
 
 def test_all_pairings_count():
@@ -233,10 +253,11 @@ def test_symplectic_inverse():
 
 
 def test_eye_and_scalar_is_zero():
-    assert [[scalar_is_zero(x) for x in r] for r in eye(3)] == \
+    # a scalar is zero exactly when it is falsy, Poly included
+    assert [[not x for x in r] for r in eye(3)] == \
         [[False, True, True], [True, False, True], [True, True, False]]
-    assert scalar_is_zero(Poly.const(0))
-    assert not scalar_is_zero(Fraction(1, 9))
+    assert not Poly.const(0) and not Poly.var("a") - Poly.var("a")
+    assert Poly.var("a") and Fraction(1, 9)
 
 
 def _skew_suite(seed=11):

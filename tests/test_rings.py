@@ -164,6 +164,36 @@ def test_format_poly_canonical():
     assert format_scalar(p) == "a^2*b - 3/2*c + 1"
 
 
+def test_format_scalar_is_str():
+    # every kind of scalar the CLI prints, with its pinned text
+    for x, text in [
+            (7, "7"), (-12, "-12"), (Fraction(3, 4), "3/4"),
+            (Fraction(-5, 2), "-5/2"), (Fraction(6, 3), "2"), (0.1, "0.1"),
+            (-0.0, "-0.0"), (1e16, "1e+16"), (1e-300, "1e-300"),
+            (float("inf"), "inf"), (float("nan"), "nan"), (2.5e-7, "2.5e-07"),
+            (Fraction(3, 2) * A ** 2 * B - Fraction(1, 3) * B + 2,
+             "3/2*a^2*b - 1/3*b + 2"),
+            (A - A, "0")]:
+        assert format_scalar(x) == str(x) == text
+
+
+def test_hash_agrees_with_eq_across_int_fraction_and_poly():
+    half = Fraction(1, 2)
+    assert len({2, Poly.const(2)}) == 1
+    assert len({0, A - A, Poly.const(0), Fraction(0)}) == 1
+    assert len({half, Poly.const(half), Poly({(): Fraction(2, 4)})}) == 1
+    assert len({2, Fraction(6, 3), Poly.const(Fraction(4, 2))}) == 1
+    assert len({A + 1, 1 + A, A, A - 1, 2}) == 4
+    table = {2: "two", half: "half", 0: "zero", A + 1: "a + 1"}
+    assert table[Poly.const(2)] == "two"
+    assert table[Poly.const(half)] == "half"
+    assert table[A - A] == "zero"
+    assert table[1 + A] == "a + 1"
+    table = {Poly.const(3): "three", Poly.const(Fraction(1, 3)): "third"}
+    assert table[3] == "three" and table[Fraction(3)] == "three"
+    assert table[Fraction(1, 3)] == "third"
+
+
 def test_parse_unknown_strictness():
     assert parse_scalar("q", symbols_as_vars=True) == Poly.var("q")
     with pytest.raises(ValueError):
