@@ -36,15 +36,18 @@ diag(d_i), B = DAD has integer coefficients and Pf(B) = Pf(A) *
 prod(d_i), divided out once at the end.  A packed Pfaffian is unpacked
 to a Poly once (the zero Poly for 0).
 
-* Pivot order.  Each step takes the remaining row p of least size and,
-  among its columns, the row q of least size: the number of nonzeros of
-  an int row (minimum degree: George, SIAM J. Numer. Anal. 10, 1973;
-  Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979), and the number
-  of terms in a packed row, which prices a polynomial step (Markowitz,
-  Management Sci. 3, 1957).  With ip the position of p among the
-  remaining indices and iq that of q once p is gone, ip + iq adjacent
-  transpositions move the pair to the front, so the sign flips when
-  ip + iq is odd.  Pf(B) is the sign times the last pivot.
+* Pivot order.  An entry's size is 1 for an int and its number of terms
+  for a packed polynomial, and a row's size is the sum over its entries:
+  the number of nonzeros of an int row (minimum degree: George, SIAM J.
+  Numer. Anal. 10, 1973; Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16,
+  1979), the number of terms of a packed row, which prices a polynomial
+  step (Markowitz, Management Sci. 3, 1957).  Each step takes the
+  remaining row p of least size and the column q of p whose entry has the
+  fewest terms, ties going to the q of least row size.  With ip the
+  position of p among the remaining indices and iq that of q once p is
+  gone, ip + iq adjacent transpositions move the pair to the front, so
+  the sign flips when ip + iq is odd.  Pf(B) is the sign times the last
+  pivot.
 * Working entries.  With S the pivot rows p1 q1 ... ps qs of the first
   s steps, the entry (i, j) of stage s is w_s(i, j) = Pf(B[S, i, j]),
   and the pivot of step s is P_s = Pf(B[S]), P_0 = 1.  The identity
@@ -52,25 +55,27 @@ to a Poly once (the zero Poly for 0).
   / P_{s-1}, the w on the right of stage s - 1.
 * Lazy stages.  The cross term vanishes unless i and j both meet p or q,
   and it vanishes too when both meet p only or both meet q only.  Every
-  other entry just becomes w_{s-1}(i, j) P_s / P_{s-1}, so a step
-  rewrites only the hot entries of the rows its pivot pair touches.  A
-  row keeps the stage t of its last rewrite, and an entry of it stands
-  for w_t(i, j) P_s / P_t at stage s.  When a pivot pair next touches
-  the row, its entries are brought forward by P_now / P_then.  That
-  division is exact, because its quotient is again a Pfaffian minor of
-  B.  So is the update's, by the identity.
+  other entry just becomes w_{s-1}(i, j) P_s / P_{s-1}, so a step cuts
+  columns p and q out of the rows they meet and writes only the hot
+  entries, both mirrors, at stage s; a zero deletes the entry.  An entry
+  keeps the stage t it was written at and stands for w_t(i, j) P_s / P_t
+  at stage s.  Only when a step reads it, in a pivot row or as a hot
+  entry's old value, is it brought forward by P_{s-1} / P_t, and no row
+  is rebuilt.  That division is exact, because its quotient is again a
+  Pfaffian minor of B.  So is the update's, by the identity.
 * Two arithmetics.  The loop is handed the ring's lift, v * now / then,
   cross update, (P o - x y' + x' y) / prev, and negation.  Each division
   is a divmod on ints and the heap division of rings, by a pivot
   prepared once, on packed polynomials; an inexact one raises.
 * Field width.  With e the largest entry degree, an entry of stage t
   has total degree at most (t + 1) e and P_s at most s e.  At step s a
-  lift multiplies an entry of stage t < s by P_s, or of t < s - 1 by
-  P_{s-1}, and the update multiplies two of stage s - 1: at most 2 s e.
-  Rows are left to update only while s <= dim/2 - 1, and the last step
-  only lifts the pivot to P_{dim/2-1}, so no product passes (dim - 2) e.
-  The packing is sized for max(dim - 2, 1) e, which also holds the
-  entries and the Pfaffian; a dividend past it raises SelfCheckFailed.
+  lift multiplies an entry of stage t < s - 1 by the last pivot P_{s-1},
+  never by the new P_s, and the update multiplies two of stage s - 1: at
+  most 2 s e.  Rows are left to update only while s <= dim/2 - 1, and
+  the last step only lifts the pivot to P_{dim/2-1}, so no product
+  passes (dim - 2) e.  The packing is sized for max(dim - 2, 1) e, which
+  also holds the entries and the Pfaffian; a dividend past it raises
+  SelfCheckFailed.
 * A remaining row with no nonzeros makes the working matrix singular,
   and with it B, so the Pfaffian is 0.  An odd dimension always ends
   so: the last remaining row can only meet itself.
@@ -326,12 +331,12 @@ def _pf_cleared(b, d, pk):
     """Pfaffian of A from the rows of B = DAD, the d_i and the packing pk
     of B's entries (None for ints)."""
     if pk is None:
-        pf = _pf_sparse(list(b), 0, 1, int, _lift, _cross, operator.neg, len)
+        pf = _pf_sparse(b, 0, 1, int, _lift, _cross, operator.neg, bool)
         return Fraction(pf, math.prod(d))
     one = {0: 1}
     pf = _pf_sparse(
-        list(b), {}, one, lambda g: None if g == one else pk.divisor(g),
-        _pk_lift, _pk_cross, _pk_neg, lambda r: sum(map(len, r.values())))
+        b, {}, one, lambda g: None if g == one else pk.divisor(g),
+        _pk_lift, _pk_cross, _pk_neg, len)
     return pk.unpack(pf, math.prod(d))
 
 
@@ -435,21 +440,22 @@ def _pf_sparse(b, zero, one, prepare, lift, cross, neg, size):
     the module docstring on ints or packed polynomials: zero and one are
     the ring's, prepare(P) readies a pivot as a divisor, lift(v, now,
     then) = v now / then, cross(P, o, x, y2, x2, y, prev) = (P o - x y2
-    + x2 y) / prev, divisors prepared, neg negates and size(row) ranks
-    rows as pivots.  The rows of b are replaced as it runs."""
-    deg = [size(row) for row in b]
-    stage = [0] * len(b)
+    + x2 y) / prev, divisors prepared, neg negates and size(v) prices an
+    entry as a pivot, 0 for zero.  b itself is not written."""
+    deg = [sum(map(size, row.values())) for row in b]
+    b = [{j: (v, 0) for j, v in row.items()} for row in b]
     piv, divs = [one], [prepare(one)]
     alive = list(range(len(b)))
     sign = 1
 
     while alive:
         p = min(alive, key=deg.__getitem__)
-        if not deg[p]:
+        bp = b[p]
+        if not bp:
             # a zero row of the working matrix: its Pfaffian vanishes,
             # and with it that of b
             return zero
-        q = min(b[p], key=deg.__getitem__)
+        q = min(bp, key=lambda j: (size(bp[j][0]), deg[j]))
         # ip + iq adjacent transpositions move p, q to the front
         ip = bisect_left(alive, p)
         del alive[ip]
@@ -457,51 +463,48 @@ def _pf_sparse(b, zero, one, prepare, lift, cross, neg, size):
         del alive[iq]
         if (ip + iq) & 1:
             sign = -sign
+        # rows p and q at the last pivot, prev (on the last step row p
+        # holds only pv), then columns p and q cut out of the rows they meet
         s, prev, dprev = len(piv), piv[-1], divs[-1]
-        # p and q brought forward to prev; the last step needs only pv
-        bp, then = b[p], divs[stage[p]]
-        if piv[stage[p]] != prev:
-            bp = {j: lift(v, prev, then) for j, v in bp.items()}
-        pv = bp[q]
+        x = {i: v if t == s - 1 else lift(v, prev, divs[t])
+             for i, (v, t) in bp.items()}
+        pv = x.pop(q)
         if not alive:
             return pv if sign > 0 else neg(pv)
-        bq, then = b[q], divs[stage[q]]
-        if piv[stage[q]] != prev:
-            bq = {j: lift(v, prev, then) for j, v in bq.items()}
-        piv.append(pv)
-        divs.append(prepare(pv))
+        y = {i: v if t == s - 1 else lift(v, prev, divs[t])
+             for i, (v, t) in b[q].items() if i != p}
+        for r, c in ((x, p), (y, q)):
+            for i in r:
+                deg[i] -= size(b[i].pop(c)[0])
         # touched rows in three groups: A meets p only, C both, B q only.
-        # The cross term of (i, j) vanishes within A and within B, so a row
-        # updates only its hot columns and rescales the rest.
-        touched = [i for i in bp if i != q and i not in bq]
+        # The cross term of (i, j) vanishes within A and within B, so only
+        # the other pairs are written, at stage s; the rest wait at theirs
+        touched = [i for i in x if i not in y]
         na = len(touched)
-        touched += [i for i in bp if i in bq]
+        touched += [i for i in x if i in y]
         nac = len(touched)
-        touched += [i for i in bq if i != p and i not in bp]
-        hot = (set(touched[na:]), set(touched), set(touched[:nac]))
-        skip = [h | {p, q} for h in hot]
-        new, old = [], []
-        for a, i in enumerate(touched):
-            g = (a >= na) + (a >= nac)
-            row, then = b[i], divs[stage[i]]
-            new.append({j: lift(v, pv, then) for j, v in row.items()
-                        if j not in skip[g]})
-            if g < 2:
-                old.append(row if piv[stage[i]] == prev else
-                           {j: lift(v, prev, then) for j, v in row.items()
-                            if j in hot[g]})
-        xs = [bp.get(i, zero) for i in touched]
-        ys = [bq.get(i, zero) for i in touched]
+        touched += [i for i in y if i not in x]
+        xs = [x.get(i, zero) for i in touched]
+        ys = [y.get(i, zero) for i in touched]
         for a in range(nac):
-            i, oi, ni, x, y = touched[a], old[a], new[a], xs[a], ys[a]
+            i, xi, yi, bi = touched[a], xs[a], ys[a], b[touched[a]]
             for c in range(max(a + 1, na), len(touched)):
                 j = touched[c]
-                v = cross(pv, oi.get(j, zero), x, ys[c], xs[c], y, dprev)
+                o, t = bi.get(j, (zero, s - 1))
+                k = size(o)  # a row counts its entries as written
+                if t != s - 1:
+                    o = lift(o, prev, divs[t])
+                v = cross(pv, o, xi, ys[c], xs[c], yi, dprev)
                 if v:
-                    ni[j] = v
-                    new[c][i] = neg(v)
-        for i, row in zip(touched, new):
-            b[i], deg[i], stage[i] = row, size(row), s
+                    bi[j] = v, s
+                    b[j][i] = neg(v), s
+                elif k:
+                    del bi[j], b[j][i]
+                k = size(v) - k
+                deg[i] += k
+                deg[j] += k
+        piv.append(pv)
+        divs.append(prepare(pv))
     return one
 
 

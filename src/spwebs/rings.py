@@ -94,9 +94,6 @@ class Poly:
                 out.add(v)
         return out
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         return max((_mono_deg(m) for m in self.terms), default=0)
 
@@ -189,7 +186,7 @@ class Poly:
     def exact_div(self, other):
         """Exact polynomial quotient; raises ValueError if not divisible."""
         other = Poly._coerce(other)
-        if other is None or other.is_zero():
+        if other is None or not other:
             raise ZeroDivisionError("division by zero polynomial")
         # every monomial that arises (the divisor's, the remainder's and
         # the quotient's) has total degree at most that of one operand;

@@ -359,7 +359,7 @@ def test_poly_pfaffian_pivot_and_rank_exhaustion():
     b = np.full((6, 6), 0, dtype=object)
     b[0, 1], b[1, 0] = Fraction(1, 2) * x, -Fraction(1, 2) * x
     pf = pf_eliminate(b)
-    assert isinstance(pf, Poly) and pf.is_zero()
+    assert isinstance(pf, Poly) and not pf
     assert det(b) == 0
 
 
@@ -385,12 +385,12 @@ def test_zero_poly_pfaffian_is_a_poly():
     a = mat([[0, x, x, 0], [-x, 0, y, y], [-x, -y, 0, y], [0, -y, -y, 0]])
     for m in (a, [r[:3] for r in a[:3]]):
         pf = pf_eliminate(m)
-        assert isinstance(pf, Poly) and pf.is_zero()
+        assert isinstance(pf, Poly) and not pf
     values = [pf_eliminate(m) for m in _poly_skew_suite()
               if any(isinstance(v, Poly) for v in m.flat)]
     values += [det(m) for m in _singular_poly_squares()]
     assert all(isinstance(v, Poly) for v in values)
-    assert sum(v.is_zero() for v in values) >= 20
+    assert sum(not v for v in values) >= 20
 
 
 def test_poly_pfaffian_field_width(monkeypatch):
@@ -436,7 +436,7 @@ def test_poly_pfaffian_field_width(monkeypatch):
                         _stage_spy(linalg._pf_sparse, gaps))
     pf = pf_eliminate(c)
     assert pf.degree() == 40
-    # the pivot order leaves some row at its stage over 3 pivots
+    # the pivot order leaves some entry at its stage over 3 pivots
     assert max(gaps) >= 3
     for point in ({"u": 2, "v": -1, "w": 3}, {"u": 1, "v": 5, "w": -2}):
         at = np.vectorize(lambda x: substitute(x, point)
@@ -453,7 +453,7 @@ def test_poly_pfaffian_field_width(monkeypatch):
 
 def _stage_spy(sparse, gaps):
     """linalg._pf_sparse, wrapped to append to gaps, for every lift, the
-    number of pivots over which it brings a row forward."""
+    number of pivots over which it brings an entry forward."""
 
     def spy(b, zero, one, prepare, lift, cross, neg, size):
         pivots = []

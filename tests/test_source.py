@@ -194,9 +194,10 @@ def test_one_pfaffian_elimination_for_every_exact_ring(monkeypatch):
         rings.clear()
     # the zero of each ring: int 0 for the int rows, {} for packed ones
     assert seen == [0, 0, 0, 0, {}, {}]
-    # int rows rank pivots by their number of entries, packed rows by
-    # their number of terms, through the same loop
-    assert sizes[:4] == [len] * 4 and len not in sizes[4:]
+    # pivots are ranked by entry size through the same loop: a nonzero int
+    # entry counts as one (bool), so int rows rank by their number of
+    # entries, and a packed entry as its number of terms (len)
+    assert sizes == [bool] * 4 + [len] * 2
 
 
 def test_h_rows_are_built_in_one_pass(monkeypatch):

@@ -260,7 +260,7 @@ def test_symbolic_h_pfaffian_matches_dense_loop_at_integer_points():
                 pf = h.pfaffian()
                 assert isinstance(pf, Poly)
                 # 3x3 has an odd number of vertices, so no dimers
-                assert pf.is_zero() == (rows * cols % 2 == 1)
+                assert (not pf) == (rows * cols % 2 == 1)
                 dims.add(h.dim)
                 for _ in range(3):
                     point = {v: rnd.randint(-4, 4) for v in names}
@@ -272,20 +272,24 @@ def test_symbolic_h_pfaffian_matches_dense_loop_at_integer_points():
 
 
 def test_packed_pivots_are_ranked_by_term_count(monkeypatch):
-    # row 0 has the fewest entries, two, but 12 terms; rows 1 to 5 have
-    # three or four entries, and those of rows 3 to 5 have one term each.
-    # The first pivot comes from row 3, and not from row 0's 6-term
-    # entries, which least degree would pick.
     x, y, z = (Poly.var(v) for v in "xyz")
     many = [x + y + z + x * y + y * z + x * z,
             x * x + y * y + z * z + 2 * x + 3 * y + 5]
     assert [len(p.terms) for p in many] == [6, 6]
-    entries = {(0, 1): many[0], (0, 2): many[1], (1, 2): x, (1, 3): y,
-               (1, 5): z, (2, 4): x * y, (3, 4): y * z, (3, 5): 2 * x,
-               (4, 5): -z}
-    a = np.full((6, 6), 0, dtype=object)
-    for (i, j), v in entries.items():
-        a[i, j], a[j, i] = v, -v
+    cases = [
+        # row 0 has the fewest entries, two, but 12 terms; rows 1 to 5 have
+        # three or four entries, and those of rows 3 to 5 have one term
+        # each.  The first pivot comes from row 3, and not from row 0's
+        # 6-term entries, which least degree would pick.
+        {(0, 1): many[0], (0, 2): many[1], (1, 2): x, (1, 3): y,
+         (1, 5): z, (2, 4): x * y, (3, 4): y * z, (3, 5): 2 * x,
+         (4, 5): -z},
+        # every row has 7 terms, so row 0 is p, and its neighbours 1 and 2
+        # tie on row size: the 1-term entry (0, 2) is the pivot, and not
+        # (0, 1), which comes first in the row
+        {(0, 1): many[0], (0, 2): x, (1, 3): y, (2, 4): many[1],
+         (3, 5): many[0], (4, 5): z},
+    ]
     pivots = []
     sparse = linalg._pf_sparse
 
@@ -296,22 +300,29 @@ def test_packed_pivots_are_ranked_by_term_count(monkeypatch):
         return sparse(b, zero, one, prep, *ops)
 
     monkeypatch.setattr(linalg, "_pf_sparse", spy)
-    assert pf_eliminate(a) == pf_combinatorial(a)
-    # pivots[0] is the ring's one, pivots[1] the first pivot, b[3][4]
-    assert [len(p) for p in pivots[:2]] == [1, 1]
+    for entries in cases:
+        a = np.full((6, 6), 0, dtype=object)
+        for (i, j), v in entries.items():
+            a[i, j], a[j, i] = v, -v
+        pivots.clear()
+        assert pf_eliminate(a) == pf_combinatorial(a)
+        # pivots[0] is the ring's one, pivots[1] the first pivot, of 1 term
+        assert [len(p) for p in pivots[:2]] == [1, 1]
 
 
 def test_symbolic_kasteleyn_grids_with_many_terms():
     # Pf(H) = +-Z(w)^(2n) with one variable per edge, Z(w) the sum of the
-    # weight monomials of the dimer covers; least-degree pivots took about
-    # 4 minutes on the symbolic 4x4 grid at rank 2, and up to 0.4 s here
-    for rows, cols, n in ((2, 6, 2), (3, 4, 2), (4, 4, 1)):
+    # weight monomials of the dimer covers, checked as an exact division by
+    # Z^n whose quotient is +-Z^n: expanding Z^4 of the 3x6 grid takes
+    # seconds.  Least-degree pivots took about 4 minutes on the symbolic
+    # 4x4 grid at rank 2; row-size pivots took 1.2 s on the 3x6 grid here
+    for rows, cols, n in ((2, 6, 2), (3, 4, 2), (3, 6, 2), (4, 4, 1)):
         g = grid(rows, cols)
         w = th.symbolic_weights(g)
         z = sum((math.prod(w[e] for e in m) for m in enumerate_dimers(g)),
-                Poly.const(0))
+                Poly.const(0)) ** n
         pf = th.HMatrix(g, kasteleyn_connection(g, n), w).pfaffian()
-        assert pf in (z ** (2 * n), -z ** (2 * n))
+        assert pf.exact_div(z) in (z, -z)
 
 
 def test_kasteleyn_pfaffian_size_guard():
