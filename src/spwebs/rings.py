@@ -1,9 +1,11 @@
 """Scalar backends: exact rationals, sparse multivariate polynomials, floats.
 
 Rationals are fractions.Fraction.  Polynomials are stored sparsely as a dict
-mapping monomials to Fraction coefficients; a monomial is a tuple of
-(variable name, exponent) pairs sorted by name with positive exponents.
-A Poly prints in graded lexicographic order (total degree first, then
+mapping monomials to Fraction coefficients, each normalised once, when its
+Poly is built (a Fraction is kept, anything else goes through Fraction());
+a monomial is a tuple of (variable name, exponent) pairs sorted by name with
+positive exponents.  A Poly prints each coefficient from its numerator and
+denominator, in graded lexicographic order (total degree first, then
 exponents of the alphabetically sorted variables).  Floats are plain
 Python floats, used only for the numeric experiments; Poly arithmetic
 with a float raises MixedRing, since no ring here holds both.  Every
@@ -67,7 +69,7 @@ def parse_monomial(text):
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse polynomial; nonzero Fraction coefficients, normalised once."""
 
     __slots__ = ("terms",)
 
@@ -75,7 +77,8 @@ class Poly:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.terms[m] = c
 
@@ -124,7 +127,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms[m] + c if m in terms else c
         return Poly(terms)
 
     __radd__ = __add__
@@ -158,14 +161,13 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        if not n:
+            return Poly.const(1)
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -208,17 +210,19 @@ class Poly:
         key = _Packing(self.variables(), self.degree()).key
         for m in sorted(self.terms, key=key, reverse=True):
             c = self.terms[m]
+            p, q = c.numerator, c.denominator
+            text = "%d" % abs(p) if q == 1 else "%d/%d" % (abs(p), q)
             mono = _mono_str(m)
             if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = text
+            elif text == "1":
                 body = mono
             else:
-                body = "%s*%s" % (abs(c), mono)
+                body = "%s*%s" % (text, mono)
             if not parts:
-                parts.append(body if c > 0 else "-" + body)
+                parts.append(body if p > 0 else "-" + body)
             else:
-                parts.append(("+ " if c > 0 else "- ") + body)
+                parts.append(("+ " if p > 0 else "- ") + body)
         return " ".join(parts)
 
     def __repr__(self):
@@ -283,7 +287,8 @@ class _Packing:
 
     def unpack(self, f, den=1):
         """The Poly of packed f divided by den."""
-        return Poly({self.mono(key): Fraction(c, den) for key, c in f.items()})
+        return Poly({self.mono(k): Fraction(c) if den == 1 else Fraction(c, den)
+                     for k, c in f.items()})
 
     def divisor(self, g):
         """Nonzero packed g prepared for _pk_div: its leading term, its

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 
 from helpers import is_exact, reference_grlex, substitute
 from spwebs.errors import MalformedInput, MixedRing
-from spwebs.rings import (Poly, _pair, exact_div_scalar, format_scalar,
-                          parse_monomial, parse_scalar)
+from spwebs.rings import (Poly, _pair, _Packing, exact_div_scalar,
+                          format_scalar, parse_monomial, parse_scalar)
 
 A, B, C = Poly.var("a"), Poly.var("b"), Poly.var("c")
 
@@ -34,26 +35,77 @@ def test_ring_axioms_random():
 
 def test_print_order_is_the_tuple_grlex_order():
     # the packed key orders monomials as the (degree, exponents) tuple
-    # did; each term printed alone and joined in that order must give str
+    # did, and each coefficient, printed from its numerator and
+    # denominator, reads as str(abs(c)) and c > 0 of the Fraction did
     rnd = random.Random(23)
     names = ["a", "b", "c", "e1", "e10", "e2", "x_1"]
 
     def reference_str(p):
         out = []
         for m in reference_grlex(p):
-            t = str(Poly({m: p.terms[m]}))
-            out.append(t if not out else
-                       "- " + t[1:] if t[0] == "-" else "+ " + t)
+            c = p.terms[m]
+            mono = "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in m)
+            body = (str(abs(c)) if not m else mono if abs(c) == 1
+                    else "%s*%s" % (abs(c), mono))
+            out.append((body if c > 0 else "-" + body) if not out
+                       else ("+ " if c > 0 else "- ") + body)
         return " ".join(out) or "0"
 
+    seen = set()
     for _ in range(20000):
         terms = {}
         for _ in range(rnd.randint(0, 6)):
             mono = tuple(sorted((v, rnd.randint(1, 4)) for v in
                                 rnd.sample(names, rnd.randint(0, 3))))
-            terms[mono] = Fraction(rnd.randint(-5, 5), rnd.randint(1, 3))
+            num = rnd.choice([rnd.randint(-5, 5), 2 ** 64 + 13, -3 ** 50])
+            terms[mono] = Fraction(num, rnd.choice([1, 2, 3, 2 ** 65 + 1]))
         p = Poly(terms)
         assert str(p) == reference_str(p)
+        order = reference_grlex(p)
+        cs = [p.terms[m] for m in order]
+        seen.update(name for name, hit in [
+            ("negative lead", cs and cs[0] < 0),
+            ("unit monomial", any(abs(p.terms[m]) == 1 for m in order if m)),
+            ("positive fraction", any(c > 0 and c.denominator > 1 for c in cs)),
+            ("negative fraction", any(c < 0 and c.denominator > 1 for c in cs)),
+            ("constant alone", order == [()]),
+            ("constant last", len(order) > 1 and order[-1] == ()),
+            ("past 2^64", any(abs(c.numerator) > 2 ** 64 or
+                              c.denominator > 2 ** 64 for c in cs))] if hit)
+    assert len(seen) == 7, seen
+    assert str(Poly({(): 0})) == "0"
+    assert str(Poly({(("a", 1),): -1, (): Fraction(-2 ** 70, 3)})) \
+        == "-a - %d/3" % 2 ** 70
+
+
+def test_coefficients_are_fractions_in_lowest_terms():
+    # every operation leaves each coefficient a nonzero Fraction in
+    # lowest terms, normalised once, whatever it was built from
+    def normal(p):
+        return all(type(c) is Fraction and c and c.denominator > 0 and
+                   math.gcd(c.numerator, c.denominator) == 1
+                   for c in p.terms.values())
+
+    p = Fraction(3, 2) * A ** 2 * B - Fraction(1, 3) * B + 2
+    q = A - 2 * B + Fraction(5, 6)
+    pk = _Packing(["a", "b"], 4)
+    results = [p + q, p + 1, 1 + p, p - q, q - p, 3 - p, p * q, 2 * p,
+               p * Fraction(2, 3), p ** 0, p ** 1, p ** 2, q ** 3,
+               (p * q).exact_div(q), (p * q).exact_div(p),
+               exact_div_scalar(p, 3), pk.unpack(pk.pack(p, 6)),
+               pk.unpack(pk.pack(p, 6), 6), pk.unpack(pk.pack(p, 6), 4),
+               Poly({(("a", 1),): 2, (): Fraction(4, 2), (("b", 1),): 0}),
+               Poly({(): 0.5}), p + (-p)]
+    assert all(normal(r) for r in results)
+    assert results[-1] == 0 and not results[-1].terms
+    assert (p * q).exact_div(q) == p and pk.unpack(pk.pack(p, 6), 6) == p
+    assert p ** 0 == 1 and p ** 2 == p * p and q ** 3 == q * q * q
+    # p ** 1 is p, and nothing done with it afterwards changes p
+    before = dict(p.terms)
+    r = p ** 1
+    assert r == p
+    _ = [r + A, r * r, r - 1, r ** 3, -r]
+    assert p.terms == before
 
 
 def test_ne_is_the_negation_of_eq():
