@@ -9,7 +9,8 @@ input.  A library warning is printed to stderr as one "warning:" line.
 
 VERBS maps each verb to its handler and to exactly the flags that
 handler reads; besides those, every verb takes --json, and any other
-flag is a usage error.  The parser is built once per process.
+flag is a usage error.  The parsers are built once per process, and a
+verb's arguments are parsed by its own sub-parser.
 """
 
 import argparse
@@ -253,6 +254,7 @@ VERBS = {
 
 @functools.cache
 def _build_parser():
+    """The top parser and its sub-parser for each verb."""
     parser = argparse.ArgumentParser(prog="spwebs",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -261,12 +263,17 @@ def _build_parser():
         for name in flags.split():
             p.add_argument("--" + name, **FLAGS[name])
         p.add_argument("--json", action="store_true")
-        p.set_defaults(usage_error=p.error)
-    return parser
+        p.set_defaults(verb=verb, usage_error=p.error)
+    return parser, sub.choices
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, verbs = _build_parser()
+    # a verb's own sub-parser reads the rest of argv in one parse; the
+    # top parser handles -h and a missing or unknown verb
+    args = (verbs[argv[0]].parse_args(argv[1:]) if argv and argv[0] in verbs
+            else parser.parse_args(argv))
     if getattr(args, "weights", None) == "symbolic" and args.ring == "float":
         args.usage_error("--ring float does nothing with --weights symbolic")
     handler, key, _ = VERBS[args.verb]

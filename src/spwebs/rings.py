@@ -206,8 +206,16 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
+        names, top = set(), 0
+        for m in self.terms:
+            deg = 0
+            for v, e in m:
+                names.add(v)
+                deg += e
+            if deg > top:
+                top = deg
+        key = _Packing(names, top).key
         parts = []
-        key = _Packing(self.variables(), self.degree()).key
         for m in sorted(self.terms, key=key, reverse=True):
             c = self.terms[m]
             p, q = c.numerator, c.denominator

@@ -26,7 +26,7 @@ from .errors import (BadFaceLength, DivByZero, IdentityViolated,
 from .linalg import SkewMatrix, block_transpose, j_times
 from .planar import standard_structure, vertex_order
 from .rings import Poly, _Packing, exact_div_scalar
-from .traces import trace_contraction
+from .traces import _edge_table, trace_contraction
 from .webs import (
     decompose_2multiweb,
     decompositions_into_2webs,
@@ -172,9 +172,11 @@ def sum_traces(g, conn, w=None):
     """Weighted sum of Tr(m) over all multiwebs of g of the rank of conn."""
     wmap = weight_map(g, w)
     s = standard_structure(g)
+    edges = _edge_table(g, conn, s, g.edges)
     total = 0
     for m in enumerate_multiwebs(g, conn.n):
-        total = total + trace_contraction(g, conn, m, s) * web_weight(m, wmap)
+        total = total + trace_contraction(g, conn, m, s, edges=edges) \
+            * web_weight(m, wmap)
     return total
 
 

@@ -34,6 +34,13 @@ Its k-minors come from one Laplace table, for k > n read off the
 (2n - k)-minors by Jacobi's identity (_bond).  The network is contracted
 on these integers and the product of the scales is divided out at the end.
 
+Only the minors depend on the web.  The edge table (_edge_table) walks
+edge_sweep once per graph and keeps, for each edge, its dart under the
+structure and the reverse dart, the rows J D phi_vu, D, and whether those
+rows are exact; sum_traces builds it once over all edges and hands it to
+the contraction of every multiweb, which walks it in order and skips the
+edges of multiplicity 0.
+
 The same index convention fills the blocks of the big antisymmetric matrix
 H, so the Pfaffian pairing terms are exactly the per-edge factors here.
 """
@@ -127,10 +134,12 @@ def trace_coloring(g, conn, m, structure=None):
     return exact_div_scalar(total, scale)
 
 
-def trace_contraction(g, conn, m, structure=None):
-    """Trace by contracting the subset-labelled network of m."""
+def trace_contraction(g, conn, m, structure=None, *, edges=None):
+    """Trace by contracting the subset-labelled network of m.  edges is
+    an _edge_table under the same structure over any edge set that holds
+    m's; without it one is built for m alone."""
     s = structure if structure is not None else standard_structure(g)
-    return _trace_network(g, conn, m, s)
+    return _trace_network(g, conn, m, s, edges)
 
 
 @functools.cache
@@ -146,17 +155,32 @@ def _vertex_tensor(n2, sizes):
     return MappingProxyType({masks: perm_sign(seq) for masks, seq in entries})
 
 
-def _bond(rows, d, k, symplectic):
-    """Tail subset -> head subset -> k-minor of B = J D phi (D phi when
-    symplectic is False) from the rows of D phi and d = D, nonzero entries
-    only, and the signed scale (-1)^(k(k-1)/2) D^k it is divided by.  As
-    B^T J B = D^2 J, for k > n on exact rows det B[S, T] = g(R) g(C)
-    D^(2k-2n) det B[R, C] (Jacobi), R and C the complements of S and T with
-    halves swapped and g(R) = (-1)^(sigma(S) + h + lh), sigma(S) the index
-    sum of S, h and l the members of R below n and at or above it."""
-    b = j_times(rows) if symplectic else rows
+def _edge_table(g, conn, s, eids, symplectic=True):
+    """What no multiweb changes, per edge of eids in edge_sweep order: the
+    edge id, its dart under s and the reverse dart, the bond rows B = J D
+    phi_vu (D phi_vu when symplectic is False), D, and whether B is exact,
+    that is has no float entry."""
+    table = []
+    for eid in edge_sweep(g, eids):
+        d = s.orient[eid]
+        rows, den = conn.cleared_phi(g, eid, g.dart_head(d))
+        b = j_times(rows) if symplectic else rows
+        table.append((eid, d, g.dart_reverse(d), b, den,
+                      not any(isinstance(x, float) for row in b for x in row)))
+    return table
+
+
+def _bond(b, d, k, exact):
+    """Tail subset -> head subset -> k-minor of the bond rows b = J D phi
+    (or D phi) with d = D, nonzero entries only, and the signed scale
+    (-1)^(k(k-1)/2) D^k it is divided by.  As B^T J B = D^2 J, for k > n
+    on exact rows det B[S, T] = g(R) g(C) D^(2k-2n) det B[R, C] (Jacobi),
+    R and C the complements of S and T with halves swapped and g(R) =
+    (-1)^(sigma(S) + h + lh), sigma(S) the index sum of S, h and l the
+    members of R below n and at or above it.  Float rows keep the Laplace
+    table, which the identity would round differently."""
     n, scale = len(b) // 2, (-1) ** (k * (k - 1) // 2) * d ** k
-    if k <= n or any(isinstance(x, float) for row in b for x in row):
+    if k <= n or not exact:
         return minors(b, k), scale
     table, low, dual = minors(b, 2 * n - k), (1 << n) - 1, {}
     for x in table:
@@ -169,28 +193,31 @@ def _bond(rows, d, k, symplectic):
              for r, row in table.items()}, scale)
 
 
-def _trace_network(g, conn, m, s, symplectic=True):
-    """Contract the vertex tensors of m along its edge bonds in edge_sweep
-    order: an edge is contracted when the sweep over vertex_order reaches
-    its later end, so the open legs stay near a front that moves up the
-    embedding.  The bond matrix is J phi_vu, or phi_vu alone when
-    symplectic is False."""
+def _trace_network(g, conn, m, s, edges=None, symplectic=True):
+    """Contract the vertex tensors of m along its edge bonds in the order
+    of the edge table (built for m's edges when edges is None): an edge
+    is contracted when the sweep over vertex_order reaches its later end,
+    so the open legs stay near a front that moves up the embedding.  The
+    bond matrix is J phi_vu, or phi_vu alone when symplectic is False."""
     _check_web(g, m, conn.n)
+    if edges is None:
+        edges = _edge_table(g, conn, s, m.mult, symplectic)
     n = conn.n
+    mult = m.mult
     clusters = {}
     owner = {}
     for v in sorted(g.vertices):
-        legs = [d for d in s.order[v] if m[d[0]]]
+        legs = [d for d in s.order[v] if mult.get(d[0])]
         clusters[v] = (legs,
-                       _vertex_tensor(2 * n, tuple(m[d[0]] for d in legs)))
+                       _vertex_tensor(2 * n, tuple(mult[d[0]] for d in legs)))
         for d in legs:
             owner[d] = v
     scalar = scale = 1
-    for eid in edge_sweep(g, m.mult):
-        d = s.orient[eid]
-        rd = g.dart_reverse(d)
-        bond, bond_scale = _bond(*conn.cleared_phi(g, eid, g.dart_head(d)),
-                                 m[eid], symplectic)
+    for eid, d, rd, rows, den, exact in edges:
+        k = mult.get(eid)
+        if not k:
+            continue
+        bond, bond_scale = _bond(rows, den, k, exact)
         scale *= bond_scale
         c1, c2 = owner[d], owner[rd]
         legs1, t1 = clusters[c1]

@@ -37,9 +37,6 @@ class Multiweb:
         inner = ", ".join("%d: %d" % it for it in sorted(self.mult.items()))
         return "Multiweb(n=%d, {%s})" % (self.n, inner)
 
-    def degree(self, g, vid):
-        return sum(self.mult.get(eid, 0) for eid in g.incident_edges(vid))
-
     def split_factor(self):
         out = 1
         for k in self.mult.values():
@@ -47,17 +44,23 @@ class Multiweb:
         return out
 
 def check_multiweb(g, m):
+    """m, once each multiplicity is on an edge of g and in 0..2n and each
+    vertex has degree 2n; raises MalformedWeb at the first that is not."""
+    n2 = 2 * m.n
+    degree = dict.fromkeys(g.vertices, 0)
     for eid, k in m.mult.items():
-        if eid not in g.edges:
+        e = g.edges.get(eid)
+        if e is None:
             raise MalformedWeb("multiplicity on unknown edge %d" % eid)
-        if not 0 <= k <= 2 * m.n:
+        if not 0 <= k <= n2:
             raise MalformedWeb("multiplicity %d out of range on edge %d"
                                % (k, eid))
-    for vid in g.vertices:
-        d = m.degree(g, vid)
-        if d != 2 * m.n:
+        degree[e.u] += k
+        degree[e.v] += k
+    for vid, d in degree.items():
+        if d != n2:
             raise MalformedWeb("vertex %d has degree %d, expected %d"
-                               % (vid, d, 2 * m.n))
+                               % (vid, d, n2))
     return m
 
 

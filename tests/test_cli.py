@@ -437,6 +437,32 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_top_parser_handles_help_and_missing_or_unknown_verbs(capsys):
+    # a known verb goes straight to its own sub-parser; everything else
+    # still reaches the top parser
+    for argv, code, stream, text in (
+            (["-h"], 0, "out", "usage: spwebs [-h]"),
+            (["verify-main", "-h"], 0, "out", "usage: spwebs verify-main"),
+            ([], 2, "err", "error: the following arguments are required:"
+             " verb"),
+            (["not-a-verb"], 2, "err", "error: argument verb: invalid"
+             " choice: 'not-a-verb'"),
+            (["dimers", "--n", "1"], 2, "err",
+             "error: unrecognized arguments: --n 1")):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == code, argv
+        assert text in getattr(captured, stream), (argv, captured)
+        if code:
+            assert captured.out == "" and len(
+                [x for x in captured.err.splitlines() if "error:" in x]) == 1
+    # an unrecognized flag is reported under the verb's usage line
+    with pytest.raises(SystemExit):
+        cli.main(["dimers", "--n", "1"])
+    assert capsys.readouterr().err.startswith("usage: spwebs dimers ")
+
+
 def test_mixed_float_and_symbolic_input_exits_two(capsys, tmp_path):
     # no ring holds a float and a Poly, so each of these is malformed
     # input: exit 2, nothing on stdout, one error line and no traceback
@@ -495,7 +521,7 @@ def test_each_verb_takes_exactly_the_flags_it_reads(capsys, verb):
         if cli.FLAGS.get(name, {}).get("required"):
             argv += _flag(name)
     for name in flags:
-        args = cli._build_parser().parse_args(argv + _flag(name))
+        args = cli._build_parser()[0].parse_args(argv + _flag(name))
         assert getattr(args, name) not in (None, False)
     for name in sorted(set(cli.FLAGS) - set(flags)):
         with pytest.raises(SystemExit) as err:

@@ -391,18 +391,22 @@ def test_every_connection_is_checked_and_j_acts_by_row_swaps():
 
 
 def test_trace_network_sweeps_in_a_fixed_order():
-    # the trace network and the multiplicity search both take their edges
-    # from planar.edge_sweep, and neither sorts g.edges itself
+    # the trace's edge table and the multiplicity search both take their
+    # edges from planar.edge_sweep, and neither they nor the per-web
+    # contraction sort g.edges themselves
     calls = {}
-    for module, name in (("traces", "_trace_network"),
+    for module, name in (("traces", "_edge_table"),
+                         ("traces", "_trace_network"),
                          ("webs", "_enumerate_regular")):
         calls[name] = [n for n in ast.walk(_function(module, name))
                        if isinstance(n, ast.Call)
                        and isinstance(n.func, ast.Name)]
-        assert "edge_sweep" in {n.func.id for n in calls[name]}, name
         assert not [n.lineno for n in calls[name] if n.func.id == "sorted"
                     and "g.edges" in ast.unparse(n)], name
-    # no nested cost function and no min scan over the pending edges
+    for name in ("_edge_table", "_enumerate_regular"):
+        assert "edge_sweep" in {n.func.id for n in calls[name]}, name
+    # the contraction walks the table in its order: no nested cost
+    # function and no min scan over the pending edges
     fn = _function("traces", "_trace_network")
     assert not [n.lineno for n in ast.walk(fn) if n is not fn
                 and isinstance(n, (ast.FunctionDef, ast.Lambda))]

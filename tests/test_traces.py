@@ -5,20 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (c4_ring, grid, k4_2by3, random_vector, shuffled_ids,
-                     triangle)
+from helpers import (c4_ring, grid, k4_2by3, random_vector,
+                     shuffled_edge_ids, shuffled_ids, triangle)
 from test_linalg import _shear_product
 from spwebs import traces
-from spwebs.connections import identity_connection, kasteleyn_connection
+from spwebs.connections import (Connection, identity_connection,
+                                kasteleyn_connection)
 from spwebs.errors import NotBipartite, WrongRank
 from spwebs.linalg import (block_transpose, clear_denominators, det, eye,
                            is_symplectic, j_times, matmul, minors)
-from spwebs.planar import (advance_cilium, flip_edge_orientation, load_graph,
-                           standard_structure, vertex_order)
+from spwebs.planar import (advance_cilium, edge_sweep, flip_edge_orientation,
+                           load_graph, standard_structure, vertex_order)
 from spwebs.rand import (random_connection, random_fraction,
                          random_planar_graph, random_sp)
 from spwebs.rings import Poly
-from spwebs.theorems import HMatrix, sum_traces
+from spwebs.theorems import (HMatrix, sum_traces, symbolic_weights,
+                             web_weight, weight_map)
 from spwebs.traces import (bipartite_parts, bipartite_structure,
                            crossing_count, det_vertex, qdet, trace_coloring,
                            trace_contraction, trace_identity_colorings,
@@ -108,6 +110,64 @@ def _poly_sp(rnd, n):
     return matmul(shear, random_sp(rnd, n))
 
 
+def _per_web_sum(g, conn, w):
+    """The trace sum with an edge table built for each web alone."""
+    wmap, s = weight_map(g, w), standard_structure(g)
+    total = 0
+    for m in enumerate_multiwebs(g, conn.n):
+        total = total + trace_contraction(g, conn, m, s) * web_weight(m, wmap)
+    return total
+
+
+def test_one_edge_table_serves_every_web_of_the_sum():
+    # sum_traces prepares each edge once for all webs; the sum must be
+    # the one with a table per web, exactly, over exact and float rows
+    rnd = random.Random(40)
+    cases = [(grid(2, 3), 1), (k4_2by3(), 1), (grid(3, 3), 1),
+             (random_planar_graph(rnd, 6), 1), (c4_ring(), 2), (grid(2, 2), 2),
+             (load_graph(Path(__file__).parent / "data" / "2by3.json"), 2),
+             (random_planar_graph(rnd, 4), 2)]
+    kinds = set()
+    for g, n in cases:
+        for h in (g, shuffled_edge_ids(shuffled_ids(g, rnd), rnd)):
+            exact = random_connection(h, rnd, n)
+            floats = Connection(h, n, {
+                eid: [[float(x) for x in row] for row in m]
+                for eid, m in exact.matrices.items()})
+            table = traces._edge_table(h, exact, standard_structure(h),
+                                       h.edges)
+            assert [e[0] for e in table] == edge_sweep(h, h.edges)
+            assert all(e[-1] for e in table)
+            assert not any(e[-1] for e in traces._edge_table(
+                h, floats, standard_structure(h), h.edges))
+            fractions = {eid: random_fraction(rnd) for eid in h.edges}
+            for conn, weights in ((exact, None), (exact, fractions),
+                                  (exact, symbolic_weights(h)),
+                                  (floats, None), (floats, fractions)):
+                a, b = sum_traces(h, conn, weights), _per_web_sum(
+                    h, conn, weights)
+                assert type(a) is type(b) and a == b, (n, weights)
+                kinds.add((n, type(a).__name__, bool(a)))
+    assert {(n, kind, True) for n in (1, 2)
+            for kind in ("Fraction", "Poly", "float")} <= kinds
+
+
+def test_edge_rows_are_prepared_once_per_trace_sum(monkeypatch):
+    g = load_graph(Path(__file__).parent / "data" / "2by3.json")
+    conn = random_connection(g, random.Random(2), 2)
+    calls = []
+    cleared_phi, times = Connection.cleared_phi, traces.j_times
+    monkeypatch.setattr(Connection, "cleared_phi", lambda self, *args:
+                        calls.append("cleared_phi")
+                        or cleared_phi(self, *args))
+    monkeypatch.setattr(traces, "j_times", lambda rows:
+                        calls.append("j_times") or times(rows))
+    assert sum_traces(g, conn) == Fraction(-18128777443, 7558272)
+    assert len(enumerate_multiwebs(g, 2)) > 1
+    assert sorted(calls) == ["cleared_phi"] * len(g.edges) \
+        + ["j_times"] * len(g.edges)
+
+
 def test_bond_equals_the_laplace_table_for_every_size():
     # above rank n the bond reads its k-minors off the (2n - k)-table by
     # Jacobi's complementary minors; it must be the Laplace table exactly,
@@ -125,7 +185,7 @@ def test_bond_equals_the_laplace_table_for_every_size():
             for symplectic in (True, False):
                 b = j_times(r) if symplectic else r
                 for k in range(2 * n + 1):
-                    table, scale = traces._bond(r, d, k, symplectic)
+                    table, scale = traces._bond(b, d, k, True)
                     assert table == minors(b, k), (n, k, symplectic)
                     assert scale == (-1) ** (k * (k - 1) // 2) * d ** k
     assert {(1, True, True), (2, True, True), (3, True, True),
@@ -141,7 +201,7 @@ def test_float_bond_is_the_laplace_table_bit_for_bit():
             for symplectic in (True, False):
                 b = j_times(r) if symplectic else r
                 for k in range(2 * n + 1):
-                    table = traces._bond(r, 1, k, symplectic)[0]
+                    table = traces._bond(b, 1, k, False)[0]
                     assert repr(table) == repr(minors(b, k))
 
 
@@ -152,8 +212,8 @@ def test_rank2_cube_expands_no_int_table_past_rank(monkeypatch):
     conn = random_connection(g, random.Random(2), 2)
     asked, expanded = [], []
     bond, laplace = traces._bond, traces.minors
-    monkeypatch.setattr(traces, "_bond", lambda rows, d, k, symplectic:
-                        asked.append(k) or bond(rows, d, k, symplectic))
+    monkeypatch.setattr(traces, "_bond", lambda rows, d, k, exact:
+                        asked.append(k) or bond(rows, d, k, exact))
     monkeypatch.setattr(traces, "minors", lambda rows, k: expanded.append(
         (k, all(type(x) is int for row in rows for x in row)))
         or laplace(rows, k))

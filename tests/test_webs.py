@@ -60,6 +60,21 @@ def test_check_multiweb_rejects_bad_degree():
     g = c4_ring()
     with pytest.raises(MalformedWeb):
         check_multiweb(g, Multiweb(1, {0: 1}))
+    # the edge checks run in the web's order before any degree check, and
+    # the degrees are compared in g.vertices order
+    h = shuffled_ids(g, random.Random(3))
+    for graph, mult, message in (
+            (g, {9: 1}, "multiplicity on unknown edge 9"),
+            (g, {0: 3}, "multiplicity 3 out of range on edge 0"),
+            (g, {0: -1, 9: 1}, "multiplicity -1 out of range on edge 0"),
+            (g, {9: 1, 0: 3}, "multiplicity on unknown edge 9"),
+            (g, {0: 2, 1: 2, 2: 2, 3: 2, 9: 1},
+             "multiplicity on unknown edge 9"),
+            (g, {0: 1}, "vertex 0 has degree 1, expected 2"),
+            (h, {0: 1, 3: 1}, "vertex 2 has degree 1, expected 2")):
+        with pytest.raises(MalformedWeb) as err:
+            check_multiweb(graph, Multiweb(1, mult))
+        assert str(err.value) == message, mult
 
 
 def test_superposition_is_rank_one():
